@@ -1,9 +1,10 @@
 """Command-line harness: wires a flat INI config (plus flag overrides) to
-the experiment functions, runs Monte-Carlo work over a process pool with
-counter-based per-run seeding, and writes CSV artifacts plus a
+the experiment functions, runs all Monte-Carlo runs of an invocation as one
+batch with counter-based per-run seeding, and writes CSV artifacts plus a
 machine-readable ``verdict.json`` into the output directory.
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 config error.
+Exit codes: 0 all checks passed, 1 at least one check failed, 2 config error
+(including a ``ValueError`` raised by the library on the resolved values).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import configparser
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from . import concentration as conc
 from . import continuous as cont
 from . import stats
 from .lyapunov import check_descent
-from .optimizers import StepSchedule, run_trajectory
+from .optimizers import StepSchedule, TrajectoryRecord, run_ensemble, run_trajectory
 from .problems import (
     NoiseModel,
     Objective,
@@ -111,7 +111,7 @@ def load_config(subcommand: str, path: str | None, overrides: dict) -> dict:
         cfg["runs"] = int(raw["runs"])
         cfg["seed"] = int(raw["seed"])
         cfg["out"] = raw["out"]
-        cfg["workers"] = int(raw["workers"])
+        cfg["workers"] = int(raw["workers"])  # validated; all runs share one batch
         cfg["beta"] = float(raw["beta"])
         cfg["eta_grid"] = [float(v) for v in str(raw["eta_grid"]).split(",") if v]
         cfg["p"] = float(raw["p"])
@@ -187,64 +187,71 @@ def _check(name: str, passed: bool, value, threshold) -> dict:
 def write_verdict(out: Path, subcommand: str, checks: list[dict]) -> bool:
     passed = all(c["passed"] for c in checks)
     verdict = {"subcommand": subcommand, "passed": passed, "checks": checks}
-    with open(out / "verdict.json", "w") as fh:
-        json.dump(verdict, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # strict JSON: a NaN or infinite value raises instead of being written
+    text = json.dumps(verdict, indent=2, sort_keys=True, allow_nan=False)
+    (out / "verdict.json").write_text(text + "\n")
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"[{status}] {c['name']}: value={c['value']} threshold={c['threshold']}")
     return passed
 
 
-def _trajectory_task(args):
-    """Process-pool unit of work: rebuild the problem and run one seeded
-    trajectory, returning its suboptimality trace (and descent residual)."""
-    cfg, run_index = args
-    obj = build_problem(cfg)
-    noise = build_noise(cfg, obj.dim)
-    sched = build_schedule(cfg, obj.lipschitz)
-    rec = run_trajectory(obj, noise, cfg["algorithm"], sched, cfg["steps"],
-                         seed_split(cfg["seed"], run_index),
-                         sgd_scale=cfg["sgd_scale"])
-    residual = None
-    if cfg["algorithm"] == "sgdm" and sched.monotone:
-        residual = check_descent(rec, obj.lipschitz, obj.xstar, obj.fstar,
-                                 tol=cfg["tol"]).max_residual
-    return run_index, rec.f_gap, residual, rec
+_PATH = ("x", "g", "grad", "f_gap")
 
 
-def _run_pool(cfg: dict) -> list[tuple]:
-    tasks = [(cfg, i) for i in range(cfg["runs"])]
-    if cfg["workers"] == 1:
-        results = [_trajectory_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
-            results = list(pool.map(_trajectory_task, tasks))
-    return sorted(results, key=lambda r: r[0])
+def _simulate(cfg: dict, obj: Objective, record):
+    """All ``runs`` trajectories of the configured algorithm in one batch;
+    run i draws its noise from ``rng_for(seed, i)``."""
+    return run_ensemble(obj, build_noise(cfg, obj.dim), build_schedule(cfg, obj.lipschitz),
+                        cfg["steps"], cfg["runs"], cfg["seed"], algorithm=cfg["algorithm"],
+                        record=record, sgd_scale=cfg["sgd_scale"])
+
+
+def _run0(trace, obj: Objective) -> TrajectoryRecord:
+    """The per-step record of the batch's first run."""
+    return TrajectoryRecord.from_path(obj, trace.algorithm, trace.schedule, trace.x[:, 0],
+                                      trace.g[:, 0], trace.grad[:, 0], trace.f_gap[:, 0],
+                                      trace.eta)
 
 
 def cmd_run(cfg: dict, out: Path) -> list[dict]:
-    results = _run_pool(cfg)
-    if cfg["runs"] == 1:
-        results[0][3].to_csv(out / "trajectory.csv")
+    obj = build_problem(cfg)
+    single = cfg["runs"] == 1
+    if cfg["algorithm"] == "acsa":
+        noise = build_noise(cfg, obj.dim)
+        sched = build_schedule(cfg, obj.lipschitz)
+        recs = [run_trajectory(obj, noise, "acsa", sched, cfg["steps"],
+                               seed_split(cfg["seed"], i)) for i in range(cfg["runs"])]
+        f_gap = np.column_stack([r.f_gap for r in recs])
+        rec0 = recs[0]
     else:
-        f_gap = np.column_stack([r[1] for r in results])
+        trace = _simulate(cfg, obj, _PATH if single else ("f_gap",))
+        f_gap = trace.f_gap
+        rec0 = _run0(trace, obj) if single else None
+    if single:
+        rec0.to_csv(out / "trajectory.csv")
+    else:
         stats.save_ensemble_csv(out / "ensemble.csv", stats.ensemble_summary(f_gap))
-    finite = all(np.all(np.isfinite(r[1])) for r in results)
+    finite = bool(np.all(np.isfinite(f_gap)))
     return [_check("all_finite", finite, None, None),
-            _check("final_f_gap_run0", finite, results[0][1][-1], None)]
+            _check("final_f_gap_run0", finite, f_gap[-1, 0], None)]
 
 
 def cmd_verify_descent(cfg: dict, out: Path) -> list[dict]:
     if cfg["algorithm"] != "sgdm":
         raise ConfigError("verify-descent applies to the sgdm algorithm only")
-    results = _run_pool(cfg)
-    results[0][3].to_csv(out / "trajectory.csv")
-    max_res = max(r[2] for r in results)
-    return [_check("max_descent_residual", max_res <= cfg["tol"], max_res, cfg["tol"])]
+    obj = build_problem(cfg)
+    trace = _simulate(cfg, obj, _PATH)
+    _run0(trace, obj).to_csv(out / "trajectory.csv")
+    rep = check_descent(trace, obj.lipschitz, obj.xstar, obj.fstar, tol=cfg["tol"])
+    check = _check("max_descent_residual", rep.max_residual <= cfg["tol"],
+                   rep.max_residual, cfg["tol"])
+    return [dict(check, run=rep.run, argmax_k=rep.argmax_k)]
 
 
 def cmd_verify_expectation(cfg: dict, out: Path) -> list[dict]:
+    if cfg["runs"] < 2:
+        raise ConfigError("verify-expectation needs runs >= 2 to estimate a standard error")
     obj = build_problem(cfg)
     noise = build_noise(cfg, obj.dim)
     rep = stats.expectation_rate_check(obj, noise, cfg["steps"], cfg["runs"],
@@ -364,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--workers", type=int, default=None)
+        sp.add_argument("--workers", type=int, default=None,
+                        help="accepted for existing configs; has no effect")
         sp.add_argument("--beta", type=float, default=None)
         sp.add_argument("--steps", type=int, default=None)
         sp.add_argument("--runs", type=int, default=None)
@@ -375,6 +383,26 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--t", type=float, default=None)
         sp.add_argument("--dt", type=float, default=None)
     return parser
+
+
+# every file a subcommand may write into its output directory
+_ARTIFACTS = ("config_resolved.json", "verdict.json", "trajectory.csv", "ensemble.csv",
+             "ode.csv", "l2_table.csv")
+
+
+def _clear_artifacts(out: Path) -> None:
+    """Delete a previous invocation's artifacts, so that none is left stale
+    when this one stops early. Unlinking before rewriting is also much
+    cheaper than truncating a just-written file, which ext4 (the
+    ``auto_da_alloc`` default) flushes to disk first."""
+    for name in _ARTIFACTS:
+        (out / name).unlink(missing_ok=True)
+
+
+def _config_error(exc: Exception) -> int:
+    msg = " ".join(str(exc).split())
+    print(f"config error: {msg}", file=sys.stderr)
+    return 2
 
 
 def main(argv=None) -> int:
@@ -389,18 +417,18 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.subcommand, args.config, overrides)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
+    _clear_artifacts(out)
     with open(out / "config_resolved.json", "w") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
         fh.write("\n")
     try:
         checks = _HANDLERS[args.subcommand](cfg, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except (ConfigError, ValueError) as exc:
+        # library validation of the resolved values is a config error too
+        return _config_error(exc)
     passed = write_verdict(out, args.subcommand, checks)
     return 0 if passed else 1
 

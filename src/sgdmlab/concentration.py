@@ -213,7 +213,8 @@ def supermartingale_trace(
     where M(k) = E(k) - S(k), S(k) = sum_{l<=k} a_l ||theta_l||^2 subtracts
     the accumulated noise energy, theta_l is the gradient-noise vector, and
     P(k) = prod_{l>k} (1 + a_l sigma^2) is the remaining product. Valid for
-    t <= 1/gamma2; the default uses the certified upper endpoint. Also checks
+    t <= 1/gamma2, which is certified only up to 1/gamma2_upper; that
+    endpoint is the default and the largest t accepted. Also checks
     the pathwise drift inequality M(k) - M(k-1) <= sqrt(a_k) <theta_k, tau_k>
     on every run, which requires eta_k <= k / (16 L^2).
     """
@@ -222,8 +223,8 @@ def supermartingale_trace(
     br = gamma_constants(schedule, sigma2, k_trunc)
     g2 = br.gamma2_upper
     t = 1.0 / g2 if t is None else float(t)
-    if t > 1.0 / br.gamma2_lower + 1e-12:
-        raise ValueError("t must not exceed 1/gamma2")
+    if t > 1.0 / g2:
+        raise ValueError(f"t must not exceed 1/gamma2_upper = {1.0 / g2:.17g}")
     ks = np.arange(1, K + 1, dtype=float)
     a = a_sequence(schedule, ks)
     if np.any(a > 1.0 / obj.lipschitz**2 + 1e-12):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_csv
 from .optimizers import StepSchedule, run_ensemble
 from .problems import NoiseModel, Objective
 from .seeding import rng_for
@@ -71,7 +72,7 @@ class OdeSolution:
 
     def to_csv(self, path, obj: Objective) -> None:
         cols = np.column_stack([self.t, obj.f_gap(self.X), self.energy])
-        np.savetxt(path, cols, delimiter=",", header="t,f_gap,energy", comments="", fmt="%.17g")
+        write_csv(path, cols, "t,f_gap,energy")
 
 
 def ode_integrate(
@@ -278,8 +279,11 @@ def l2_limit_estimate(
             raise ValueError(
                 f"eta={eta:g} too large: only {kT - k0} discrete steps in [{T0:g}, {T:g}]"
             )
-        if abs((T - T0) / eta - round((T - T0) / eta)) > 1.0:
-            raise ValueError(f"eta={eta:g} does not divide T - T0 to within one step")
+        n = (T - T0) / eta
+        if abs(n - round(n)) > 1e-9 * max(1.0, n):
+            raise ValueError(
+                f"eta={eta:g} does not divide T - T0 = {T - T0:g} ({n:.6g} steps)"
+            )
         x_prev, x_cur, v0 = sgdm_warm_start(obj, eta, k0, x0)
         params = OdeParams(p=1.0, alpha=1.5, T0=k0 * eta, T=kT * eta, dt=dt)
         sol = ode_integrate(obj, params, x_cur, v0)

@@ -92,14 +92,23 @@ def descent_rhs(
     )
 
 
+def _per_step(a: np.ndarray, ndim: int) -> np.ndarray:
+    """View a per-step vector so it broadcasts against arrays of ``ndim``
+    dimensions whose leading axis is the step (a trailing run axis and/or
+    coordinate axis follow)."""
+    return a.reshape(a.shape + (1,) * (ndim - 1))
+
+
 def energy_along(
     x: np.ndarray, eta: np.ndarray, f_gap: np.ndarray, xstar: np.ndarray
 ) -> np.ndarray:
-    """E(0..K) for a whole trajectory: x is (K+2, d), eta and f_gap are (K+1,)."""
+    """E(0..K) for whole trajectories: x is (K+2, d), eta is (K+1,) and
+    f_gap is (K+1,); or, for M runs at once, x is (K+2, M, d) and f_gap is
+    (K+1, M)."""
     K = len(eta) - 1
-    ks = np.arange(0, K + 1, dtype=float)
-    v = x[1 : K + 2] + (ks[:, None] + 1.0) * (x[1 : K + 2] - x[0 : K + 1]) - xstar
-    return np.sum(v * v, axis=1) + 4.0 * np.sqrt((ks + 1.0) * eta) * f_gap
+    ks1 = np.arange(1, K + 2, dtype=float)
+    v = x[1 : K + 2] + _per_step(ks1, x.ndim) * (x[1 : K + 2] - x[0 : K + 1]) - xstar
+    return np.sum(v * v, axis=-1) + 4.0 * np.sqrt(_per_step(ks1 * eta, f_gap.ndim)) * f_gap
 
 
 def descent_rhs_along(
@@ -111,36 +120,43 @@ def descent_rhs_along(
     L: float,
     xstar: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized :func:`descent_rhs` for steps k = 1..K."""
+    """Vectorized :func:`descent_rhs` for steps k = 1..K, shaped (K,), or
+    (K, M) when the arrays carry a run axis as in :func:`energy_along`."""
     K = g.shape[0]
     ks = np.arange(1, K + 1, dtype=float)
-    r = np.sqrt(eta[1:] / ks)
-    tau = ks[:, None] * (x[1 : K + 1] - x[0:K]) + (x[1 : K + 1] - xstar)
+    r = _per_step(np.sqrt(eta[1:] / ks), f_gap.ndim)
+    c = _per_step(4.0 * eta[1:] / ks, f_gap.ndim)
+    tau = _per_step(ks, x.ndim) * (x[1 : K + 1] - x[0:K]) + (x[1 : K + 1] - xstar)
     theta = grad - g
     return (
-        (4.0 * eta[1:] / ks) * np.sum(g * g, axis=1)
-        - (2.0 / L) * r * np.sum(grad * grad, axis=1)
+        c * np.sum(g * g, axis=-1)
+        - (2.0 / L) * r * np.sum(grad * grad, axis=-1)
         - 2.0 * r * f_gap[1:]
-        + 4.0 * r * np.sum(theta * tau, axis=1)
+        + 4.0 * r * np.sum(theta * tau, axis=-1)
     )
 
 
 class DescentReport:
-    """Per-step residuals of the pathwise descent inequality."""
+    """Residuals of the pathwise descent inequality, per step k = 1..K and,
+    for a batch of runs, per run (shape (K, M)). ``argmax_k`` and ``run``
+    locate the largest residual."""
 
     def __init__(self, residuals: np.ndarray, energy: np.ndarray, tol: float):
         self.residuals = residuals
         self.tol = tol
         allowed = tol * (1.0 + np.abs(energy[1:]))
         self.n_violations = int(np.sum(residuals > allowed))
-        self.argmax_k = int(np.argmax(residuals)) + 1
-        self.max_residual = float(residuals[self.argmax_k - 1])
+        worst = np.unravel_index(np.argmax(residuals), residuals.shape)
+        self.argmax_k = int(worst[0]) + 1
+        self.run = int(worst[1]) if residuals.ndim > 1 else 0
+        self.max_residual = float(residuals[worst])
         self.passed = self.n_violations == 0
 
     def summary(self) -> dict:
         return {
             "max_residual": self.max_residual,
             "argmax_k": self.argmax_k,
+            "run": self.run,
             "n_violations": self.n_violations,
         }
 
@@ -148,6 +164,9 @@ class DescentReport:
 def check_descent(record, L: float, xstar: np.ndarray, fstar: float, tol: float = 1e-10) -> DescentReport:
     """Verify E(k) - E(k-1) <= descent_rhs pathwise for every logged step.
 
+    ``record`` is one run (a :class:`~sgdmlab.optimizers.TrajectoryRecord`)
+    or a batch (an :class:`~sgdmlab.optimizers.EnsembleTrace` recorded with
+    ``x``, ``g``, ``grad`` and ``f_gap``), checked on every column at once.
     Residuals are measured relative to 1 + |E(k)| so the tolerance stays
     meaningful for large early energies. Non-monotone schedules violate the
     lemma hypothesis and are refused; records from algorithms other than the
@@ -163,6 +182,8 @@ def check_descent(record, L: float, xstar: np.ndarray, fstar: float, tol: float 
             f"descent inequality is specific to the momentum recursion; "
             f"record is from {record.algorithm!r} and residuals may be positive"
         )
+    if record.x is None or record.g is None or record.grad is None or record.f_gap is None:
+        raise ValueError("descent check needs the recorded x, g, grad and f_gap")
     # re-reference the gap if the caller's f* differs from the record's
     f_gap = record.f_gap + (record.fstar - fstar)
     energy = energy_along(record.x, record.eta, f_gap, xstar)

@@ -17,6 +17,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from ._csv import write_csv
 from .problems import NoiseModel, Objective
 from .seeding import rng_for
 
@@ -224,6 +225,37 @@ class TrajectoryRecord:
     fstar: float = 0.0
     schedule: StepSchedule | None = None
 
+    @classmethod
+    def from_path(
+        cls,
+        obj: Objective,
+        algorithm: str,
+        schedule: StepSchedule,
+        x: np.ndarray,
+        g: np.ndarray,
+        grad: np.ndarray,
+        f_gap: np.ndarray,
+        eta: np.ndarray,
+    ) -> "TrajectoryRecord":
+        """Derive every logged quantity of one run from its iterates
+        x_0..x_{K+1}, realized and exact gradients (steps 1..K), and the
+        gaps and stepsizes at k = 0..K."""
+        from . import lyapunov  # late import: lyapunov consumes records
+
+        K = g.shape[0]
+        ks = np.arange(0, K + 1)
+        tau = ks[1:, None] * (x[1 : K + 1] - x[0:K]) + (x[1 : K + 1] - obj.xstar)
+        energy = lyapunov.energy_along(x, eta, f_gap, obj.xstar)
+        descent_rhs = lyapunov.descent_rhs_along(
+            x, g, grad, f_gap, eta, obj.lipschitz, obj.xstar
+        )
+        return cls(
+            algorithm=algorithm, K=K, x=x, g=g, grad=grad, eta=eta,
+            f_gap=f_gap, energy=energy, descent_lhs=energy[1:] - energy[:-1],
+            descent_rhs=descent_rhs, theta=grad - g, tau=tau, fstar=obj.fstar,
+            schedule=schedule,
+        )
+
     def to_csv(self, path) -> None:
         """Write the per-step CSV (one row per step k = 1..K)."""
         ks = np.arange(1, self.K + 1)
@@ -239,8 +271,7 @@ class TrajectoryRecord:
                 np.linalg.norm(self.theta, axis=1),
             ]
         )
-        header = "k,f_gap,eta,lyapunov,descent_lhs,descent_rhs,grad_norm,noise_norm"
-        np.savetxt(path, cols, delimiter=",", header=header, comments="", fmt="%.17g")
+        write_csv(path, cols, "k,f_gap,eta,lyapunov,descent_lhs,descent_rhs,grad_norm,noise_norm")
 
     def dump_states(self, path) -> None:
         """Full-state binary dump: little-endian float64, row-major x_0..x_{K+1}."""
@@ -263,8 +294,6 @@ def run_trajectory(
     Fully deterministic given the seed (an int, SeedSequence, or Generator).
     Aborts with a diagnostic if an iterate leaves the finite range.
     """
-    from . import lyapunov  # late import: lyapunov consumes records
-
     if K < 1:
         raise ValueError("K must be >= 1")
     if algorithm not in ("sgdm", "sgd", "acsa"):
@@ -308,23 +337,9 @@ def run_trajectory(
     if not np.all(np.isfinite(x)):
         raise FloatingPointError("iterate became non-finite at the final step")
 
-    ks = np.arange(0, K + 1)
-    eta = np.asarray(schedule_eval(schedule, ks), dtype=float)
-    f_gap = obj.f_gap(x[: K + 1])
-    theta = grad_arr - g_arr
-    tau = (
-        ks[1:, None] * (x[1 : K + 1] - x[0:K]) + (x[1 : K + 1] - obj.xstar)
-    )
-    energy = lyapunov.energy_along(x, eta, f_gap, obj.xstar)
-    descent_lhs = energy[1:] - energy[:-1]
-    descent_rhs = lyapunov.descent_rhs_along(
-        x, g_arr, grad_arr, f_gap, eta, obj.lipschitz, obj.xstar
-    )
-    return TrajectoryRecord(
-        algorithm=algorithm, K=K, x=x, g=g_arr, grad=grad_arr, eta=eta,
-        f_gap=f_gap, energy=energy, descent_lhs=descent_lhs,
-        descent_rhs=descent_rhs, theta=theta, tau=tau, fstar=obj.fstar,
-        schedule=schedule,
+    eta = np.asarray(schedule_eval(schedule, np.arange(0, K + 1)), dtype=float)
+    return TrajectoryRecord.from_path(
+        obj, algorithm, schedule, x, g_arr, grad_arr, obj.f_gap(x[: K + 1]), eta
     )
 
 
@@ -333,12 +348,20 @@ class EnsembleTrace:
     """Vectorized per-step records of M runs (columns are runs).
 
     Only the requested fields are populated; all arrays use the same k
-    indexing as :class:`TrajectoryRecord`.
+    indexing as :class:`TrajectoryRecord`, with the run axis after the step
+    axis. ``algorithm``, ``schedule`` and ``fstar`` let
+    :func:`~sgdmlab.lyapunov.check_descent` read a trace like a record.
     """
 
     K: int
     M: int
     eta: np.ndarray  # (K+1,)
+    algorithm: str = "sgdm"
+    schedule: StepSchedule | None = None
+    fstar: float = 0.0
+    x: np.ndarray | None = None  # (K+2, M, d): x_0 .. x_{K+1}
+    g: np.ndarray | None = None  # (K, M, d): realized gradients, steps 1..K
+    grad: np.ndarray | None = None  # (K, M, d): exact gradients, steps 1..K
     f_gap: np.ndarray | None = None  # (K+1, M)
     energy: np.ndarray | None = None  # (K+1, M)
     theta_sq: np.ndarray | None = None  # (K, M)
@@ -369,12 +392,19 @@ def run_ensemble(
     realized randomness matches run-at-a-time execution regardless of
     batching. ``k_start``/``x_prev0`` allow warm-started segments (steps
     k = k_start .. k_start+K-1), used by the continuous-limit comparisons.
+
+    ``record`` selects the fields to keep: ``"f_gap"``, ``"energy"``,
+    ``"theta"``, and the full path ``"x"``, ``"g"``, ``"grad"`` (runs that
+    start at k = 1 only). The oracle is evaluated one step at a time, so
+    recording costs only the stored arrays.
     """
     if K < 1 or M < 1:
         raise ValueError("K and M must be >= 1")
     if algorithm not in ("sgdm", "sgd"):
         raise ValueError("ensemble runner supports sgdm and sgd only")
     record = set(record)
+    if k_start != 1 and record & {"x", "g", "grad"}:
+        raise ValueError("full-path recording needs k_start = 1")
     d = obj.dim
     x0 = np.ones(d) if x0 is None else np.asarray(x0, dtype=float)
     x_cur = np.broadcast_to(x0, (M, d)).copy() if x0.ndim == 1 else x0.astype(float).copy()
@@ -385,10 +415,18 @@ def run_ensemble(
 
     ks = np.arange(k_start - 1, k_start + K)
     eta = np.atleast_1d(np.asarray(schedule_eval(schedule, ks), dtype=float))
-    trace = EnsembleTrace(K=K, M=M, eta=eta)
+    trace = EnsembleTrace(K=K, M=M, eta=eta, algorithm=algorithm,
+                          schedule=schedule, fstar=obj.fstar)
+    if "x" in record:
+        trace.x = np.empty((K + 2, M, d))
+        trace.x[0], trace.x[1] = x_prev, x_cur
+    if "g" in record:
+        trace.g = np.empty((K, M, d))
+    if "grad" in record:
+        trace.grad = np.empty((K, M, d))
     if "f_gap" in record:
         trace.f_gap = np.empty((K + 1, M))
-        trace.f_gap[0] = obj.f_gap(x_cur)
+        trace.f_gap[0] = obj.f_gap(x_prev)
     if "energy" in record:
         trace.energy = np.empty((K + 1, M))
         # E(k_start-1) reads x_{k_start}, x_{k_start-1}, eta_{k_start-1}, f(x_{k_start-1})
@@ -414,6 +452,10 @@ def run_ensemble(
             idx = step + j + 1  # record row
             grad = obj.grad(x_cur)
             g = grad if noiseless else grad + xi_chunk[:, j, :]
+            if trace.grad is not None:
+                trace.grad[idx - 1] = grad
+            if trace.g is not None:
+                trace.g[idx - 1] = g  # a copy, also where g aliases grad
             if "f_gap" in record or "energy" in record:
                 fg = obj.f_gap(x_cur)
                 if trace.f_gap is not None:
@@ -437,6 +479,8 @@ def run_ensemble(
                 trace.energy[idx] = np.sum(w * w, axis=1) + 4.0 * np.sqrt(
                     (k + 1.0) * eta[idx]
                 ) * fg
+            if trace.x is not None:
+                trace.x[idx + 1] = x_next
             x_prev, x_cur = x_cur, x_next
         if not np.all(np.isfinite(x_cur)):
             bad = np.where(~np.all(np.isfinite(x_cur), axis=1))[0]

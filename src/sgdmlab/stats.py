@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._csv import write_csv
 from .optimizers import (
     StepSchedule,
     run_ensemble,
@@ -62,8 +63,7 @@ def save_ensemble_csv(path, summary: dict) -> None:
         [summary["k"], summary["mean"], summary["stderr"],
          summary["q10"], summary["q50"], summary["q90"]]
     )
-    np.savetxt(path, cols, delimiter=",", header="k,mean,stderr,q10,q50,q90",
-               comments="", fmt="%.17g")
+    write_csv(path, cols, "k,mean,stderr,q10,q50,q90")
 
 
 def expectation_rate_bound(obj: Objective, sigma2: float, x0: np.ndarray, k) -> np.ndarray:

@@ -166,6 +166,21 @@ class TestSupermartingale:
             supermartingale_trace(obj, noise, anytime_schedule(), K=10, M=5,
                                   master_seed=0, t=10.0, k_trunc=10_000)
 
+    def test_rejects_t_beyond_certified_endpoint(self):
+        """t between 1/gamma2_upper and 1/gamma2_lower is not certified."""
+        obj = quadratic_new(np.array([[1.0]]))
+        noise = NoiseModel.gaussian(1, 0.01)
+        br = gamma_constants(anytime_schedule(), noise.hp_sigma2, 10_000)
+        lo, hi = 1.0 / br.gamma2_upper, 1.0 / br.gamma2_lower
+        t = 0.5 * (lo + hi)
+        assert lo < t < hi
+        with pytest.raises(ValueError, match="1/gamma2_upper"):
+            supermartingale_trace(obj, noise, anytime_schedule(), K=10, M=5,
+                                  master_seed=0, t=t, k_trunc=10_000)
+        rep = supermartingale_trace(obj, noise, anytime_schedule(), K=10, M=5,
+                                    master_seed=0, t=lo, k_trunc=10_000)
+        assert rep["t"] == lo
+
     def test_rejects_stepsizes_violating_drift_hypothesis(self):
         obj = quadratic_new(np.array([[1.0]]))
         noise = NoiseModel.gaussian(1, 0.01)

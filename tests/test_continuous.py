@@ -183,6 +183,17 @@ class TestL2Limit:
         with pytest.raises(ValueError, match="too large"):
             l2_limit_estimate(obj, [0.5], 1.0, 2.0, 5, 0)
 
+    def test_rejects_eta_off_the_grid(self):
+        obj = quadratic_new(np.eye(1))
+        # (4 - 1) / 7e-4 = 4285.71 steps: the discrete run would stop short of T
+        with pytest.raises(ValueError, match="does not divide"):
+            l2_limit_estimate(obj, [7e-4], 1.0, 4.0, 2, 0, dt=0.01)
+
+    def test_accepts_etas_dividing_the_window(self):
+        obj = quadratic_new(np.eye(1))
+        rows = l2_limit_estimate(obj, [0.1, 0.05, 0.02, 0.01], 1.0, 4.0, 2, 0, dt=0.01)
+        assert [r["eta"] for r in rows] == [0.1, 0.05, 0.02, 0.01]
+
     def test_rejects_nonpositive_runs(self):
         obj = quadratic_new(np.eye(1))
         with pytest.raises(ValueError, match="M"):

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from sgdmlab.cli import ConfigError, load_config, main
+from sgdmlab.cli import ConfigError, default_quadratic, load_config, main, write_verdict
+from sgdmlab.lyapunov import check_descent
+from sgdmlab.optimizers import StepSchedule, run_trajectory
+from sgdmlab.problems import NoiseModel, logreg_new, synthetic_blobs
 from sgdmlab.seeding import rng_for, seed_split
 
 
@@ -167,3 +170,123 @@ class TestReproducibility:
         assert main(["run", "--out", str(b), "--steps", "40", "--runs", "6",
                      "--workers", "3"]) == 0
         assert (a / "ensemble.csv").read_bytes() == (b / "ensemble.csv").read_bytes()
+
+
+def assert_one_line_config_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestFailureSemantics:
+    def test_expectation_needs_two_runs(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["verify-expectation", "--out", str(out), "--steps", "50"]) == 2
+        assert_one_line_config_error(capsys)
+        assert not (out / "verdict.json").exists()
+
+    @pytest.mark.parametrize("flag", [["--alpha", "3"], ["--eta-grid", "1.0"]])
+    def test_library_value_error_exits_2(self, tmp_path, capsys, flag):
+        assert main(["ode-compare", "--out", str(tmp_path / "o"), "--runs", "3"] + flag) == 2
+        assert_one_line_config_error(capsys)
+
+    def test_verdict_rejects_non_finite_values(self, tmp_path):
+        checks = [{"name": "x", "passed": False, "value": float("nan"), "threshold": 1.0}]
+        with pytest.raises(ValueError):
+            write_verdict(tmp_path, "run", checks)
+        assert not (tmp_path / "verdict.json").exists()
+
+    def test_stale_verdict_removed_on_config_error(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", "--out", str(out), "--steps", "5"]) == 0
+        assert main(["ode-compare", "--out", str(out), "--alpha", "3"]) == 2
+        assert not (out / "verdict.json").exists()
+        assert not (out / "trajectory.csv").exists()
+
+
+def _descent_ini(tmp_path, problem):
+    extra = "n_samples = 200\nproblem_seed = 1\n" if problem == "logreg" else ""
+    path = tmp_path / f"{problem}.ini"
+    path.write_text(f"[common]\nproblem = {problem}\ndim = 10\n{extra}"
+                    "noise = gaussian\nnoise_var = 100\n")
+    return str(path)
+
+
+class TestBatchedDescent:
+    """verify-descent runs all runs in one batch; its verdict must equal the
+    run-at-a-time reference: run_trajectory + check_descent per run."""
+
+    STEPS, RUNS, SEED = 300, 4, 5
+
+    @pytest.fixture(params=["quadratic", "logreg"])
+    def setting(self, request, tmp_path):
+        problem = request.param
+        if problem == "quadratic":
+            obj = default_quadratic(10, 0)
+        else:
+            obj = logreg_new(*synthetic_blobs(200, 10, 1))
+        out = tmp_path / "o"
+        argv = ["verify-descent", "--config", _descent_ini(tmp_path, problem),
+                "--steps", str(self.STEPS), "--runs", str(self.RUNS),
+                "--seed", str(self.SEED), "--out", str(out)]
+        assert main(argv) == 0
+        sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
+        recs = [run_trajectory(obj, NoiseModel.gaussian(10, 100.0), "sgdm", sched,
+                               self.STEPS, seed_split(self.SEED, i))
+                for i in range(self.RUNS)]
+        reports = [check_descent(r, obj.lipschitz, obj.xstar, obj.fstar) for r in recs]
+        check = json.loads((out / "verdict.json").read_text())["checks"][0]
+        return out, recs, reports, check
+
+    def test_max_residual_matches_per_run_reference(self, setting):
+        _, _, reports, check = setting
+        expect = max(rep.max_residual for rep in reports)
+        assert check["value"] == pytest.approx(expect, rel=1e-9)
+        assert check["passed"] is (check["value"] <= check["threshold"])
+
+    def test_locator_points_at_the_maximum(self, setting):
+        _, _, reports, check = setting
+        residuals = np.column_stack([rep.residuals for rep in reports])
+        k_idx, run = np.unravel_index(np.argmax(residuals), residuals.shape)
+        assert (check["run"], check["argmax_k"]) == (run, k_idx + 1)
+        assert {"name", "passed", "value", "threshold"} <= set(check)
+
+    def test_trajectory_csv_is_run_zero(self, setting):
+        out, recs, _, _ = setting
+        rec = recs[0]
+        table = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        expect = np.column_stack([
+            np.arange(1, rec.K + 1), rec.f_gap[1:], rec.eta[1:], rec.energy[1:],
+            rec.descent_lhs, rec.descent_rhs, np.linalg.norm(rec.grad, axis=1),
+            np.linalg.norm(rec.theta, axis=1)])
+        np.testing.assert_allclose(table, expect, rtol=1e-10)
+
+
+class TestWorkersHaveNoEffect:
+    def test_verify_descent_serial_equals_workers(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        base = ["verify-descent", "--steps", "60", "--runs", "5", "--seed", "4"]
+        assert main(base + ["--out", str(a)]) == 0
+        assert main(base + ["--out", str(b), "--workers", "4"]) == 0
+        for name in ("verdict.json", "trajectory.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_workers_still_validated(self, tmp_path):
+        assert main(["run", "--out", str(tmp_path), "--workers", "0"]) == 2
+
+
+class TestAcsaRun:
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_acsa_runs_in_process(self, tmp_path, runs):
+        ini = tmp_path / "acsa.ini"
+        ini.write_text("[common]\nalgorithm = acsa\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(ini), "--out", str(out), "--steps", "30",
+                     "--runs", str(runs), "--seed", "2"]) == 0
+        obj = default_quadratic(10, 0)
+        rec = run_trajectory(obj, NoiseModel.gaussian(10, 1.0), "acsa",
+                             StepSchedule(kind="anytime_log2", L=obj.lipschitz), 30,
+                             seed_split(2, 0))
+        checks = json.loads((out / "verdict.json").read_text())["checks"]
+        assert checks[1]["value"] == rec.f_gap[-1]
+        assert (out / ("trajectory.csv" if runs == 1 else "ensemble.csv")).exists()

@@ -12,8 +12,9 @@ from sgdmlab.lyapunov import (
     discrete_energy,
     energy_along,
 )
-from sgdmlab.optimizers import StepSchedule, run_trajectory, schedule_eval
+from sgdmlab.optimizers import StepSchedule, run_ensemble, run_trajectory, schedule_eval
 from sgdmlab.problems import NoiseModel, quadratic_new
+from sgdmlab.seeding import seed_split
 
 from test_problems import random_spd
 
@@ -91,6 +92,20 @@ class TestDescentRhs:
         got = descent_rhs(x_k, x_prev, g, grad, f_gap, k, eta, L, xstar)
         assert got == pytest.approx(expect, rel=1e-12)
 
+    def test_run_axis_matches_single_runs(self):
+        obj = quadratic_new(random_spd(3, 6))
+        sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
+        recs = [run_trajectory(obj, NoiseModel.gaussian(3, 1.0), "sgdm", sched, 20, s)
+                for s in range(3)]
+        x, g, grad, f_gap = (np.stack([getattr(r, n) for r in recs], axis=1)
+                             for n in ("x", "g", "grad", "f_gap"))
+        eta = recs[0].eta
+        energy = energy_along(x, eta, f_gap, obj.xstar)
+        rhs = descent_rhs_along(x, g, grad, f_gap, eta, obj.lipschitz, obj.xstar)
+        for i, rec in enumerate(recs):
+            np.testing.assert_allclose(energy[:, i], rec.energy, rtol=1e-14)
+            np.testing.assert_allclose(rhs[:, i], rec.descent_rhs, rtol=1e-12, atol=1e-15)
+
     def test_vectorized_matches_scalar(self):
         obj = quadratic_new(random_spd(3, 1))
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
@@ -150,6 +165,38 @@ class TestCheckDescent:
         assert rep.n_violations == 1
         assert rep.argmax_k == 3
         assert rep.summary()["max_residual"] == pytest.approx(2e-3)
+
+    def test_report_locates_worst_run_and_step(self):
+        residuals = np.full((4, 3), -1.0)
+        residuals[2, 1] = 3e-3  # k = 3, run 1
+        residuals[0, 2] = 1e-3
+        energy = np.full((5, 3), 10.0)
+        rep = DescentReport(residuals, energy, tol=1e-10)
+        assert (rep.argmax_k, rep.run) == (3, 1)
+        assert rep.max_residual == pytest.approx(3e-3)
+        assert rep.n_violations == 2
+        assert rep.summary()["run"] == 1
+
+    def test_batch_check_matches_per_run_checks(self):
+        obj = quadratic_new(random_spd(4, 3))
+        noise = NoiseModel.gaussian(4, 9.0)
+        sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
+        tr = run_ensemble(obj, noise, sched, K=80, M=4, master_seed=3,
+                          record=("x", "g", "grad", "f_gap"))
+        batch = check_descent(tr, obj.lipschitz, obj.xstar, obj.fstar)
+        assert batch.residuals.shape == (80, 4)
+        for i in range(4):
+            rec = run_trajectory(obj, noise, "sgdm", sched, 80, seed_split(3, i))
+            one = check_descent(rec, obj.lipschitz, obj.xstar, obj.fstar)
+            np.testing.assert_allclose(batch.residuals[:, i], one.residuals,
+                                       rtol=1e-8, atol=1e-12)
+
+    def test_batch_check_needs_the_path(self):
+        obj = quadratic_new(np.eye(2))
+        sched = StepSchedule(kind="anytime_log2", L=1.0)
+        tr = run_ensemble(obj, NoiseModel.noiseless(2), sched, K=5, M=2, master_seed=0)
+        with pytest.raises(ValueError, match="x, g, grad"):
+            check_descent(tr, obj.lipschitz, obj.xstar, obj.fstar)
 
     def test_report_tolerance_scales_with_energy(self):
         # a residual of 5e-10 is acceptable when |E(k)| ~ 10

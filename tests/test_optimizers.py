@@ -9,6 +9,7 @@ from sgdmlab.optimizers import (
     AcsaState,
     SgdmState,
     StepSchedule,
+    TrajectoryRecord,
     acsa_step,
     run_ensemble,
     run_trajectory,
@@ -290,12 +291,59 @@ class TestRunEnsemble:
             x = x - 0.5 / math.sqrt(k) * x
         assert tr.x_cur_final[0, 0] == pytest.approx(x, rel=1e-14)
 
+    @pytest.mark.parametrize("var", [0.0, 1.0])
+    def test_full_path_matches_single_runs(self, var):
+        """Recorded x, g and grad columns reproduce run-at-a-time records,
+        in the same k indexing."""
+        obj = quadratic_new(random_spd(3, 4))
+        noise = NoiseModel.gaussian(3, var)
+        sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
+        tr = run_ensemble(obj, noise, sched, K=25, M=3, master_seed=2,
+                          record=("x", "g", "grad", "f_gap"), chunk=10)
+        assert tr.x.shape == (27, 3, 3) and tr.g.shape == tr.grad.shape == (25, 3, 3)
+        for i in range(3):
+            rec = run_trajectory(obj, noise, "sgdm", sched, 25, seed_split(2, i))
+            for name in ("x", "g", "grad", "f_gap"):
+                np.testing.assert_allclose(getattr(tr, name)[:, i], getattr(rec, name),
+                                           rtol=1e-10, atol=1e-13, err_msg=name)
+
+    def test_noiseless_g_is_not_a_view_of_grad(self):
+        obj = quadratic_new(np.eye(2))
+        sched = StepSchedule(kind="anytime_log2", L=1.0)
+        tr = run_ensemble(obj, NoiseModel.noiseless(2), sched, K=5, M=2, master_seed=0,
+                          record=("g", "grad"))
+        np.testing.assert_array_equal(tr.g, tr.grad)
+        assert not np.shares_memory(tr.g, tr.grad)
+
+    def test_path_fields_only_when_requested(self):
+        obj = quadratic_new(np.eye(2))
+        sched = StepSchedule(kind="anytime_log2", L=1.0)
+        tr = run_ensemble(obj, NoiseModel.gaussian(2, 1.0), sched, K=5, M=2, master_seed=0)
+        assert tr.x is None and tr.g is None and tr.grad is None
+        assert tr.f_gap.shape == (6, 2)
+
+    def test_record_from_column_equals_run_trajectory(self):
+        obj = quadratic_new(random_spd(3, 5))
+        noise = NoiseModel.gaussian(3, 2.0)
+        sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
+        tr = run_ensemble(obj, noise, sched, K=30, M=2, master_seed=4,
+                          record=("x", "g", "grad", "f_gap"))
+        col = TrajectoryRecord.from_path(obj, "sgdm", sched, tr.x[:, 1], tr.g[:, 1],
+                                         tr.grad[:, 1], tr.f_gap[:, 1], tr.eta)
+        rec = run_trajectory(obj, noise, "sgdm", sched, 30, seed_split(4, 1))
+        for name in ("energy", "descent_lhs", "descent_rhs", "theta", "tau"):
+            np.testing.assert_allclose(getattr(col, name), getattr(rec, name),
+                                       rtol=1e-9, atol=1e-12, err_msg=name)
+
     def test_validation(self):
         obj = quadratic_new(np.eye(2))
         noise = NoiseModel.noiseless(2)
         sched = StepSchedule(kind="constant", scale=0.1)
         with pytest.raises(ValueError):
             run_ensemble(obj, noise, sched, K=0, M=1, master_seed=0)
+        with pytest.raises(ValueError, match="k_start"):
+            run_ensemble(obj, noise, sched, K=1, M=1, master_seed=0, k_start=3,
+                         record=("x",))
         with pytest.raises(ValueError):
             run_ensemble(obj, noise, sched, K=1, M=1, master_seed=0, algorithm="acsa")
 
