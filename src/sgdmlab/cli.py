@@ -20,6 +20,7 @@ import numpy as np
 from . import concentration as conc
 from . import continuous as cont
 from . import stats
+from ._csv import write_csv
 from .lyapunov import check_descent
 from .optimizers import StepSchedule, TrajectoryRecord, run_ensemble, run_trajectory
 from .problems import (
@@ -284,13 +285,13 @@ def cmd_ode_compare(cfg: dict, out: Path) -> list[dict]:
     checks = [
         _check("energy_monotone", rep["energy_monotone"],
                rep["max_energy_increase"], 1e-8 * rep["energy_T0"]),
-        _check("rate_bound_holds", rep["rate_bound_holds"], None, None),
+        dict(_check("rate_bound_holds", rep["rate_bound_holds"], None, None),
+             first_violation_t=rep["first_violation_t"]),
     ]
     rows = cont.l2_limit_estimate(obj, cfg["eta_grid"], cfg["t0"], cfg["t"],
                                   cfg["runs"], cfg["seed"], x0=x0, dt=cfg["dt"])
     table = np.array([[r["eta"], r["mean_sq_dist"], r["stderr"], r["runs"]] for r in rows])
-    np.savetxt(out / "l2_table.csv", table, delimiter=",",
-               header="eta,mean_sq_dist,stderr,runs", comments="", fmt="%.17g")
+    write_csv(out / "l2_table.csv", table, "eta,mean_sq_dist,stderr,runs")
     decreasing = True
     for a, b in zip(rows, rows[1:]):
         gate = 2.0 * np.hypot(a["stderr"], b["stderr"])

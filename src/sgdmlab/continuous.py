@@ -10,6 +10,7 @@ ODE trajectory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +66,9 @@ class OdeParams:
 @dataclass
 class OdeSolution:
     t: np.ndarray  # (n,), strictly increasing from T0 to T
-    X: np.ndarray  # (n, d)
-    V: np.ndarray  # (n, d)
-    energy: np.ndarray  # (n,)
+    X: np.ndarray  # (n, d), or (n, B, d) for a batch of initial conditions
+    V: np.ndarray  # like X
+    energy: np.ndarray  # (n,), or (n, B)
     params: OdeParams
 
     def to_csv(self, path, obj: Objective) -> None:
@@ -75,48 +76,122 @@ class OdeSolution:
         write_csv(path, cols, "t,f_gap,energy")
 
 
+# RK4 steps between two finiteness scans of the recorded path
+FINITE_CHECK_BLOCK = 256
+
+
+def _exact_steps(span: float, step: float, what: str) -> int:
+    """The number of steps of size ``step`` in ``span``; raises unless it is
+    an integer to within a relative 1e-9, so a grid always ends on its
+    window's right end."""
+    n = span / step
+    if abs(n - round(n)) > 1e-9 * max(1.0, n):
+        raise ValueError(f"{what} ({n:.6g} steps)")
+    return int(round(n))
+
+
+def _rk4_maps(t: np.ndarray, h: float, p: float, alpha: float):
+    """Classical RK4 for this ODE as per-step linear maps.
+
+    Given the gradients g1..g4 at the four stage points of step j, every
+    stage point and the next state are linear combinations of
+    [x, v, g1, g2, g3, g4] whose weights depend only on t_j, h, p and alpha.
+    Returns the weights of the stage points x2, x3, x4 over the first 2, 3
+    and 4 basis vectors ((n, 1, 2), (n, 1, 3), (n, 1, 4)) and of the next
+    (x, v) over all six ((n, 2, 6)).
+    """
+    n = len(t) - 1
+    c = p + 1.0
+    t0, tm, t1 = t[:-1], t[:-1] + 0.5 * h, t[1:]
+    basis = np.broadcast_to(np.eye(6), (n, 6, 6))
+    x, v, g = basis[:, 0], basis[:, 1], basis[:, 2:]
+
+    def v_dot(tk, vk, k):  # V' = -(p+1)/t V - (p+1)/t^alpha grad f(X), with g_k
+        return -(c / tk)[:, None] * vk - (c / tk**alpha)[:, None] * g[:, k]
+
+    hh = 0.5 * h
+    k1x, k1v = v, v_dot(t0, v, 0)
+    k2x = v + hh * k1v
+    k2v = v_dot(tm, k2x, 1)
+    k3x = v + hh * k2v
+    k3v = v_dot(tm, k3x, 2)
+    k4x = v + h * k3v
+    k4v = v_dot(t1, k4x, 3)
+    x2, x3, x4 = x + hh * k1x, x + hh * k2x, x + h * k3x
+    x_next = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    v_next = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    return (np.ascontiguousarray(x2[:, None, :2]), np.ascontiguousarray(x3[:, None, :3]),
+            np.ascontiguousarray(x4[:, None, :4]), np.stack([x_next, v_next], axis=1))
+
+
 def ode_integrate(
     obj: Objective, params: OdeParams, X0: np.ndarray, V0: np.ndarray
 ) -> OdeSolution:
     """Classical fixed-step RK4 on the first-order system (X' = V,
-    V' = -(p+1)/t V - (p+1)/t^alpha grad f(X)), recording the continuous
-    energy at every grid point."""
+    V' = -(p+1)/t V - (p+1)/t^alpha grad f(X)), with the continuous energy
+    at every grid point.
+
+    ``X0``/``V0`` are ``(d,)``, or ``(B, d)`` for B independent initial
+    conditions integrated together; ``X``/``V`` are then ``(n+1, B, d)``
+    and ``energy`` is ``(n+1, B)``. ``dt`` must divide ``T - T0``. Raises
+    ``FloatingPointError`` naming the first grid time whose state is not
+    finite.
+    """
     p, alpha = params.p, params.alpha
     dt = params.step
-    n_steps = int(round((params.T - params.T0) / dt))
+    n_steps = _exact_steps(
+        params.T - params.T0, dt,
+        f"dt={dt:g} does not divide the window [{params.T0:g}, {params.T:g}]",
+    )
+    x0 = np.asarray(X0, dtype=float)
+    v0 = np.asarray(V0, dtype=float)
+    shape = np.broadcast_shapes(x0.shape, v0.shape)
+    if len(shape) not in (1, 2) or shape[-1] != obj.dim:
+        raise ValueError(f"X0/V0 must have shape ({obj.dim},) or (B, {obj.dim}), got {shape}")
     t_grid = params.T0 + dt * np.arange(n_steps + 1)
-    X = np.empty((n_steps + 1, obj.dim))
-    V = np.empty((n_steps + 1, obj.dim))
-    energy = np.empty(n_steps + 1)
-    x = np.asarray(X0, dtype=float).copy()
-    v = np.asarray(V0, dtype=float).copy()
+    to_x2, to_x3, to_x4, to_next = _rk4_maps(t_grid, dt, p, alpha)
+
+    # path[i] holds (x, v) at t_i; work rows are [x, v, g1, g2, g3, g4]
+    m = math.prod(shape)
+    path = np.empty((n_steps + 1, 2, m))
+    work = np.empty((6, m))
+    rows = [r.reshape(shape) for r in work]
+    rows[0][...], rows[1][...] = x0, v0
+    path[0] = work[:2]
+    stage = np.empty((1, m))
+    x_stage = stage.reshape(shape)
     grad = obj.grad
-    c = p + 1.0
-    xstar = obj.xstar
+    checked = 0  # path rows [0, checked) are known to be finite
+    for j in range(n_steps):
+        rows[2][...] = grad(rows[0])
+        np.matmul(to_x2[j], work[:2], out=stage)
+        rows[3][...] = grad(x_stage)
+        np.matmul(to_x3[j], work[:3], out=stage)
+        rows[4][...] = grad(x_stage)
+        np.matmul(to_x4[j], work[:4], out=stage)
+        rows[5][...] = grad(x_stage)
+        np.matmul(to_next[j], work, out=path[j + 1])
+        work[:2] = path[j + 1]
+        if j + 1 - checked >= FINITE_CHECK_BLOCK:
+            checked = _check_finite(path, t_grid, checked, j + 2)
+    _check_finite(path, t_grid, checked, n_steps + 1)
 
-    def acc(t, x, v):
-        return -(c / t) * v - (c / t**alpha) * grad(x)
-
-    for i in range(n_steps + 1):
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(v)):
-            raise FloatingPointError(f"ODE state became non-finite at t={t_grid[i]:.6g}")
-        X[i], V[i] = x, v
-        t = t_grid[i]
-        w = p * x + t * v - p * xstar
-        energy[i] = w @ w + 2.0 * c * t ** (2.0 - alpha) * obj.f_gap(x)
-        if i == n_steps:
-            break
-        k1x = v
-        k1v = acc(t, x, v)
-        k2x = v + 0.5 * dt * k1v
-        k2v = acc(t + 0.5 * dt, x + 0.5 * dt * k1x, k2x)
-        k3x = v + 0.5 * dt * k2v
-        k3v = acc(t + 0.5 * dt, x + 0.5 * dt * k2x, k3x)
-        k4x = v + dt * k3v
-        k4v = acc(t + dt, x + dt * k3x, k4x)
-        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    X = path[:, 0].reshape((n_steps + 1,) + shape)
+    V = path[:, 1].reshape((n_steps + 1,) + shape)
+    t_col = t_grid.reshape((n_steps + 1,) + (1,) * (len(shape) - 1))
+    w = p * X + t_col[..., None] * V - p * obj.xstar
+    energy = np.sum(w * w, axis=-1) + 2.0 * (p + 1.0) * t_col ** (2.0 - alpha) * obj.f_gap(X)
     return OdeSolution(t=t_grid, X=X, V=V, energy=energy, params=params)
+
+
+def _check_finite(path: np.ndarray, t_grid: np.ndarray, lo: int, hi: int) -> int:
+    """Raise if a state among ``path[lo:hi]`` is not finite, naming the
+    first such grid time; returns ``hi``."""
+    ok = np.isfinite(path[lo:hi]).all(axis=(1, 2))
+    if not ok.all():
+        t = t_grid[lo + int(np.argmin(ok))]
+        raise FloatingPointError(f"ODE state became non-finite at t={t:.6g}")
+    return hi
 
 
 def ode_rate_check(
@@ -186,6 +261,10 @@ def sde_integrate(
     return t, X[:, 0, :], V[:, 0, :]
 
 
+# SDE steps whose noise each path draws in one generator call
+SDE_NOISE_BLOCK = 32
+
+
 def sde_sample_paths(
     obj: Objective,
     eta: float,
@@ -197,7 +276,10 @@ def sde_sample_paths(
     v0: np.ndarray,
     noise_scale: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`sde_integrate` over independently seeded paths."""
+    """Vectorized :func:`sde_integrate` over independently seeded paths.
+
+    Path i draws its increments from ``rng_for(master_seed, i)`` in blocks
+    of ``SDE_NOISE_BLOCK`` steps, the same stream as one draw per step."""
     k0, kT = _grid_indices(eta, T0, T)
     n = kT - k0
     d = obj.dim
@@ -208,16 +290,22 @@ def sde_sample_paths(
     V[0] = np.broadcast_to(np.asarray(v0, dtype=float), (n_paths, d))
     rngs = [rng_for(master_seed, i) for i in range(n_paths)]
     sq = np.sqrt(eta)
+    dw_block = np.empty((SDE_NOISE_BLOCK, n_paths, d))
     for j in range(n):
         tk = t_grid[j]
         xk, vk = X[j], V[j]
         if noise_scale == 0.0:
             dw = 0.0
         else:
-            dw = np.empty((n_paths, d))
-            for i, rng in enumerate(rngs):
-                dw[i] = sq * rng.standard_normal(d)
-            dw *= noise_scale
+            b = j % SDE_NOISE_BLOCK
+            if b == 0:
+                # each path's next steps from its own stream, in step order
+                nb = min(SDE_NOISE_BLOCK, n - j)
+                for i, rng in enumerate(rngs):
+                    dw_block[:nb, i] = rng.standard_normal((nb, d))
+                dw_block[:nb] *= sq
+                dw_block[:nb] *= noise_scale
+            dw = dw_block[b]
         X[j + 1] = xk + eta * vk
         V[j + 1] = (
             vk
@@ -265,37 +353,45 @@ def l2_limit_estimate(
 
     For each eta: a deterministic warm-up run supplies the shared initial
     condition (X(T0), V(T0)) = (x_{T0/eta}, v_{T0/eta}); the ODE is
-    integrated once; M momentum continuations with unit Gaussian gradient
-    noise run to T/eta. Rows carry the mean squared distance with its
-    standard error.
+    integrated once (the etas whose windows coincide in one batched call);
+    M momentum continuations with unit Gaussian gradient noise run to
+    T/eta. Rows carry the mean squared distance with its standard error.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     x0 = np.ones(obj.dim) if x0 is None else np.asarray(x0, dtype=float)
-    rows = []
-    for j, eta in enumerate(eta_list):
+    starts = []  # per eta: (k0, kT, x_{k0-1}, x_{k0}, v_{k0})
+    for eta in eta_list:
         k0, kT = _grid_indices(eta, T0, T)
         if kT - k0 < 10:
             raise ValueError(
                 f"eta={eta:g} too large: only {kT - k0} discrete steps in [{T0:g}, {T:g}]"
             )
-        n = (T - T0) / eta
-        if abs(n - round(n)) > 1e-9 * max(1.0, n):
-            raise ValueError(
-                f"eta={eta:g} does not divide T - T0 = {T - T0:g} ({n:.6g} steps)"
-            )
-        x_prev, x_cur, v0 = sgdm_warm_start(obj, eta, k0, x0)
-        params = OdeParams(p=1.0, alpha=1.5, T0=k0 * eta, T=kT * eta, dt=dt)
-        sol = ode_integrate(obj, params, x_cur, v0)
-        XT = sol.X[-1]
-        noise = NoiseModel.gaussian(obj.dim, 1.0 if noisy else 0.0)
+        _exact_steps(T - T0, eta, f"eta={eta:g} does not divide T - T0 = {T - T0:g}")
+        starts.append((k0, kT) + sgdm_warm_start(obj, eta, k0, x0))
+
+    # one batched integration per distinct ODE window (k0 eta, kT eta)
+    XT = [None] * len(starts)
+    windows: dict[tuple[float, float], list[int]] = {}
+    for j, (eta, (k0, kT, *_)) in enumerate(zip(eta_list, starts)):
+        windows.setdefault((k0 * eta, kT * eta), []).append(j)
+    for (w0, w1), members in windows.items():
+        params = OdeParams(p=1.0, alpha=1.5, T0=w0, T=w1, dt=dt)
+        sol = ode_integrate(obj, params, np.stack([starts[j][3] for j in members]),
+                            np.stack([starts[j][4] for j in members]))
+        for b, j in enumerate(members):
+            XT[j] = sol.X[-1, b]
+
+    noise = NoiseModel.gaussian(obj.dim, 1.0 if noisy else 0.0)
+    rows = []
+    for j, (eta, (k0, kT, x_prev, x_cur, _)) in enumerate(zip(eta_list, starts)):
         sched = StepSchedule(kind="constant", scale=eta)
         sub_seed = int(np.random.SeedSequence(entropy=(int(seed), j)).generate_state(1)[0])
         tr = run_ensemble(
             obj, noise, sched, K=kT - k0, M=M, master_seed=sub_seed,
             x0=x_cur, x_prev0=x_prev, k_start=k0, record=(),
         )
-        sq = np.sum((tr.x_cur_final - XT) ** 2, axis=1)
+        sq = np.sum((tr.x_cur_final - XT[j]) ** 2, axis=1)
         rows.append(
             {
                 "eta": float(eta),

@@ -1,9 +1,13 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sgdmlab.continuous import (
+    FINITE_CHECK_BLOCK,
+    SDE_NOISE_BLOCK,
     OdeParams,
     l2_limit_estimate,
     ode_integrate,
@@ -14,8 +18,33 @@ from sgdmlab.continuous import (
 )
 from sgdmlab.optimizers import StepSchedule, run_ensemble, run_trajectory
 from sgdmlab.problems import NoiseModel, quadratic_new
+from sgdmlab.seeding import rng_for
 
 from test_problems import random_spd
+
+
+def rk4_first_nonfinite_t(grad, p, alpha, T0, dt, n, x, v):
+    """Plain per-step RK4 loop: the first grid time whose state is not
+    finite, or None."""
+    c = p + 1.0
+
+    def acc(t, x, v):
+        return -(c / t) * v - (c / t**alpha) * grad(x)
+
+    for i in range(n + 1):
+        t = T0 + dt * i
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+            return t
+        k1x, k1v = v, acc(t, x, v)
+        k2x = v + 0.5 * dt * k1v
+        k2v = acc(t + 0.5 * dt, x + 0.5 * dt * k1x, k2x)
+        k3x = v + 0.5 * dt * k2v
+        k3v = acc(t + 0.5 * dt, x + 0.5 * dt * k2x, k3x)
+        k4x = v + dt * k3v
+        k4v = acc(t + dt, x + dt * k3x, k4x)
+        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    return None
 
 
 class TestOdeParams:
@@ -76,16 +105,48 @@ class TestOdeIntegrate:
 
     def test_nonfinite_abort_names_time(self):
         obj = quadratic_new(np.eye(1))
+        # (gradient scale, alpha, steps): a blow-up in the first step, and one
+        # that stays finite past the first finiteness block. Both grow fast
+        # enough per step that rounding in the stage sums cannot move the
+        # overflow to a neighbouring step.
+        for scale, alpha, n in ((1e160, 1.5, 10), (800.0, 0.0, 400)):
+            bad = replace(obj, grad=lambda x, s=scale: x * s)
+            params = OdeParams(p=1.0, alpha=alpha, T0=1.0, T=1.0 + 0.1 * n, dt=0.1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                t_ref = rk4_first_nonfinite_t(bad.grad, 1.0, alpha, 1.0, 0.1, n,
+                                              np.ones(1), np.zeros(1))
+                assert t_ref is not None
+                with pytest.raises(FloatingPointError) as err:
+                    ode_integrate(bad, params, np.ones(1), np.zeros(1))
+            assert str(err.value).endswith(f"t={t_ref:.6g}")
+        assert (t_ref - 1.0) / 0.1 > FINITE_CHECK_BLOCK
 
-        def bad_grad(x):
-            return x * 1e160
+    def test_rejects_dt_not_dividing_window(self):
+        obj = quadratic_new(np.eye(1))
+        # (1.0105 - 1) / 0.003 = 3.5 steps: the grid would stop at t = 1.009
+        with pytest.raises(ValueError, match=r"dt=0.003 does not divide the window \[1, 1.0105\]"):
+            ode_integrate(obj, OdeParams(T0=1.0, T=1.0105, dt=0.003), np.ones(1), np.zeros(1))
+        sol = ode_integrate(obj, OdeParams(T0=1.0, T=1.0105, dt=0.0015), np.ones(1), np.zeros(1))
+        assert sol.t[-1] == pytest.approx(1.0105, rel=1e-12)
 
-        from dataclasses import replace
-        bad = replace(obj, grad=bad_grad)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(FloatingPointError, match="t="):
-                ode_integrate(bad, OdeParams(T0=1.0, T=2.0, dt=0.1),
-                              np.ones(1), np.zeros(1))
+    def test_batched_columns_match_single_calls(self):
+        obj = quadratic_new(random_spd(3, 4))
+        params = OdeParams(p=2.0, alpha=1.5, T0=1.0, T=2.0, dt=2e-3)
+        rng = np.random.default_rng(3)
+        X0, V0 = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+        sol = ode_integrate(obj, params, X0, V0)
+        assert sol.X.shape == sol.V.shape == (501, 4, 3)
+        assert sol.energy.shape == (501, 4)
+        for b in range(4):
+            one = ode_integrate(obj, params, X0[b], V0[b])
+            np.testing.assert_allclose(sol.X[:, b], one.X, rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(sol.V[:, b], one.V, rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(sol.energy[:, b], one.energy, rtol=1e-12)
+
+    def test_rejects_state_of_wrong_dimension(self):
+        obj = quadratic_new(np.eye(2))
+        with pytest.raises(ValueError, match="shape"):
+            ode_integrate(obj, OdeParams(T0=1.0, T=2.0, dt=0.1), np.ones(3), np.zeros(3))
 
     def test_csv_output(self, tmp_path):
         obj = quadratic_new(np.eye(2))
@@ -131,6 +192,36 @@ class TestSde:
             )
             assert X[j + 1, 0] == pytest.approx(x, rel=1e-12)
             assert V[j + 1, 0] == pytest.approx(v, rel=1e-12)
+
+    def test_chunked_noise_matches_per_step_draws(self):
+        obj = quadratic_new(random_spd(2, 3))
+        eta, M, seed = 0.01, 3, 8
+        n = 70  # not a multiple of the noise block
+        assert n % SDE_NOISE_BLOCK != 0
+        x0, v0 = np.array([1.0, -0.5]), np.array([0.2, 0.0])
+        t, X, V = sde_sample_paths(obj, eta, 1.0, 1.0 + n * eta, M, seed, x0, v0,
+                                   noise_scale=0.7)
+        assert len(t) == n + 1
+        # reference: every path draws one increment per step
+        Xr, Vr = np.empty_like(X), np.empty_like(V)
+        Xr[0], Vr[0] = x0, v0
+        rngs = [rng_for(seed, i) for i in range(M)]
+        sq = np.sqrt(eta)
+        for j in range(n):
+            tk = t[j]
+            dw = np.empty((M, 2))
+            for i, rng in enumerate(rngs):
+                dw[i] = sq * rng.standard_normal(2)
+            dw *= 0.7
+            Xr[j + 1] = Xr[j] + eta * Vr[j]
+            Vr[j + 1] = (Vr[j] - (2.0 * eta / tk) * Vr[j]
+                         - (2.0 * eta / tk**1.5) * obj.grad(Xr[j])
+                         - (2.0 * sq / tk**1.5) * dw)
+
+        def digest(a):
+            return hashlib.sha256(a.tobytes()).hexdigest()
+
+        assert (digest(X), digest(V)) == (digest(Xr), digest(Vr))
 
     def test_zero_noise_is_deterministic(self):
         obj = quadratic_new(np.eye(2))
@@ -207,6 +298,28 @@ class TestL2Limit:
         assert all(r["mean_sq_dist"] > 0 and r["stderr"] > 0 for r in rows)
         gate = 2.0 * math.hypot(rows[0]["stderr"], rows[1]["stderr"])
         assert rows[1]["mean_sq_dist"] < rows[0]["mean_sq_dist"] + gate
+
+    def test_rows_match_per_eta_reference(self):
+        """Batched ODE integration changes no row: the reference integrates
+        each eta's ODE on its own. eta = 0.3 has its own window [0.9, 3.9],
+        the others share [1, 4]."""
+        obj = quadratic_new(random_spd(2, 2))
+        etas, T0, T, M, seed = [0.3, 0.1, 0.05], 1.0, 4.0, 5, 3
+        rows = l2_limit_estimate(obj, etas, T0, T, M, seed, dt=1e-2)
+        for j, eta in enumerate(etas):
+            k0, kT = math.floor(T0 / eta + 1e-9), math.floor(T / eta + 1e-9)
+            x_prev, x_cur, v0 = sgdm_warm_start(obj, eta, k0, np.ones(2))
+            sol = ode_integrate(obj, OdeParams(p=1.0, alpha=1.5, T0=k0 * eta, T=kT * eta,
+                                               dt=1e-2), x_cur, v0)
+            sub_seed = int(np.random.SeedSequence(entropy=(seed, j)).generate_state(1)[0])
+            tr = run_ensemble(obj, NoiseModel.gaussian(2, 1.0),
+                              StepSchedule(kind="constant", scale=eta), K=kT - k0, M=M,
+                              master_seed=sub_seed, x0=x_cur, x_prev0=x_prev, k_start=k0,
+                              record=())
+            sq = np.sum((tr.x_cur_final - sol.X[-1]) ** 2, axis=1)
+            assert rows[j]["mean_sq_dist"] == pytest.approx(np.mean(sq), rel=1e-12)
+            assert rows[j]["stderr"] == pytest.approx(np.std(sq, ddof=1) / math.sqrt(M),
+                                                      rel=1e-12)
 
     def test_noiseless_distance_is_pure_discretization(self):
         obj = quadratic_new(random_spd(2, 1))

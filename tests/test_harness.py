@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sgdmlab._csv import write_csv
 from sgdmlab.cli import ConfigError, default_quadratic, load_config, main, write_verdict
 from sgdmlab.lyapunov import check_descent
 from sgdmlab.optimizers import StepSchedule, run_trajectory
@@ -125,6 +126,14 @@ class TestCliSubcommands:
         assert (out / "l2_table.csv").read_text().splitlines()[0] == \
             "eta,mean_sq_dist,stderr,runs"
 
+    def test_ode_compare_rate_check_locator(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["ode-compare", "--out", str(out), "--runs", "5",
+                     "--t", "2.0", "--dt", "0.01", "--eta-grid", "0.1,0.05"]) == 0
+        checks = json.loads((out / "verdict.json").read_text())["checks"]
+        rate = next(c for c in checks if c["name"] == "rate_bound_holds")
+        assert rate["first_violation_t"] is None and rate["value"] is None
+
     def test_concentration(self, tmp_path):
         out = tmp_path / "o"
         assert main(["concentration", "--out", str(out)]) == 0
@@ -152,6 +161,17 @@ class TestCliSubcommands:
         cfg = json.loads((out / "config_resolved.json").read_text())
         assert cfg["steps"] == 5
         assert cfg["subcommand"] == "run"
+
+
+class TestCsvWriter:
+    def test_bytes_equal_savetxt(self, tmp_path):
+        cols = np.array([[1.0, np.inf, -0.0],
+                         [1e-300, 1e300, -np.inf],
+                         [0.1, -2.5, 3.0]])
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        write_csv(ours, cols, "a,b,c")
+        np.savetxt(ref, cols, delimiter=",", header="a,b,c", comments="", fmt="%.17g")
+        assert ours.read_bytes() == ref.read_bytes()
 
 
 class TestReproducibility:
@@ -189,6 +209,13 @@ class TestFailureSemantics:
     def test_library_value_error_exits_2(self, tmp_path, capsys, flag):
         assert main(["ode-compare", "--out", str(tmp_path / "o"), "--runs", "3"] + flag) == 2
         assert_one_line_config_error(capsys)
+
+    def test_ode_step_not_dividing_window_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["ode-compare", "--out", str(out), "--runs", "3",
+                     "--t", "1.0105", "--dt", "0.003"]) == 2
+        assert_one_line_config_error(capsys)
+        assert not (out / "verdict.json").exists()
 
     def test_verdict_rejects_non_finite_values(self, tmp_path):
         checks = [{"name": "x", "passed": False, "value": float("nan"), "threshold": 1.0}]
