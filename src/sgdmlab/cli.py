@@ -259,7 +259,8 @@ def cmd_verify_expectation(cfg: dict, out: Path) -> list[dict]:
                                        cfg["seed"], c=cfg["c"])
     stats.save_ensemble_csv(out / "ensemble.csv", rep["summary"])
     excess = np.max((rep["mean"] - rep["bound"]) / np.maximum(rep["stderr"], 1e-300))
-    return [_check("max_excess_stderr_units", rep["passed"], excess, 3.0)]
+    check = _check("max_excess_stderr_units", rep["passed"], excess, 3.0)
+    return [dict(check, first_failure_k=rep["first_failure_k"])]
 
 
 def cmd_verify_anytime(cfg: dict, out: Path) -> list[dict]:
@@ -270,8 +271,10 @@ def cmd_verify_anytime(cfg: dict, out: Path) -> list[dict]:
     sched = build_schedule(cfg, obj.lipschitz)
     rep = conc.anytime_coverage(obj, noise, sched, cfg["steps"], cfg["runs"],
                                 cfg["beta"], cfg["seed"], k_trunc=cfg["k_trunc"])
-    return [_check("fraction_violating", rep["passed"], rep["fraction_violating"],
-                   rep["nominal_level"])]
+    check = _check("fraction_violating", rep["passed"], rep["fraction_violating"],
+                   rep["nominal_level"])
+    return [dict(check, n_violating=rep["n_violating"], min_margin=rep["min_margin"],
+                 run=rep["first_violating_run"], k=rep["first_violating_k"])]
 
 
 def cmd_ode_compare(cfg: dict, out: Path) -> list[dict]:

@@ -279,8 +279,13 @@ def sde_sample_paths(
     """Vectorized :func:`sde_integrate` over independently seeded paths.
 
     Path i draws its increments from ``rng_for(master_seed, i)`` in blocks
-    of ``SDE_NOISE_BLOCK`` steps, the same stream as one draw per step."""
-    k0, kT = _grid_indices(eta, T0, T)
+    of ``SDE_NOISE_BLOCK`` steps, the same stream as one draw per step.
+    Raises ``ValueError`` unless ``T0`` and ``T`` both lie on the grid
+    t_k = k eta, so the paths cover exactly [T0, T]."""
+    k0 = _exact_steps(T0, eta, f"eta={eta:g} does not divide T0={T0:g}")
+    kT = _exact_steps(T, eta, f"eta={eta:g} does not divide T={T:g}")
+    if k0 < 1:
+        raise ValueError("T0/eta must be at least 1")
     n = kT - k0
     d = obj.dim
     t_grid = eta * np.arange(k0, kT + 1)

@@ -396,7 +396,8 @@ def run_ensemble(
     ``record`` selects the fields to keep: ``"f_gap"``, ``"energy"``,
     ``"theta"``, and the full path ``"x"``, ``"g"``, ``"grad"`` (runs that
     start at k = 1 only). The oracle is evaluated one step at a time, so
-    recording costs only the stored arrays.
+    recording costs only the stored arrays; a step that records ``f_gap``
+    or ``energy`` makes one fused :meth:`Objective.gap_and_grad` call.
     """
     if K < 1 or M < 1:
         raise ValueError("K and M must be >= 1")
@@ -438,6 +439,7 @@ def run_ensemble(
 
     rngs = [rng_for(master_seed, i) for i in range(M)]
     noiseless = noise.scale == 0.0
+    need_f = trace.f_gap is not None or trace.energy is not None
     step = 0
     while step < K:
         n_sub = min(chunk, K - step)
@@ -450,17 +452,18 @@ def run_ensemble(
         for j in range(n_sub):
             k = k_start + step + j
             idx = step + j + 1  # record row
-            grad = obj.grad(x_cur)
+            if need_f:
+                fg, grad = obj.gap_and_grad(x_cur)
+                if trace.f_gap is not None:
+                    trace.f_gap[idx] = fg
+            else:
+                grad = obj.grad(x_cur)
             g = grad if noiseless else grad + xi_chunk[:, j, :]
             if trace.grad is not None:
                 trace.grad[idx - 1] = grad
             if trace.g is not None:
                 trace.g[idx - 1] = g  # a copy, also where g aliases grad
-            if "f_gap" in record or "energy" in record:
-                fg = obj.f_gap(x_cur)
-                if trace.f_gap is not None:
-                    trace.f_gap[idx] = fg
-            if "theta" in record:
+            if trace.theta_sq is not None:
                 xi = grad - g
                 tau = k * (x_cur - x_prev) + (x_cur - xstar)
                 trace.theta_sq[idx - 1] = np.sum(xi * xi, axis=1)

@@ -2,7 +2,9 @@
 
 Every objective exposes a batched interface: ``eval`` accepts ``(d,)`` or
 ``(m, d)`` arrays and returns a scalar or ``(m,)``; ``grad`` preserves the
-input shape. This keeps ensemble runners vectorized across Monte-Carlo runs.
+input shape; the optional fused ``value_and_grad`` returns both from one
+pass over the shared intermediate (Ax, or the logistic margins). This keeps
+ensemble runners vectorized across Monte-Carlo runs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ class Objective:
     """A differentiable convex objective with exact gradient and reference optimum.
 
     ``lipschitz`` is the gradient Lipschitz constant; ``fstar``/``xstar`` are
-    the (possibly refined) minimal value and minimizer.
+    the (possibly refined) minimal value and minimizer. ``value_and_grad``,
+    when given, returns ``(eval(x), grad(x))`` from one pass; a copy that
+    replaces ``eval`` or ``grad`` should replace or drop it too.
     """
 
     dim: int
@@ -39,10 +43,19 @@ class Objective:
     fstar: float
     xstar: np.ndarray
     name: str = "objective"
+    value_and_grad: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def f_gap(self, x: np.ndarray) -> np.ndarray:
         """f(x) - f*, batched like ``eval``."""
         return self.eval(x) - self.fstar
+
+    def gap_and_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(f(x) - f*, grad f(x)) from the fused oracle, or from ``eval`` and
+        ``grad`` when the objective has none."""
+        if self.value_and_grad is None:
+            return self.f_gap(x), self.grad(x)
+        f, g = self.value_and_grad(x)
+        return f - self.fstar, g
 
 
 @dataclass(frozen=True)
@@ -151,12 +164,20 @@ def quadratic_new(A: np.ndarray) -> Objective:
         )
     dim = A.shape[0]
 
+    def value(x: np.ndarray, Ax: np.ndarray) -> np.ndarray:
+        return 0.5 * np.einsum("...i,...i->...", Ax, x)
+
     def f(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return 0.5 * np.sum((x @ A) * x, axis=-1)
+        return value(x, x @ A)
 
     def g(x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) @ A
+
+    def fg(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = np.asarray(x, dtype=float)
+        Ax = x @ A
+        return value(x, Ax), Ax
 
     return Objective(
         dim=dim,
@@ -166,6 +187,7 @@ def quadratic_new(A: np.ndarray) -> Objective:
         fstar=0.0,
         xstar=np.zeros(dim),
         name=f"quadratic{dim}d",
+        value_and_grad=fg,
     )
 
 
@@ -176,6 +198,10 @@ def logreg_new(features: np.ndarray, labels: np.ndarray, refine_tol: float = 1e-
     average log-likelihood, so the task is a minimization. The smoothness
     constant is lambda_max(X^T X) / (4 N). The reference optimum is filled by
     :func:`fstar_refine` unless ``refine_tol`` is None.
+
+    Both oracles work from the margins z = X b and e = exp(-|z|), which never
+    overflows: log(1 + exp(z)) = max(z, 0) + log1p(e), and the sigmoid is
+    1/(1 + e) for z >= 0 and e/(1 + e) for z < 0.
     """
     X = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(labels, dtype=float).ravel()
@@ -187,17 +213,29 @@ def logreg_new(features: np.ndarray, labels: np.ndarray, refine_tol: float = 1e-
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must lie in {0, 1}")
     L = _largest_eigenvalue(X.T @ X) / (4.0 * N)
+    XT = X.T
+
+    def margins(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        z = np.asarray(beta, dtype=float) @ XT  # (..., N)
+        return z, np.exp(-np.abs(z))
+
+    def value(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+        # y z is subtracted before log1p(e) is added: max(z, 0) - y z is exact
+        return (np.maximum(z, 0.0) - y * z + np.log1p(e)).sum(axis=-1) / N
+
+    def gradient(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+        p = np.where(z >= 0.0, 1.0, e) / (1.0 + e)
+        return (p - y) @ X / N
 
     def f(beta: np.ndarray) -> np.ndarray:
-        beta = np.asarray(beta, dtype=float)
-        z = beta @ X.T  # (..., N)
-        return np.mean(np.logaddexp(0.0, z) - y * z, axis=-1)
+        return value(*margins(beta))
 
     def g(beta: np.ndarray) -> np.ndarray:
-        beta = np.asarray(beta, dtype=float)
-        z = beta @ X.T
-        p = 1.0 / (1.0 + np.exp(-z))
-        return (p - y) @ X / N
+        return gradient(*margins(beta))
+
+    def fg(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        z, e = margins(beta)
+        return value(z, e), gradient(z, e)
 
     obj = Objective(
         dim=d,
@@ -207,6 +245,7 @@ def logreg_new(features: np.ndarray, labels: np.ndarray, refine_tol: float = 1e-
         fstar=float(f(np.zeros(d))),
         xstar=np.zeros(d),
         name=f"logreg{d}d",
+        value_and_grad=fg,
     )
     if refine_tol is not None:
         fstar, xstar = fstar_refine(obj, refine_tol)

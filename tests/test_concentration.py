@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sgdmlab import concentration
 from sgdmlab.concentration import (
     a_sequence,
     anytime_bound,
@@ -14,7 +15,7 @@ from sgdmlab.concentration import (
     supermartingale_trace,
     tail_lemma_check,
 )
-from sgdmlab.optimizers import StepSchedule, schedule_eval
+from sgdmlab.optimizers import StepSchedule, run_ensemble, schedule_eval
 from sgdmlab.problems import NoiseModel, quadratic_new
 
 from test_problems import random_spd
@@ -49,6 +50,33 @@ class TestGammaConstants:
         assert partial <= br.gamma1_upper
         log_partial = float(np.sum(np.log1p(a)))
         assert math.exp(log_partial) <= br.gamma2_upper
+
+    @pytest.mark.parametrize("L", [1.0, 1.7])
+    @pytest.mark.parametrize("scale", [0.5, 0.9])
+    @pytest.mark.parametrize("sigma2", [1.0, 2.3])
+    def test_brackets_contain_exactly_rounded_reference(self, L, scale, sigma2):
+        """At k_trunc = 10^3 the brackets must contain their own endpoints
+        recomputed with math.fsum and math.log, so rounding in the 10^3-term
+        head sums never moves an endpoint inward (without the widening, most
+        of these cases fail by an ulp or two)."""
+        K = 1000
+        br = gamma_constants(anytime_schedule(L=L, scale=scale), sigma2, k_trunc=K)
+        # a_k = scale / (L^2 k log^2(k+2)), so a_k = A / (k log^2(k+2)) with A = scale / L^2
+        A = scale / L**2
+        a = [A / (k * math.log(k + 2.0) ** 2) for k in range(1, K + 1)]
+        tail_lo = A / math.log(K + 3.0)
+        tail_hi = A * (1.0 + 2.0 / K) / math.log(K + 2.0)
+        head = math.fsum(a)
+        assert br.gamma1_lower <= head + tail_lo
+        assert head + tail_hi <= br.gamma1_upper
+        log_head = math.fsum(math.log1p(ak * sigma2) for ak in a)
+        a_next = A / ((K + 1) * math.log(K + 3.0) ** 2)
+        log_tail_lo = sigma2 * tail_lo - 0.5 * sigma2**2 * a_next * tail_hi
+        assert br.gamma2_lower <= math.exp(log_head + log_tail_lo)
+        assert math.exp(log_head + sigma2 * tail_hi) <= br.gamma2_upper
+        # the widening is a rounding-level allowance, not a loss of accuracy
+        assert br.gamma1_upper - (head + tail_hi) <= 1e-12 * head
+        assert br.gamma2_upper / math.exp(log_head + sigma2 * tail_hi) - 1.0 <= 1e-12
 
     def test_brackets_are_nested_as_truncation_grows(self):
         s = anytime_schedule()
@@ -92,6 +120,8 @@ class TestGammaConstants:
             gamma_constants(StepSchedule(kind="constant", scale=0.1), 1.0)
         with pytest.raises(ValueError, match="sigma2"):
             gamma_constants(anytime_schedule(), -1.0)
+        with pytest.raises(ValueError, match="k_trunc"):
+            gamma_constants(anytime_schedule(), 1.0, k_trunc=0)
 
 
 class TestAnytimeBound:
@@ -142,6 +172,39 @@ class TestCoverage:
         assert rep["passed"]
         assert rep["min_margin"] > 0.0
         assert rep["nominal_level"] == pytest.approx(0.1)
+
+
+    def test_locates_the_first_violation(self, monkeypatch):
+        """With the envelope replaced by one that some runs cross at k = 50
+        or k = 120, the report names the lowest violating run and its first
+        k, as read off an independent rerun of the same ensemble."""
+        obj = quadratic_new(random_spd(3, 1))
+        noise = NoiseModel.gaussian(3, 1.0)
+        sched = anytime_schedule(L=obj.lipschitz)
+        K, M = 200, 8
+        f_gap = run_ensemble(obj, noise, sched, K=K, M=M, master_seed=4,
+                             x0=np.ones(3)).f_gap[1:]  # rows k = 1..K
+        bound = f_gap.max(axis=1) + 1.0
+        for k in (50, 120):
+            bound[k - 1] = np.median(f_gap[k - 1])
+        monkeypatch.setattr(concentration, "anytime_bound", lambda const, k, beta: bound)
+        rep = anytime_coverage(obj, noise, sched, K=K, M=M, beta=0.05,
+                               master_seed=4, k_trunc=10_000)
+        bad = [i for i in range(M) if any(f_gap[k, i] > bound[k] for k in range(K))]
+        assert 0 < len(bad) < M
+        assert rep["n_violating"] == len(bad)
+        assert rep["first_violating_run"] == bad[0]
+        ks = [k + 1 for k in range(K) if f_gap[k, bad[0]] > bound[k]]
+        assert rep["first_violating_k"] == ks[0]
+        assert rep["min_margin"] == np.min(bound[:, None] - f_gap)
+
+    def test_no_violation_has_null_locator(self):
+        obj = quadratic_new(random_spd(3, 1))
+        rep = anytime_coverage(obj, NoiseModel.gaussian(3, 0.01),
+                               anytime_schedule(L=obj.lipschitz), K=50, M=4, beta=0.05,
+                               master_seed=0, k_trunc=10_000)
+        assert rep["n_violating"] == 0
+        assert rep["first_violating_run"] is None and rep["first_violating_k"] is None
 
 
 class TestSupermartingale:

@@ -235,6 +235,15 @@ class TestSde:
         np.testing.assert_allclose(t, [1.0, 1.25, 1.5, 1.75, 2.0])
         assert X.shape == (5, 1)
 
+    def test_rejects_eta_off_the_grid(self):
+        obj = quadratic_new(np.eye(1))
+        # 1/0.003 and 1.0105/0.003 are not integers: flooring them would run
+        # the paths on [0.999, 1.008] instead
+        with pytest.raises(ValueError, match="does not divide"):
+            sde_sample_paths(obj, 0.003, 1.0, 1.0105, 2, 0, np.ones(1), np.zeros(1))
+        with pytest.raises(ValueError, match="does not divide T="):
+            sde_sample_paths(obj, 0.1, 1.0, 2.05, 2, 0, np.ones(1), np.zeros(1))
+
     def test_marginal_moments_track_discrete_iterates(self):
         """The SDE grid marginals and the constant-stepsize momentum iterates
         agree to O(eta): with eta = 0.005 the mean and standard deviation at

@@ -11,6 +11,14 @@ from sgdmlab.problems import NoiseModel, logreg_new, synthetic_blobs
 from sgdmlab.seeding import rng_for, seed_split
 
 
+def strict_json(path):
+    """Parse a file as strict JSON: NaN and Infinity are errors."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 class TestSeedSplit:
     def test_identical_inputs_identical_streams(self):
         a = rng_for(123, 7).standard_normal(5)
@@ -111,11 +119,17 @@ class TestCliSubcommands:
         out = tmp_path / "o"
         assert main(["verify-expectation", "--out", str(out), "--steps", "300",
                      "--runs", "30"]) == 0
+        (check,) = strict_json(out / "verdict.json")["checks"]
+        assert check["first_failure_k"] is None
 
     def test_verify_anytime(self, tmp_path):
         out = tmp_path / "o"
         assert main(["verify-anytime", "--out", str(out), "--steps", "300",
                      "--runs", "20"]) == 0
+        (check,) = strict_json(out / "verdict.json")["checks"]
+        assert check["name"] == "fraction_violating"
+        assert check["n_violating"] == 0 and check["min_margin"] > 0.0
+        assert check["run"] is None and check["k"] is None
 
     def test_ode_compare(self, tmp_path):
         out = tmp_path / "o"

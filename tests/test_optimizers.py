@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from sgdmlab.optimizers import (
     sgdm_step,
     sgdm_velocity_step,
 )
-from sgdmlab.problems import NoiseModel, quadratic_new
+from sgdmlab.problems import NoiseModel, logreg_new, quadratic_new, synthetic_blobs
 from sgdmlab.seeding import rng_for, seed_split
 
 from test_problems import random_spd
@@ -334,6 +335,29 @@ class TestRunEnsemble:
         for name in ("energy", "descent_lhs", "descent_rhs", "theta", "tau"):
             np.testing.assert_allclose(getattr(col, name), getattr(rec, name),
                                        rtol=1e-9, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("problem", ["quadratic", "logreg"])
+    def test_objective_without_fused_oracle_gives_the_same_trace(self, problem):
+        if problem == "quadratic":
+            obj = quadratic_new(random_spd(3, 8))
+        else:
+            obj = logreg_new(*synthetic_blobs(40, 3, seed=5), refine_tol=None)
+        plain = replace(obj, value_and_grad=None)
+        noise = NoiseModel.gaussian(3, 0.3)
+        sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
+        fields = ("x", "g", "grad", "f_gap", "energy", "theta")
+        a, b = (run_ensemble(o, noise, sched, K=60, M=4, master_seed=9, record=fields)
+                for o in (obj, plain))
+        for name in ("x", "g", "grad", "f_gap", "energy", "theta_sq", "theta_tau"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_recorded_gap_is_the_gap_of_the_recorded_iterate(self):
+        obj = logreg_new(*synthetic_blobs(40, 3, seed=6), refine_tol=None)
+        sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
+        tr = run_ensemble(obj, NoiseModel.gaussian(3, 0.5), sched, K=30, M=3,
+                          master_seed=2, record=("x", "f_gap"))
+        for k in range(tr.K + 1):
+            np.testing.assert_allclose(tr.f_gap[k], obj.f_gap(tr.x[k]), rtol=1e-12)
 
     def test_validation(self):
         obj = quadratic_new(np.eye(2))

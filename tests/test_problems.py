@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +129,37 @@ class TestLogreg:
         H0 = X.T @ X / (4.0 * len(y))
         assert obj.lipschitz == pytest.approx(np.linalg.eigvalsh(H0)[-1], rel=1e-8)
 
+    def test_large_margins_do_not_overflow(self):
+        """Margins |z| up to ~10^3, where exp(-z) overflows: every oracle must
+        stay warning-free and match a logaddexp reference."""
+        X, y = synthetic_blobs(50, 3, seed=1)
+        obj = logreg_new(X, y, refine_tol=None)
+        beta = 400.0 * np.ones(3)
+        z = X @ beta
+        assert z.min() < -709.0 and z.max() > 709.0
+        sig = np.exp(z - np.logaddexp(0.0, z))  # sigmoid, without overflow
+        f_ref = np.mean(np.logaddexp(0.0, z) - y * z)
+        g_ref = (sig - y) @ X / len(y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f, g = obj.value_and_grad(beta)
+            values = [f, obj.eval(beta)]
+            grads = [g, obj.grad(beta)]
+        assert values == [pytest.approx(f_ref, rel=1e-12)] * 2
+        for g in grads:
+            np.testing.assert_allclose(g, g_ref, rtol=1e-12)
+
+    def test_sigmoid_reaches_its_limits(self):
+        # one sample with x = 1, y = 0: f(b) = log(1 + e^b) and grad = sigmoid(b)
+        obj = logreg_new(np.ones((1, 1)), np.zeros(1), refine_tol=None)
+        b = np.array([[1000.0], [-1000.0], [1e4], [-1e4]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f, g = obj.value_and_grad(b)
+            np.testing.assert_array_equal(obj.grad(b), g)
+        np.testing.assert_array_equal(g[:, 0], [1.0, 0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(f, np.logaddexp(0.0, b[:, 0]))
+
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError, match="labels"):
             logreg_new(np.ones((3, 2)), np.array([0.0, 2.0, 1.0]))
@@ -137,6 +171,36 @@ class TestLogreg:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             logreg_new(np.zeros((0, 2)), np.zeros(0))
+
+
+def one_of_each(name):
+    if name == "quadratic":
+        return quadratic_new(random_spd(4, 6))
+    X, y = synthetic_blobs(60, 4, seed=2)
+    return logreg_new(X, y, refine_tol=None)
+
+
+class TestFusedOracle:
+    @pytest.mark.parametrize("name", ["quadratic", "logreg"])
+    @pytest.mark.parametrize("shape", [(4,), (7, 4)])
+    def test_value_and_grad_equals_eval_and_grad(self, name, shape):
+        obj = one_of_each(name)
+        x = np.random.default_rng(3).standard_normal(shape)
+        f, g = obj.value_and_grad(x)
+        assert np.shape(f) == shape[:-1] and g.shape == shape
+        np.testing.assert_allclose(f, obj.eval(x), rtol=1e-15)
+        np.testing.assert_allclose(g, obj.grad(x), rtol=1e-15)
+        gap, g2 = obj.gap_and_grad(x)
+        np.testing.assert_allclose(gap, obj.f_gap(x), rtol=1e-15)
+        np.testing.assert_array_equal(g2, g)
+
+    @pytest.mark.parametrize("name", ["quadratic", "logreg"])
+    def test_gap_and_grad_falls_back_to_eval_and_grad(self, name):
+        obj = replace(one_of_each(name), value_and_grad=None)
+        x = np.random.default_rng(4).standard_normal((5, 4))
+        gap, g = obj.gap_and_grad(x)
+        np.testing.assert_array_equal(gap, obj.f_gap(x))
+        np.testing.assert_array_equal(g, obj.grad(x))
 
 
 class TestFstarRefine:
