@@ -4,7 +4,9 @@ batch with counter-based per-run seeding, and writes CSV artifacts plus a
 machine-readable ``verdict.json`` into the output directory.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 config error
-(including a ``ValueError`` raised by the library on the resolved values).
+(including a ``ValueError`` raised by the library on the resolved values),
+3 divergence: an iterate or ODE state left the finite range, reported on one
+``diverged: ...`` line that names the run(s) and the first non-finite step.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -176,12 +179,20 @@ def build_schedule(cfg: dict, L: float) -> StepSchedule:
                         epsilon=cfg["epsilon"])
 
 
+def _finite(x) -> float | None:
+    """``float(x)``, or None where x is None or not finite (an overflowed run)."""
+    return None if x is None or not math.isfinite(x) else float(x)
+
+
 def _check(name: str, passed: bool, value, threshold) -> dict:
+    """One verdict entry. A value or threshold that is not finite is written
+    as null and fails the check, so the verdict stays strict JSON."""
+    finite = all(x is None or math.isfinite(x) for x in (value, threshold))
     return {
         "name": name,
-        "passed": bool(passed),
-        "value": None if value is None else float(value),
-        "threshold": None if threshold is None else float(threshold),
+        "passed": bool(passed) and finite,
+        "value": _finite(value),
+        "threshold": _finite(threshold),
     }
 
 
@@ -273,7 +284,7 @@ def cmd_verify_anytime(cfg: dict, out: Path) -> list[dict]:
                                 cfg["beta"], cfg["seed"], k_trunc=cfg["k_trunc"])
     check = _check("fraction_violating", rep["passed"], rep["fraction_violating"],
                    rep["nominal_level"])
-    return [dict(check, n_violating=rep["n_violating"], min_margin=rep["min_margin"],
+    return [dict(check, n_violating=rep["n_violating"], min_margin=_finite(rep["min_margin"]),
                  run=rep["first_violating_run"], k=rep["first_violating_k"])]
 
 
@@ -403,10 +414,11 @@ def _clear_artifacts(out: Path) -> None:
         (out / name).unlink(missing_ok=True)
 
 
-def _config_error(exc: Exception) -> int:
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    """Report ``exc`` on one ``kind: ...`` line of stderr; return ``code``."""
     msg = " ".join(str(exc).split())
-    print(f"config error: {msg}", file=sys.stderr)
-    return 2
+    print(f"{kind}: {msg}", file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -421,7 +433,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.subcommand, args.config, overrides)
     except ConfigError as exc:
-        return _config_error(exc)
+        return _fail("config error", exc, 2)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _clear_artifacts(out)
@@ -432,7 +444,9 @@ def main(argv=None) -> int:
         checks = _HANDLERS[args.subcommand](cfg, out)
     except (ConfigError, ValueError) as exc:
         # library validation of the resolved values is a config error too
-        return _config_error(exc)
+        return _fail("config error", exc, 2)
+    except FloatingPointError as exc:
+        return _fail("diverged", exc, 3)
     passed = write_verdict(out, args.subcommand, checks)
     return 0 if passed else 1
 

@@ -154,8 +154,14 @@ def gamma_constants(
     log_tail_hi = grow * sigma2 * tail_hi
     log_tail_lo = max(0.0, shrink * (sigma2 * tail_lo - 0.5 * sigma2 * a_next * log_tail_hi))
     # math.exp is within 1 ulp, so one step outward covers it
-    g2_lo = _down(math.exp(_down(log_head - log_err + log_tail_lo)))
-    g2_hi = _up(math.exp(_up(log_head + log_err + log_tail_hi)))
+    try:
+        g2_lo = _down(math.exp(_down(log_head - log_err + log_tail_lo)))
+        g2_hi = _up(math.exp(_up(log_head + log_err + log_tail_hi)))
+    except OverflowError:
+        raise ValueError(
+            "gamma2 = prod(1 + a_k sigma2) overflows a float: the stepsizes or the "
+            "noise scale are too large for a finite bound"
+        ) from None
     return GammaBrackets(g1_lo, g1_hi, g2_lo, g2_hi, K, float(sigma2))
 
 

@@ -12,6 +12,8 @@ velocity update (solved in closed form, see :func:`sgdm_velocity_step`).
 
 from __future__ import annotations
 
+import collections
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -398,6 +400,15 @@ def run_ensemble(
     start at k = 1 only). The oracle is evaluated one step at a time, so
     recording costs only the stored arrays; a step that records ``f_gap``
     or ``energy`` makes one fused :meth:`Objective.gap_and_grad` call.
+
+    Steps run in chunks of ``chunk``. While one chunk is stepped, a helper
+    thread draws the next chunk's noise (NumPy releases the interpreter lock
+    inside the draws), and the caller draws the runs it has not reached yet
+    once the chunk is done. Each run's generator is used by one thread at a
+    time and in step order, so the results depend neither on ``chunk`` nor
+    on which thread drew a run. An iterate that leaves the finite range
+    raises ``FloatingPointError`` naming the first step k whose update made
+    x_{k+1} non-finite, and the runs it hit.
     """
     if K < 1 or M < 1:
         raise ValueError("K and M must be >= 1")
@@ -437,64 +448,161 @@ def run_ensemble(
         trace.theta_sq = np.empty((K, M))
         trace.theta_tau = np.empty((K, M))
 
-    rngs = [rng_for(master_seed, i) for i in range(M)]
-    noiseless = noise.scale == 0.0
-    need_f = trace.f_gap is not None or trace.energy is not None
-    step = 0
-    while step < K:
-        n_sub = min(chunk, K - step)
-        if noiseless:
-            xi_chunk = None
-        else:
-            xi_chunk = np.empty((M, n_sub, d))
-            for i, rng in enumerate(rngs):
-                xi_chunk[i] = noise.sample(rng, n_sub)
-        for j in range(n_sub):
-            k = k_start + step + j
-            idx = step + j + 1  # record row
+    # per-step coefficients, indexed by s = k - k_start (eta[s + 1] = eta_k)
+    sgdm = algorithm == "sgdm"
+    k_steps = ks[1:].astype(float)
+    if sgdm:
+        momentum, gain = (c.tolist() for c in _sgdm_coefficients(eta[1:], k_steps))
+    else:
+        momentum, gain = None, (sgd_scale / np.sqrt(k_steps)).tolist()
+    if trace.energy is not None:
+        energy_gain = (4.0 * np.sqrt((k_steps + 1.0) * eta[1:])).tolist()
+
+    f_gap, energy, path = trace.f_gap, trace.energy, trace.x
+    g_rec, grad_rec, theta_sq, theta_tau = trace.g, trace.grad, trace.theta_sq, trace.theta_tau
+    need_f = f_gap is not None or energy is not None
+    dx = np.empty((M, d))  # x_k - x_{k-1}, then the momentum point
+    g_buf = np.empty((M, d))  # the realized gradient, then the step taken along it
+
+    def advance(x_prev, x_cur, first, n, xi):
+        """Take steps s = first .. first+n-1 (k = k_start + s) with noise
+        xi[s - first]; x_{k+1} overwrites the buffer of x_{k-1}."""
+        for j in range(n):
+            s = first + j
+            k = k_start + s
             if need_f:
                 fg, grad = obj.gap_and_grad(x_cur)
-                if trace.f_gap is not None:
-                    trace.f_gap[idx] = fg
+                if f_gap is not None:
+                    f_gap[s + 1] = fg
             else:
                 grad = obj.grad(x_cur)
-            g = grad if noiseless else grad + xi_chunk[:, j, :]
-            if trace.grad is not None:
-                trace.grad[idx - 1] = grad
-            if trace.g is not None:
-                trace.g[idx - 1] = g  # a copy, also where g aliases grad
-            if trace.theta_sq is not None:
-                xi = grad - g
-                tau = k * (x_cur - x_prev) + (x_cur - xstar)
-                trace.theta_sq[idx - 1] = np.sum(xi * xi, axis=1)
-                trace.theta_tau[idx - 1] = np.sum(xi * tau, axis=1)
-            if algorithm == "sgdm":
-                eta_k = eta[idx]
-                x_next = (
-                    x_cur
-                    + (k / (k + 2.0)) * (x_cur - x_prev)
-                    - (2.0 * np.sqrt(eta_k) / ((k + 2.0) * np.sqrt(k))) * g
-                )
+            g = grad if xi is None else np.add(grad, xi[j], out=g_buf)
+            if grad_rec is not None:
+                grad_rec[s] = grad
+            if g_rec is not None:
+                g_rec[s] = g  # a copy, also where g aliases grad
+            np.subtract(x_cur, x_prev, out=dx)
+            if theta_sq is not None:
+                noise_s = grad - g
+                tau = k * dx + (x_cur - xstar)
+                theta_sq[s] = np.sum(noise_s * noise_s, axis=1)
+                theta_tau[s] = np.sum(noise_s * tau, axis=1)
+            np.multiply(g, gain[s], out=g_buf)
+            if sgdm:
+                np.multiply(dx, momentum[s], out=dx)
+                np.add(x_cur, dx, out=dx)
+                x_next = np.subtract(dx, g_buf, out=x_prev)
             else:
-                x_next = x_cur - (sgd_scale / np.sqrt(k)) * g
-            if trace.energy is not None:
+                x_next = np.subtract(x_cur, g_buf, out=x_prev)
+            if energy is not None:
                 w = x_next + (k + 1.0) * (x_next - x_cur) - xstar
-                trace.energy[idx] = np.sum(w * w, axis=1) + 4.0 * np.sqrt(
-                    (k + 1.0) * eta[idx]
-                ) * fg
-            if trace.x is not None:
-                trace.x[idx + 1] = x_next
+                energy[s + 1] = np.sum(w * w, axis=1) + energy_gain[s] * fg
+            if path is not None:
+                path[s + 2] = x_next
             x_prev, x_cur = x_cur, x_next
-        if not np.all(np.isfinite(x_cur)):
-            bad = np.where(~np.all(np.isfinite(x_cur), axis=1))[0]
-            raise FloatingPointError(
-                f"iterate became non-finite by step {k_start + step + n_sub - 1} "
-                f"in run(s) {bad.tolist()[:5]}"
-            )
-        step += n_sub
+        return x_prev, x_cur
+
+    rngs = [rng_for(master_seed, i) for i in range(M)]
+    # noise buffers (steps, runs, dim); a second one and the helper thread
+    # only when there is a second chunk
+    bufs, fill = [], None
+    if noise.scale != 0.0:
+        bufs.append(np.empty((min(chunk, K), M, d)))
+        if K > chunk:
+            bufs.append(np.empty((chunk, M, d)))
+        fill = _NoiseFill(noise, rngs, bufs[0], helper=K > chunk)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # divergence raises below
+            for c, first in enumerate(range(0, K, chunk)):
+                n = min(chunk, K - first)
+                xi = None
+                if fill is not None:  # this chunk's draws; start the next chunk's
+                    fill.wait()
+                    xi, fill = bufs[c % 2][:n], None
+                    rest = K - first - n
+                    if rest:
+                        fill = _NoiseFill(noise, rngs, bufs[(c + 1) % 2][: min(chunk, rest)],
+                                          helper=True)
+                saved = x_prev.copy(), x_cur.copy()
+                x_prev, x_cur = advance(x_prev, x_cur, first, n, xi)
+                if not np.isfinite(x_cur).all():
+                    # replay the chunk one step at a time from its saved start
+                    x_prev, x_cur = saved
+                    for j in range(n):
+                        x_prev, x_cur = advance(x_prev, x_cur, first + j, 1,
+                                                None if xi is None else xi[j : j + 1])
+                        bad = np.flatnonzero(~np.isfinite(x_cur).all(axis=1))
+                        if bad.size:
+                            break
+                    k = k_start + first + j
+                    more = f" and {bad.size - 5} more" if bad.size > 5 else ""
+                    raise FloatingPointError(
+                        f"iterate x_{k + 1} became non-finite at step k={k} "
+                        f"in run(s) {bad[:5].tolist()}{more}"
+                    )
+    finally:
+        if fill is not None:
+            fill.cancel()
     trace.x_prev_final = x_prev
     trace.x_cur_final = x_cur
     return trace
+
+
+class _NoiseFill(threading.Thread):
+    """Fills ``out[:, i]`` of a ``(steps, runs, dim)`` buffer with the next
+    ``steps`` draws of run i's stream, for every run.
+
+    With ``helper=True`` a helper thread starts at once and takes runs from
+    the front while the caller steps the previous chunk; :meth:`wait` has
+    the caller take the runs still left from the back. Deque pops are
+    atomic, so each run is drawn by one thread, and each generator is used
+    by one thread at a time and in chunk order.
+    """
+
+    def __init__(self, noise: NoiseModel, rngs: list, out: np.ndarray, helper: bool):
+        super().__init__(name="sgdmlab-noise")
+        self._noise, self._rngs, self._out = noise, rngs, out
+        self._todo = collections.deque(range(len(rngs)))
+        self._error: BaseException | None = None
+        if helper:
+            self.start()
+
+    def _draw(self, take) -> None:
+        n = self._out.shape[0]
+        while self._todo:
+            try:
+                i = take()
+            except IndexError:  # the other thread took the last run
+                return
+            self._out[:, i, :] = self._noise.sample(self._rngs[i], n)
+
+    def run(self) -> None:
+        try:
+            self._draw(self._todo.popleft)
+        except BaseException as exc:  # re-raised in the caller by wait()
+            self._error = exc
+
+    def wait(self) -> None:
+        """Draw the runs still left, join the helper, re-raise its error."""
+        try:
+            self._draw(self._todo.pop)
+        finally:
+            self.cancel()
+        if self._error is not None:
+            raise self._error
+
+    def cancel(self) -> None:
+        """Leave the runs not yet taken undrawn and join the helper."""
+        self._todo.clear()
+        if self.ident is not None:
+            self.join()
+
+
+def _sgdm_coefficients(eta, k) -> tuple[np.ndarray, np.ndarray]:
+    """Momentum weight k/(k+2) and gradient gain 2 sqrt(eta_k) / ((k+2) sqrt(k))
+    of momentum step k, elementwise over k (>= 1) and eta_k."""
+    k = np.asarray(k, dtype=float)
+    return k / (k + 2.0), 2.0 * np.sqrt(eta) / ((k + 2.0) * np.sqrt(k))
 
 
 def sgdm_noise_multiplier(schedule: StepSchedule, k) -> np.ndarray:
@@ -502,5 +610,4 @@ def sgdm_noise_multiplier(schedule: StepSchedule, k) -> np.ndarray:
     gradient noise by the momentum recursion (Theta(k^-3/2 / log k) for the
     anytime schedule, versus the 1/sqrt(k) multiplier of plain SGD)."""
     k = np.asarray(k, dtype=float)
-    eta = np.asarray(schedule_eval(schedule, k))
-    return 2.0 * np.sqrt(eta) / ((k + 2.0) * np.sqrt(k))
+    return _sgdm_coefficients(np.asarray(schedule_eval(schedule, k)), k)[1]

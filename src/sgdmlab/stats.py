@@ -162,6 +162,9 @@ def smoothness_comparison(
     compared. Also reports the ratio of effective per-step noise multipliers
     at k = K as a deterministic cross-check of why the gap appears.
     """
+    if K < 5:
+        raise ValueError("smoothness needs K >= 5, so that the last quarter "
+                         "holds two increments")
     if noise.sigma2 == 0.0:
         return {"skipped": True,
                 "reason": "noiseless runs have zero increment variance for both methods"}

@@ -1,7 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgdmlab._csv import write_csv
 from sgdmlab.cli import ConfigError, default_quadratic, load_config, main, write_verdict
@@ -9,6 +19,10 @@ from sgdmlab.lyapunov import check_descent
 from sgdmlab.optimizers import StepSchedule, run_trajectory
 from sgdmlab.problems import NoiseModel, logreg_new, synthetic_blobs
 from sgdmlab.seeding import rng_for, seed_split
+
+from test_optimizers import first_nonfinite_step
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def strict_json(path):
@@ -237,6 +251,49 @@ class TestFailureSemantics:
             write_verdict(tmp_path, "run", checks)
         assert not (tmp_path / "verdict.json").exists()
 
+    def test_divergence_exits_3_with_one_line_naming_the_step(self, tmp_path):
+        ini = tmp_path / "div.ini"
+        ini.write_text("[common]\nschedule = constant\nscale = 1e12\nnoise = none\n")
+        obj = default_quadratic(10, 0)
+        k, runs = first_nonfinite_step(obj, NoiseModel.noiseless(10),
+                                       StepSchedule(kind="constant", scale=1e12), 1000, 3, 0)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        for sub in ("run", "verify-descent"):
+            out = tmp_path / sub
+            proc = subprocess.run(
+                [sys.executable, "-m", "sgdmlab.cli", sub, "--config", str(ini),
+                 "--steps", "1000", "--runs", "3", "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=120)
+            # one line: no traceback and no NumPy overflow warning
+            assert proc.returncode == 3, proc.stderr
+            assert proc.stderr == (f"diverged: iterate x_{k + 1} became non-finite "
+                                   f"at step k={k} in run(s) {runs}\n")
+            assert not (out / "verdict.json").exists()
+
+    def test_overflowing_gamma2_is_a_config_error(self, tmp_path, capsys):
+        ini = tmp_path / "big.ini"
+        ini.write_text("[common]\nscale = 1e12\nnoise_var = 1e4\n")
+        assert main(["verify-anytime", "--config", str(ini), "--out", str(tmp_path / "o"),
+                     "--steps", "5", "--runs", "2"]) == 2
+        assert_one_line_config_error(capsys)
+
+    def test_smoothness_with_too_few_steps_is_a_config_error(self, tmp_path, capsys):
+        assert main(["smoothness", "--out", str(tmp_path / "o"), "--steps", "4",
+                     "--runs", "2"]) == 2
+        assert_one_line_config_error(capsys)
+
+    def test_non_finite_value_is_written_as_null_and_fails(self, tmp_path):
+        # x stays finite but f(x) overflows: the run's final gap is inf
+        ini = tmp_path / "sgd.ini"
+        ini.write_text("[common]\nalgorithm = sgd\nsgd_scale = 1e6\nnoise = none\ndim = 2\n")
+        out = tmp_path / "o"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(ini), "--out", str(out), "--steps", "41"]) == 1
+        checks = {c["name"]: c for c in strict_json(out / "verdict.json")["checks"]}
+        assert checks["final_f_gap_run0"]["value"] is None
+        assert checks["final_f_gap_run0"]["passed"] is False
+
     def test_stale_verdict_removed_on_config_error(self, tmp_path):
         out = tmp_path / "o"
         assert main(["run", "--out", str(out), "--steps", "5"]) == 0
@@ -331,3 +388,50 @@ class TestAcsaRun:
         checks = json.loads((out / "verdict.json").read_text())["checks"]
         assert checks[1]["value"] == rec.f_gap[-1]
         assert (out / ("trajectory.csv" if runs == 1 else "ensemble.csv")).exists()
+
+
+# every subcommand but the slow sample-heavy ``concentration`` and ``constants``
+_QUICK_SUBCOMMANDS = ("run", "verify-descent", "verify-expectation", "verify-anytime",
+                      "ode-compare", "smoothness")
+
+_INI_VALUES = st.fixed_dictionaries({
+    "problem": st.sampled_from(["quadratic", "logreg"]),
+    "dim": st.integers(1, 4),
+    "n_samples": st.integers(20, 60),
+    "algorithm": st.sampled_from(["sgdm", "sgd", "acsa"]),
+    "schedule": st.sampled_from(["anytime_log2", "expectation_log2", "epsilon_log",
+                                 "sqrt_k", "constant"]),
+    "scale": st.sampled_from([1e-3, 1.0, 1e3, 1e12]),
+    "noise": st.sampled_from(["gaussian", "bounded", "none"]),
+    "noise_var": st.sampled_from([0.0, 0.01, 1.0, 1e4]),
+    "beta": st.sampled_from([0.05, 0.5]),
+    "eta_grid": st.sampled_from(["0.1,0.05", "0.05,0.02", "0.03"]),
+    "alpha": st.sampled_from([1.5, 3.0]),
+    "t": st.sampled_from([1.5, 2.0]),
+    "dt": st.sampled_from([0.01, 0.003]),
+    "k_trunc": st.sampled_from([1000, 1000000]),
+    "sgd_scale": st.sampled_from([1.0, 1e6]),
+})
+
+
+class TestCliProperties:
+    @given(sub=st.sampled_from(_QUICK_SUBCOMMANDS), values=_INI_VALUES,
+           steps=st.integers(1, 50), runs=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_exit_code_verdict_and_stderr(self, sub, values, steps, runs, seed):
+        """Any small config ends in a documented exit code, a strict-JSON
+        verdict exactly when checks ran, and no traceback."""
+        with tempfile.TemporaryDirectory() as tmp:
+            ini, out = Path(tmp) / "lab.ini", Path(tmp) / "o"
+            ini.write_text("[common]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # overflowing configs
+                code = main([sub, "--config", str(ini), "--out", str(out), "--steps",
+                             str(steps), "--runs", str(runs), "--seed", str(seed)])
+            assert code in (0, 1, 2, 3)
+            assert (out / "verdict.json").exists() == (code in (0, 1))
+            if code in (0, 1):
+                strict_json(out / "verdict.json")
+            assert "Traceback" not in err.getvalue()

@@ -1,4 +1,6 @@
 import math
+import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdmlab.optimizers import (
+    _sgdm_coefficients,
     AcsaState,
     SgdmState,
     StepSchedule,
@@ -370,6 +373,196 @@ class TestRunEnsemble:
                          record=("x",))
         with pytest.raises(ValueError):
             run_ensemble(obj, noise, sched, K=1, M=1, master_seed=0, algorithm="acsa")
+
+
+def reference_ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm",
+                       x0=None, record=("f_gap",), sgd_scale=1.0, k_start=1, x_prev0=None):
+    """Reference for run_ensemble: each run's whole (K, d) noise drawn up
+    front, separate eval and grad calls, fresh arrays at every step, and the
+    kernel's operation order, so the traces must agree bit for bit."""
+    d = obj.dim
+    x0 = np.ones(d) if x0 is None else np.asarray(x0, dtype=float)
+    x_cur = np.broadcast_to(x0, (M, d)).copy()
+    x_prev = x_cur.copy() if x_prev0 is None else np.broadcast_to(x_prev0, (M, d)).copy()
+    eta = np.atleast_1d(schedule_eval(schedule, np.arange(k_start - 1, k_start + K)))
+    xi_all = np.stack([noise.sample(rng_for(master_seed, i), K) for i in range(M)], axis=1)
+    out = {"x": [x_prev, x_cur], "g": [], "grad": [], "f_gap": [obj.f_gap(x_prev)],
+           "theta_sq": [], "theta_tau": []}
+    v = x_cur + float(k_start) * (x_cur - x_prev) - obj.xstar
+    out["energy"] = [np.sum(v * v, axis=1)
+                     + 4.0 * np.sqrt(k_start * eta[0]) * obj.f_gap(x_prev)]
+    for s in range(K):
+        k = k_start + s
+        fg, grad = obj.f_gap(x_cur), obj.grad(x_cur)
+        g = grad if noise.scale == 0.0 else grad + xi_all[s]
+        xi = grad - g
+        tau = k * (x_cur - x_prev) + (x_cur - obj.xstar)
+        if algorithm == "sgdm":
+            x_next = (x_cur + (k / (k + 2.0)) * (x_cur - x_prev)
+                      - (2.0 * np.sqrt(eta[s + 1]) / ((k + 2.0) * np.sqrt(k))) * g)
+        else:
+            x_next = x_cur - (sgd_scale / np.sqrt(k)) * g
+        w = x_next + (k + 1.0) * (x_next - x_cur) - obj.xstar
+        for name, val in (("f_gap", fg), ("grad", grad), ("g", g), ("x", x_next),
+                          ("theta_sq", np.sum(xi * xi, axis=1)),
+                          ("theta_tau", np.sum(xi * tau, axis=1)),
+                          ("energy", np.sum(w * w, axis=1)
+                           + 4.0 * np.sqrt((k + 1.0) * eta[s + 1]) * fg)):
+            out[name].append(val)
+        x_prev, x_cur = x_cur, x_next
+    fields = {"f_gap": ["f_gap"], "energy": ["energy"], "theta": ["theta_sq", "theta_tau"],
+              "x": ["x"], "g": ["g"], "grad": ["grad"]}
+    kept = {f: np.array(out[f]) for r in record for f in fields[r]}
+    return kept, x_prev, x_cur
+
+
+_PIPELINE_CASES = {
+    # name: (noise, run_ensemble keyword arguments)
+    "every-field": (NoiseModel.gaussian(3, 0.5),
+                    dict(M=4, record=("f_gap", "energy", "theta", "x", "g", "grad"))),
+    "sgd": (NoiseModel.gaussian(3, 0.5),
+            dict(M=3, algorithm="sgd", sgd_scale=0.3, record=("f_gap", "x", "g", "grad"))),
+    "warm-start": (NoiseModel.gaussian(3, 0.5),
+                   dict(M=3, k_start=40, x0=np.full(3, 0.5), x_prev0=np.full(3, 0.6),
+                        record=("f_gap", "energy", "theta"))),
+    "one-run": (NoiseModel.gaussian(3, 0.5), dict(M=1, record=("f_gap", "x", "g"))),
+    "bounded": (NoiseModel.bounded_uniform(3, 0.8), dict(M=3, record=("f_gap", "theta"))),
+    "noiseless": (NoiseModel.noiseless(3), dict(M=2, record=("f_gap", "energy", "g"))),
+    "x-only-state": (NoiseModel.gaussian(3, 0.5), dict(M=3, record=())),
+}
+
+
+class TestPipeline:
+    """run_ensemble draws the next chunk's noise on a helper thread while it
+    steps the current chunk; neither the chunk size nor the threads may
+    change a single bit of the trace."""
+
+    K = 600  # not a multiple of 7 or 512; 512 gives two chunks, 7 many
+
+    @pytest.mark.parametrize("case", sorted(_PIPELINE_CASES))
+    def test_trace_is_bit_equal_to_the_reference_loop_for_every_chunk(self, case):
+        noise, kw = _PIPELINE_CASES[case]
+        obj = quadratic_new(random_spd(3, 11))
+        sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
+        ref, ref_prev, ref_cur = reference_ensemble(obj, noise, sched, self.K,
+                                                    master_seed=6, **kw)
+        for chunk in (1, 7, 512):
+            tr = run_ensemble(obj, noise, sched, self.K, master_seed=6, chunk=chunk, **kw)
+            for name, want in ref.items():
+                np.testing.assert_array_equal(getattr(tr, name), want,
+                                              err_msg=f"{name}, chunk={chunk}")
+            np.testing.assert_array_equal(tr.x_prev_final, ref_prev)
+            np.testing.assert_array_equal(tr.x_cur_final, ref_cur)
+
+    def test_no_helper_thread_outlives_a_normal_return(self):
+        obj = quadratic_new(np.eye(2))
+        sched = StepSchedule(kind="anytime_log2", L=1.0)
+        before = threading.active_count()
+        run_ensemble(obj, NoiseModel.gaussian(2, 1.0), sched, 100, 3, 0, chunk=8)
+        assert threading.active_count() == before
+
+    def test_no_helper_thread_outlives_a_divergence(self):
+        obj = quadratic_new(np.eye(2) * 4.0)
+        sched = StepSchedule(kind="constant", scale=1e12)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="k="):
+            run_ensemble(obj, NoiseModel.gaussian(2, 1.0), sched, 2000, 3, 0, chunk=64)
+        assert threading.active_count() == before
+
+    def test_an_error_in_a_helper_draw_is_reraised_in_the_caller(self, monkeypatch):
+        class DrawError(RuntimeError):
+            pass
+
+        sample = NoiseModel.sample
+        helper_drew = threading.Event()
+        threads = set()
+
+        def flaky(self, rng, n=None):
+            threads.add(threading.current_thread().name)
+            if threading.current_thread() is not threading.main_thread():
+                helper_drew.set()
+                raise DrawError("draw failed")
+            helper_drew.wait(timeout=10.0)  # let the helper reach its first draw
+            return sample(self, rng, n)
+
+        monkeypatch.setattr(NoiseModel, "sample", flaky)
+        obj = quadratic_new(np.eye(2))
+        sched = StepSchedule(kind="anytime_log2", L=1.0)
+        before = threading.active_count()
+        with pytest.raises(DrawError, match="draw failed"):
+            run_ensemble(obj, NoiseModel.gaussian(2, 1.0), sched, 100, 4, 0, chunk=8)
+        assert threading.active_count() == before
+        assert "sgdmlab-noise" in threads
+
+    def test_single_chunk_calls_start_no_thread(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: started.append(self.name))
+        obj = quadratic_new(np.eye(2))
+        sched = StepSchedule(kind="anytime_log2", L=1.0)
+        run_ensemble(obj, NoiseModel.gaussian(2, 1.0), sched, 512, 3, 0, chunk=512)
+        run_ensemble(obj, NoiseModel.noiseless(2), sched, 600, 3, 0, chunk=7)
+        assert started == []
+
+
+def first_nonfinite_step(obj, noise, sched, K, M, seed):
+    """Step each run on its own until x_{k+1} is not finite; returns the
+    first such k over all runs and the runs that reach it at that k."""
+    hits = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(M):
+            rng = rng_for(seed, i)
+            x_prev = x_cur = np.ones(obj.dim)
+            for k in range(1, K + 1):
+                g = obj.grad(x_cur) + noise.sample(rng)
+                eta = schedule_eval(sched, k)
+                x_prev, x_cur = x_cur, (x_cur + k / (k + 2.0) * (x_cur - x_prev)
+                                        - 2.0 * math.sqrt(eta) / ((k + 2.0) * math.sqrt(k)) * g)
+                if not np.all(np.isfinite(x_cur)):
+                    hits.setdefault(k, []).append(i)
+                    break
+    k = min(hits)
+    return k, hits[k]
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("chunk", [1, 16, 512])
+    def test_message_names_the_first_nonfinite_step_and_its_runs(self, chunk):
+        # an unstable gain (eta_k ~ k^3) that grows slowly, so each run's
+        # noise decides the step at which it overflows
+        obj = quadratic_new(np.diag([1.0, 3.0]))
+        sched = StepSchedule(kind="custom", fn=lambda k: 0.6 * np.maximum(k, 1.0) ** 3)
+        noise = NoiseModel.gaussian(2, 1.0)
+        k, runs = first_nonfinite_step(obj, noise, sched, 3000, 6, 4)
+        assert k > 512 and 1 < len(runs) < 6
+        with pytest.raises(FloatingPointError) as err:
+            run_ensemble(obj, noise, sched, 3000, 6, 4, chunk=chunk)
+        assert str(err.value) == (f"iterate x_{k + 1} became non-finite at step k={k} "
+                                  f"in run(s) {runs}")
+
+    def test_no_numpy_warning_on_the_way(self):
+        obj = quadratic_new(np.eye(2) * 4.0)
+        sched = StepSchedule(kind="constant", scale=1e12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError):
+                run_ensemble(obj, NoiseModel.noiseless(2), sched, 2000, 2, 0,
+                             record=("f_gap", "energy", "theta", "x", "g", "grad"))
+
+
+def test_kernel_coefficients_are_the_noise_multiplier_bit_for_bit():
+    """The kernel's per-step coefficients and sgdm_noise_multiplier come from
+    one formula; both equal the scalar expression of a single step."""
+    sched = StepSchedule(kind="anytime_log2", L=2.0)
+    ks = np.arange(1, 10_001)
+    eta = schedule_eval(sched, ks)
+    momentum, gain = _sgdm_coefficients(eta, ks)
+    np.testing.assert_array_equal(gain, sgdm_noise_multiplier(sched, ks))
+    # eta from the same vectorized call: a scalar np.log may differ by an ulp
+    scalar_gain = [2.0 * np.sqrt(e) / ((k + 2.0) * np.sqrt(k))
+                   for e, k in zip(eta, ks.tolist())]
+    np.testing.assert_array_equal(gain, scalar_gain)
+    np.testing.assert_array_equal(momentum, [k / (k + 2.0) for k in ks.tolist()])
 
 
 def test_noise_multiplier_formula():
