@@ -55,7 +55,7 @@ from .problems import (
     sample_gradient,
     synthetic_blobs,
 )
-from .seeding import rng_for, seed_split
+from .seeding import rng_for, rngs_for, seed_split
 from .stats import (
     expectation_rate_check,
     smoothness_comparison,

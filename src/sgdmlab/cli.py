@@ -5,7 +5,8 @@ machine-readable ``verdict.json`` into the output directory.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 config error
 (including a ``ValueError`` raised by the library on the resolved values),
-3 divergence: an iterate or ODE state left the finite range, reported on one
+3 divergence: an iterate or ODE state left the finite range, or a recorded
+gap or energy did while the iterates stayed finite, reported on one
 ``diverged: ...`` line that names the run(s) and the first non-finite step.
 """
 
@@ -306,14 +307,35 @@ def cmd_ode_compare(cfg: dict, out: Path) -> list[dict]:
                                   cfg["runs"], cfg["seed"], x0=x0, dt=cfg["dt"])
     table = np.array([[r["eta"], r["mean_sq_dist"], r["stderr"], r["runs"]] for r in rows])
     write_csv(out / "l2_table.csv", table, "eta,mean_sq_dist,stderr,runs")
-    decreasing = True
-    for a, b in zip(rows, rows[1:]):
-        gate = 2.0 * np.hypot(a["stderr"], b["stderr"])
-        if not b["mean_sq_dist"] < a["mean_sq_dist"] + gate:
-            decreasing = False
-    checks.append(_check("l2_distance_decreasing", decreasing,
-                         rows[-1]["mean_sq_dist"], rows[0]["mean_sq_dist"]))
+    failing = next(([a["eta"], b["eta"]] for a, b in zip(rows, rows[1:])
+                    if not b["mean_sq_dist"] < a["mean_sq_dist"]
+                    + 2.0 * np.hypot(a["stderr"], b["stderr"])), None)
+    order, order_se = _observed_order(rows)
+    check = _check("l2_distance_decreasing", failing is None,
+                   rows[-1]["mean_sq_dist"], rows[0]["mean_sq_dist"])
+    checks.append(dict(check, first_failing_pair=failing, observed_order=_finite(order),
+                       observed_order_stderr=_finite(order_se)))
     return checks
+
+
+def _observed_order(rows) -> tuple[float | None, float | None]:
+    """Least-squares slope of log ``mean_sq_dist`` against log ``eta`` over
+    the L2 table, and its standard error. Either is None where the fit is
+    not defined: a distance that is not finite and positive, or fewer than
+    two distinct etas; the error also needs a third row."""
+    x = np.log([r["eta"] for r in rows])
+    msd = np.array([r["mean_sq_dist"] for r in rows])
+    xc = x - x.mean()
+    sxx = float(xc @ xc)
+    if not (np.all(np.isfinite(msd)) and np.all(msd > 0.0)) or sxx == 0.0:
+        return None, None
+    y = np.log(msd)
+    yc = y - y.mean()
+    slope = float(xc @ yc) / sxx
+    if len(rows) < 3:
+        return slope, None
+    resid = yc - slope * xc
+    return slope, math.sqrt(float(resid @ resid) / (len(rows) - 2) / sxx)
 
 
 def cmd_concentration(cfg: dict, out: Path) -> list[dict]:

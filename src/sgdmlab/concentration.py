@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lyapunov import energy_along
 from .optimizers import StepSchedule, run_ensemble, schedule_eval
 from .problems import NoiseModel, Objective
 from .seeding import rng_for
@@ -202,9 +203,9 @@ def anytime_bound(const: AnytimeConstants, k, beta: float) -> np.ndarray:
 def initial_energy(obj: Objective, schedule: StepSchedule, x0: np.ndarray) -> float:
     """E(0) = ||x0 - x*||^2 + 4 sqrt(eta_0) (f(x0) - f*) for the x_0 = x_1 start."""
     x0 = np.asarray(x0, dtype=float)
-    eta0 = float(schedule_eval(schedule, 0.0))
-    d2 = float(np.sum((x0 - obj.xstar) ** 2))
-    return d2 + 4.0 * np.sqrt(eta0) * float(obj.f_gap(x0))
+    eta0 = np.atleast_1d(schedule_eval(schedule, 0.0))
+    return float(energy_along(np.stack([x0, x0]), eta0, np.atleast_1d(obj.f_gap(x0)),
+                              obj.xstar)[0])
 
 
 def anytime_coverage(

@@ -18,7 +18,7 @@ import numpy as np
 from ._csv import write_csv
 from .optimizers import StepSchedule, run_ensemble
 from .problems import NoiseModel, Objective
-from .seeding import rng_for
+from .seeding import rng_for, rngs_for  # noqa: F401 (perfbench's tracer patches rng_for here)
 
 __all__ = [
     "OdeParams",
@@ -279,7 +279,9 @@ def sde_sample_paths(
     """Vectorized :func:`sde_integrate` over independently seeded paths.
 
     Path i draws its increments from ``rng_for(master_seed, i)`` in blocks
-    of ``SDE_NOISE_BLOCK`` steps, the same stream as one draw per step.
+    of ``SDE_NOISE_BLOCK`` steps, the same stream as one draw per step; the
+    generators are built in one pass by ``rngs_for``, and none are built
+    when ``noise_scale`` is 0.
     Raises ``ValueError`` unless ``T0`` and ``T`` both lie on the grid
     t_k = k eta, so the paths cover exactly [T0, T]."""
     k0 = _exact_steps(T0, eta, f"eta={eta:g} does not divide T0={T0:g}")
@@ -293,7 +295,7 @@ def sde_sample_paths(
     V = np.empty((n + 1, n_paths, d))
     X[0] = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, d))
     V[0] = np.broadcast_to(np.asarray(v0, dtype=float), (n_paths, d))
-    rngs = [rng_for(master_seed, i) for i in range(n_paths)]
+    rngs = rngs_for(master_seed, n_paths) if noise_scale != 0.0 else []
     sq = np.sqrt(eta)
     dw_block = np.empty((SDE_NOISE_BLOCK, n_paths, d))
     for j in range(n):

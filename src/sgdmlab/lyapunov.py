@@ -100,13 +100,14 @@ def _per_step(a: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def energy_along(
-    x: np.ndarray, eta: np.ndarray, f_gap: np.ndarray, xstar: np.ndarray
+    x: np.ndarray, eta: np.ndarray, f_gap: np.ndarray, xstar: np.ndarray, k0: int = 0
 ) -> np.ndarray:
-    """E(0..K) for whole trajectories: x is (K+2, d), eta is (K+1,) and
-    f_gap is (K+1,); or, for M runs at once, x is (K+2, M, d) and f_gap is
+    """E(k0..k0+K) along a trajectory or a segment of one: x is (K+2, d)
+    holding x_{k0}..x_{k0+K+1}, eta is (K+1,) and f_gap is (K+1,), both at
+    k = k0..k0+K; or, for M runs at once, x is (K+2, M, d) and f_gap is
     (K+1, M)."""
     K = len(eta) - 1
-    ks1 = np.arange(1, K + 2, dtype=float)
+    ks1 = np.arange(k0 + 1, k0 + K + 2, dtype=float)
     v = x[1 : K + 2] + _per_step(ks1, x.ndim) * (x[1 : K + 2] - x[0 : K + 1]) - xstar
     return np.sum(v * v, axis=-1) + 4.0 * np.sqrt(_per_step(ks1 * eta, f_gap.ndim)) * f_gap
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._csv import write_csv
 from .problems import NoiseModel, Objective
-from .seeding import rng_for
+from .seeding import rng_for, rngs_for  # noqa: F401 (perfbench's tracer patches rng_for here)
 
 __all__ = [
     "StepSchedule",
@@ -390,16 +390,20 @@ def run_ensemble(
     """Run M independent trajectories simultaneously, vectorized across runs.
 
     Each run i draws its noise from the generator seeded by
-    (master_seed, i), in the same stream order as a single-run loop, so the
-    realized randomness matches run-at-a-time execution regardless of
-    batching. ``k_start``/``x_prev0`` allow warm-started segments (steps
+    (master_seed, i) (all built in one pass by :func:`rngs_for`), in the
+    same stream order as a single-run loop, so the realized randomness
+    matches run-at-a-time execution regardless of batching.
+    ``k_start``/``x_prev0`` allow warm-started segments (steps
     k = k_start .. k_start+K-1), used by the continuous-limit comparisons.
 
     ``record`` selects the fields to keep: ``"f_gap"``, ``"energy"``,
     ``"theta"``, and the full path ``"x"``, ``"g"``, ``"grad"`` (runs that
-    start at k = 1 only). The oracle is evaluated one step at a time, so
-    recording costs only the stored arrays; a step that records ``f_gap``
-    or ``energy`` makes one fused :meth:`Objective.gap_and_grad` call.
+    start at k = 1 only). Each step calls the gradient alone, or the fused
+    :meth:`Objective.gap_and_grad` when the objective has a
+    ``value_and_grad`` and ``f_gap`` is recorded. Steps run in
+    short segments whose iterates are kept (in ``x`` when the path is
+    recorded); after each segment ``f_gap`` and ``energy`` are evaluated on
+    all of its iterates at once.
 
     Steps run in chunks of ``chunk``. While one chunk is stepped, a helper
     thread draws the next chunk's noise (NumPy releases the interpreter lock
@@ -408,8 +412,11 @@ def run_ensemble(
     time and in step order, so the results depend neither on ``chunk`` nor
     on which thread drew a run. An iterate that leaves the finite range
     raises ``FloatingPointError`` naming the first step k whose update made
-    x_{k+1} non-finite, and the runs it hit.
+    x_{k+1} non-finite, and the runs it hit; so does a recorded gap
+    f(x_k) - f* or energy E(k) that is not finite.
     """
+    from . import lyapunov  # late import: lyapunov consumes records
+
     if K < 1 or M < 1:
         raise ValueError("K and M must be >= 1")
     if algorithm not in ("sgdm", "sgd"):
@@ -418,32 +425,35 @@ def run_ensemble(
     if k_start != 1 and record & {"x", "g", "grad"}:
         raise ValueError("full-path recording needs k_start = 1")
     d = obj.dim
-    x0 = np.ones(d) if x0 is None else np.asarray(x0, dtype=float)
-    x_cur = np.broadcast_to(x0, (M, d)).copy() if x0.ndim == 1 else x0.astype(float).copy()
-    x_prev = x_cur.copy() if x_prev0 is None else np.broadcast_to(
-        np.asarray(x_prev0, dtype=float), (M, d)
-    ).copy()
     xstar = obj.xstar
+    rngs = rngs_for(master_seed, M)
 
     ks = np.arange(k_start - 1, k_start + K)
     eta = np.atleast_1d(np.asarray(schedule_eval(schedule, ks), dtype=float))
     trace = EnsembleTrace(K=K, M=M, eta=eta, algorithm=algorithm,
                           schedule=schedule, fstar=obj.fstar)
+    evaluated = bool(record & {"f_gap", "energy"})
+    fused = "f_gap" in record and obj.value_and_grad is not None
+    # steps per segment: a block of iterates that f_gap or energy is
+    # evaluated on at once, else a few whose rows only carry the recursion
+    size = _BLOCK_ELEMENTS if "energy" in record or (evaluated and not fused) else _CARRY_ELEMENTS
+    seg = max(1, min(chunk, K, size // (M * d)))
+    # the iterates, path row r holding x_{k_start-1+r}: the whole path, or
+    # one segment's rows at a time
     if "x" in record:
-        trace.x = np.empty((K + 2, M, d))
-        trace.x[0], trace.x[1] = x_prev, x_cur
+        trace.x = path = np.empty((K + 2, M, d))
+    else:
+        path = np.empty((seg + 2, M, d))
+    path[1] = np.ones(d) if x0 is None else x0
+    path[0] = path[1] if x_prev0 is None else x_prev0
     if "g" in record:
         trace.g = np.empty((K, M, d))
     if "grad" in record:
         trace.grad = np.empty((K, M, d))
     if "f_gap" in record:
         trace.f_gap = np.empty((K + 1, M))
-        trace.f_gap[0] = obj.f_gap(x_prev)
     if "energy" in record:
         trace.energy = np.empty((K + 1, M))
-        # E(k_start-1) reads x_{k_start}, x_{k_start-1}, eta_{k_start-1}, f(x_{k_start-1})
-        v = x_cur + float(k_start) * (x_cur - x_prev) - xstar
-        trace.energy[0] = np.sum(v * v, axis=1) + 4.0 * np.sqrt(k_start * eta[0]) * obj.f_gap(x_prev)
     if "theta" in record:
         trace.theta_sq = np.empty((K, M))
         trace.theta_tau = np.empty((K, M))
@@ -455,25 +465,24 @@ def run_ensemble(
         momentum, gain = (c.tolist() for c in _sgdm_coefficients(eta[1:], k_steps))
     else:
         momentum, gain = None, (sgd_scale / np.sqrt(k_steps)).tolist()
-    if trace.energy is not None:
-        energy_gain = (4.0 * np.sqrt((k_steps + 1.0) * eta[1:])).tolist()
 
-    f_gap, energy, path = trace.f_gap, trace.energy, trace.x
+    f_gap, energy = trace.f_gap, trace.energy
     g_rec, grad_rec, theta_sq, theta_tau = trace.g, trace.grad, trace.theta_sq, trace.theta_tau
-    need_f = f_gap is not None or energy is not None
+    if fused:  # the gap at x_{k_start-1}, which no step evaluates
+        f_gap[0] = obj.f_gap(path[0])
     dx = np.empty((M, d))  # x_k - x_{k-1}, then the momentum point
     g_buf = np.empty((M, d))  # the realized gradient, then the step taken along it
 
-    def advance(x_prev, x_cur, first, n, xi):
+    def advance(xw, first, n, xi):
         """Take steps s = first .. first+n-1 (k = k_start + s) with noise
-        xi[s - first]; x_{k+1} overwrites the buffer of x_{k-1}."""
+        xi[s - first]. ``xw[j]`` holds x_{k-1} of step j, and the step writes
+        x_{k+1} into ``xw[j + 2]``."""
+        x_prev, x_cur = xw[0], xw[1]
         for j in range(n):
             s = first + j
             k = k_start + s
-            if need_f:
-                fg, grad = obj.gap_and_grad(x_cur)
-                if f_gap is not None:
-                    f_gap[s + 1] = fg
+            if fused:
+                f_gap[s + 1], grad = obj.gap_and_grad(x_cur)
             else:
                 grad = obj.grad(x_cur)
             g = grad if xi is None else np.add(grad, xi[j], out=g_buf)
@@ -491,18 +500,33 @@ def run_ensemble(
             if sgdm:
                 np.multiply(dx, momentum[s], out=dx)
                 np.add(x_cur, dx, out=dx)
-                x_next = np.subtract(dx, g_buf, out=x_prev)
+                x_next = np.subtract(dx, g_buf, out=xw[j + 2])
             else:
-                x_next = np.subtract(x_cur, g_buf, out=x_prev)
-            if energy is not None:
-                w = x_next + (k + 1.0) * (x_next - x_cur) - xstar
-                energy[s + 1] = np.sum(w * w, axis=1) + energy_gain[s] * fg
-            if path is not None:
-                path[s + 2] = x_next
+                x_next = np.subtract(x_cur, g_buf, out=xw[j + 2])
             x_prev, x_cur = x_cur, x_next
-        return x_prev, x_cur
 
-    rngs = [rng_for(master_seed, i) for i in range(M)]
+    late = None  # (k, message) of the first gap or energy that is not finite
+
+    def evaluate(xw, first, lo, hi):
+        """f_gap and energy at rows lo..hi-1 of a segment's iterates ``xw``
+        (path rows first+lo ..)."""
+        nonlocal late
+        rows = slice(first + lo, first + hi)
+        k = k_start - 1 + first + lo  # x_k is row lo
+        if fused:
+            fb = f_gap[rows]
+        else:
+            fb = obj.f_gap(xw[lo:hi])
+            if f_gap is not None:
+                f_gap[rows] = fb
+        hits = [_nonfinite(fb, k, lambda k: f"f(x_{k}) - f*")]
+        if energy is not None:
+            energy[rows] = lyapunov.energy_along(xw[lo : hi + 1], eta[rows], fb, xstar, k)
+            hits.append(_nonfinite(energy[rows], k, lambda k: f"energy E({k})"))
+        if late is None:
+            late = min(filter(None, hits), key=lambda hit: hit[0], default=None)
+
+    xw = path
     # noise buffers (steps, runs, dim); a second one and the helper thread
     # only when there is a second chunk
     bufs, fill = [], None
@@ -523,29 +547,53 @@ def run_ensemble(
                     if rest:
                         fill = _NoiseFill(noise, rngs, bufs[(c + 1) % 2][: min(chunk, rest)],
                                           helper=True)
-                saved = x_prev.copy(), x_cur.copy()
-                x_prev, x_cur = advance(x_prev, x_cur, first, n, xi)
-                if not np.isfinite(x_cur).all():
-                    # replay the chunk one step at a time from its saved start
-                    x_prev, x_cur = saved
-                    for j in range(n):
-                        x_prev, x_cur = advance(x_prev, x_cur, first + j, 1,
-                                                None if xi is None else xi[j : j + 1])
-                        bad = np.flatnonzero(~np.isfinite(x_cur).all(axis=1))
-                        if bad.size:
-                            break
-                    k = k_start + first + j
-                    more = f" and {bad.size - 5} more" if bad.size > 5 else ""
-                    raise FloatingPointError(
-                        f"iterate x_{k + 1} became non-finite at step k={k} "
-                        f"in run(s) {bad[:5].tolist()}{more}"
-                    )
+                for a in range(0, n, seg):
+                    s0, m = first + a, min(seg, n - a)
+                    if trace.x is not None:
+                        xw = path[s0 : s0 + m + 2]
+                    elif s0:  # carry x_{k-1}, x_k of the segment's first step
+                        path[:2] = path[m_prev : m_prev + 2]
+                    advance(xw, s0, m, None if xi is None else xi[a : a + m])
+                    if not np.isfinite(xw[m + 1]).all():
+                        raise FloatingPointError(_nonfinite(
+                            xw[2 : m + 2], k_start + s0, lambda k: f"iterate x_{k + 1}")[1])
+                    if evaluated:
+                        evaluate(xw, s0, 1 if s0 else 0, m + 1)
+                    m_prev = m
+            # a diverging iterate is reported first, even where its gap
+            # overflowed some steps before
+            if late is not None:
+                raise FloatingPointError(late[1])
     finally:
         if fill is not None:
             fill.cancel()
-    trace.x_prev_final = x_prev
-    trace.x_cur_final = x_cur
+    trace.x_prev_final, trace.x_cur_final = xw[m], xw[m + 1]
     return trace
+
+
+# steps x runs x dim elements of the iterates kept per segment: a block to
+# evaluate, large enough to amortize the per-segment calls; or only a
+# carry buffer, kept small because a 288 KB one (18 x 200 x 10) raised the
+# peak RSS of the benchmark's ode workload by about 1 MB
+_BLOCK_ELEMENTS = 1 << 15
+_CARRY_ELEMENTS = 1 << 13
+
+
+def _nonfinite(values: np.ndarray, k0: int, what: Callable[[int], str]) -> tuple[int, str] | None:
+    """None if ``values`` (steps, runs[, dim]) is finite; else the step
+    k = k0 + row of its first row holding a non-finite entry and a message
+    naming the quantity ``what(k)``, k and the runs it hit."""
+    ok = np.isfinite(values)
+    if ok.all():
+        return None
+    if ok.ndim == 3:
+        ok = ok.all(axis=2)
+    j = int(np.argmin(ok.all(axis=1)))
+    bad = np.flatnonzero(~ok[j])
+    more = f" and {bad.size - 5} more" if bad.size > 5 else ""
+    k = k0 + j
+    return k, (f"{what(k)} became non-finite at step k={k} "
+               f"in run(s) {bad[:5].tolist()}{more}")
 
 
 class _NoiseFill(threading.Thread):

@@ -3,7 +3,7 @@
 Every objective exposes a batched interface: ``eval`` accepts ``(d,)`` or
 ``(m, d)`` arrays and returns a scalar or ``(m,)``; ``grad`` preserves the
 input shape; the optional fused ``value_and_grad`` returns both from one
-pass over the shared intermediate (Ax, or the logistic margins). This keeps
+pass over a costly shared intermediate (the logistic margins). This keeps
 ensemble runners vectorized across Monte-Carlo runs.
 """
 
@@ -33,7 +33,11 @@ class Objective:
     ``lipschitz`` is the gradient Lipschitz constant; ``fstar``/``xstar`` are
     the (possibly refined) minimal value and minimizer. ``value_and_grad``,
     when given, returns ``(eval(x), grad(x))`` from one pass; a copy that
-    replaces ``eval`` or ``grad`` should replace or drop it too.
+    replaces ``eval`` or ``grad`` should replace or drop it too. Give one
+    only where the value shares costly work with the gradient:
+    :func:`~sgdmlab.optimizers.run_ensemble` calls it at every step of a run
+    that records ``f_gap``, and otherwise evaluates ``eval`` once per block
+    of stored iterates.
     """
 
     dim: int
@@ -164,20 +168,12 @@ def quadratic_new(A: np.ndarray) -> Objective:
         )
     dim = A.shape[0]
 
-    def value(x: np.ndarray, Ax: np.ndarray) -> np.ndarray:
-        return 0.5 * np.einsum("...i,...i->...", Ax, x)
-
     def f(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return value(x, x @ A)
+        return 0.5 * np.einsum("...i,...i->...", x @ A, x)
 
     def g(x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) @ A
-
-    def fg(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        Ax = x @ A
-        return value(x, Ax), Ax
 
     return Objective(
         dim=dim,
@@ -187,7 +183,6 @@ def quadratic_new(A: np.ndarray) -> Objective:
         fstar=0.0,
         xstar=np.zeros(dim),
         name=f"quadratic{dim}d",
-        value_and_grad=fg,
     )
 
 

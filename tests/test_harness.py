@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdmlab._csv import write_csv
-from sgdmlab.cli import ConfigError, default_quadratic, load_config, main, write_verdict
+from sgdmlab.cli import (ConfigError, _check, default_quadratic, load_config, main,
+                         write_verdict)
 from sgdmlab.lyapunov import check_descent
 from sgdmlab.optimizers import StepSchedule, run_trajectory
 from sgdmlab.problems import NoiseModel, logreg_new, synthetic_blobs
@@ -162,6 +164,42 @@ class TestCliSubcommands:
         rate = next(c for c in checks if c["name"] == "rate_bound_holds")
         assert rate["first_violation_t"] is None and rate["value"] is None
 
+    @staticmethod
+    def _l2_check(argv, tmp_path):
+        out = tmp_path / "o"
+        code = main(["ode-compare", "--out", str(out), "--runs", "20", "--t", "2.0",
+                     "--dt", "0.01"] + argv)
+        check = next(c for c in strict_json(out / "verdict.json")["checks"]
+                     if c["name"] == "l2_distance_decreasing")
+        table = np.loadtxt(out / "l2_table.csv", delimiter=",", skiprows=1, ndmin=2)
+        return code, check, table
+
+    def test_ode_compare_l2_observed_order(self, tmp_path):
+        code, check, table = self._l2_check(["--eta-grid", "0.1,0.05,0.02"], tmp_path)
+        assert code == 0 and check["first_failing_pair"] is None
+        # closed-form least squares of log mean_sq_dist on log eta
+        x, y = np.log(table[:, 0]), np.log(table[:, 1])
+        n = len(x)
+        sxx = n * np.sum(x * x) - np.sum(x) ** 2
+        slope = (n * np.sum(x * y) - np.sum(x) * np.sum(y)) / sxx
+        resid = y - (np.sum(y) - slope * np.sum(x)) / n - slope * x
+        stderr = math.sqrt(np.sum(resid**2) / (n - 2) * n / sxx)
+        assert check["observed_order"] == pytest.approx(slope, rel=1e-9)
+        assert check["observed_order_stderr"] == pytest.approx(stderr, rel=1e-6)
+
+    def test_ode_compare_l2_first_failing_pair(self, tmp_path):
+        # the distance grows from eta = 0.02 to 0.05, several standard errors apart
+        code, check, table = self._l2_check(["--eta-grid", "0.1,0.02,0.05"], tmp_path)
+        assert code == 1 and check["passed"] is False
+        assert check["first_failing_pair"] == [0.02, 0.05]
+        assert table[2, 1] > table[1, 1] + 2.0 * math.hypot(table[1, 2], table[2, 2])
+        assert check["observed_order_stderr"] is not None
+
+    def test_ode_compare_l2_order_needs_two_etas(self, tmp_path):
+        code, check, _ = self._l2_check(["--eta-grid", "0.05"], tmp_path)
+        assert code == 0 and check["first_failing_pair"] is None
+        assert check["observed_order"] is None and check["observed_order_stderr"] is None
+
     def test_concentration(self, tmp_path):
         out = tmp_path / "o"
         assert main(["concentration", "--out", str(out)]) == 0
@@ -284,15 +322,37 @@ class TestFailureSemantics:
         assert_one_line_config_error(capsys)
 
     def test_non_finite_value_is_written_as_null_and_fails(self, tmp_path):
-        # x stays finite but f(x) overflows: the run's final gap is inf
+        checks = [_check("gap", True, float("inf"), None),
+                  _check("ratio", True, 1.0, float("nan"))]
+        assert write_verdict(tmp_path, "run", checks) is False
+        written = {c["name"]: c for c in strict_json(tmp_path / "verdict.json")["checks"]}
+        assert written["gap"]["value"] is None and written["gap"]["passed"] is False
+        assert written["ratio"]["threshold"] is None and written["ratio"]["passed"] is False
+
+    def test_overflowing_gap_exits_3_with_one_line_naming_the_step(self, tmp_path):
+        # plain SGD with a huge gain: x stays finite (about 1e160) while f(x) overflows
         ini = tmp_path / "sgd.ini"
         ini.write_text("[common]\nalgorithm = sgd\nsgd_scale = 1e6\nnoise = none\ndim = 2\n")
-        out = tmp_path / "o"
+        A = default_quadratic(2, 0).grad(np.eye(2))
+        x = np.ones(2)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["run", "--config", str(ini), "--out", str(out), "--steps", "41"]) == 1
-        checks = {c["name"]: c for c in strict_json(out / "verdict.json")["checks"]}
-        assert checks["final_f_gap_run0"]["value"] is None
-        assert checks["final_f_gap_run0"]["passed"] is False
+            for k in range(1, 42):
+                if not math.isfinite(0.5 * float(x @ A @ x)):
+                    break
+                x = x - 1e6 / math.sqrt(k) * (A @ x)
+        assert k < 41 and np.all(np.isfinite(x))
+        out = tmp_path / "o"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sgdmlab.cli", "run", "--config", str(ini),
+             "--steps", "41", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        # one line: no traceback and no NumPy overflow warning
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (f"diverged: f(x_{k}) - f* became non-finite "
+                               f"at step k={k} in run(s) [0]\n")
+        assert not (out / "verdict.json").exists()
 
     def test_stale_verdict_removed_on_config_error(self, tmp_path):
         out = tmp_path / "o"
@@ -414,6 +474,45 @@ _INI_VALUES = st.fixed_dictionaries({
 })
 
 
+# the sample-heavy subcommands, at sample counts and truncations small enough
+# that an example takes milliseconds
+_SAMPLING_VALUES = st.fixed_dictionaries({
+    "problem": st.sampled_from(["quadratic", "logreg"]),
+    "dim": st.integers(1, 4),
+    "n_samples": st.integers(20, 60),
+    "schedule": st.sampled_from(["anytime_log2", "expectation_log2", "epsilon_log",
+                                 "sqrt_k", "constant"]),
+    "scale": st.sampled_from([1e-3, 1.0, 1e3, 1e12]),
+    "epsilon": st.sampled_from([0.5, 1.0, 2.0]),
+    "noise": st.sampled_from(["gaussian", "bounded", "none"]),
+    "noise_var": st.sampled_from([0.0, 0.01, 1.0, 1e4]),
+    "lambda_grid": st.sampled_from(["0.25,0.5", "1.33", "0", "-1,40"]),
+    "omega_grid": st.sampled_from(["0.5,1.0", "3.0", "0", "-1,800"]),
+    "mgf_samples": st.integers(1, 300),
+    "tail_samples": st.integers(1, 300),
+    "k_trunc": st.sampled_from([0, 1, 10, 1000]),
+    "width_tol": st.sampled_from([1e-4, 1.0]),
+})
+
+
+def assert_cli_contract(sub, values, argv):
+    """Run ``sub`` on an INI of ``values``: a documented exit code, a
+    strict-JSON verdict exactly when checks ran, and no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ini, out = Path(tmp) / "lab.ini", Path(tmp) / "o"
+        ini.write_text("[common]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflowing configs
+            code = main([sub, "--config", str(ini), "--out", str(out)] + argv)
+        assert code in (0, 1, 2, 3)
+        assert (out / "verdict.json").exists() == (code in (0, 1))
+        if code in (0, 1):
+            strict_json(out / "verdict.json")
+        assert "Traceback" not in err.getvalue()
+
+
 class TestCliProperties:
     @given(sub=st.sampled_from(_QUICK_SUBCOMMANDS), values=_INI_VALUES,
            steps=st.integers(1, 50), runs=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
@@ -421,17 +520,12 @@ class TestCliProperties:
     def test_exit_code_verdict_and_stderr(self, sub, values, steps, runs, seed):
         """Any small config ends in a documented exit code, a strict-JSON
         verdict exactly when checks ran, and no traceback."""
-        with tempfile.TemporaryDirectory() as tmp:
-            ini, out = Path(tmp) / "lab.ini", Path(tmp) / "o"
-            ini.write_text("[common]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-                    warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # overflowing configs
-                code = main([sub, "--config", str(ini), "--out", str(out), "--steps",
-                             str(steps), "--runs", str(runs), "--seed", str(seed)])
-            assert code in (0, 1, 2, 3)
-            assert (out / "verdict.json").exists() == (code in (0, 1))
-            if code in (0, 1):
-                strict_json(out / "verdict.json")
-            assert "Traceback" not in err.getvalue()
+        assert_cli_contract(sub, values, ["--steps", str(steps), "--runs", str(runs),
+                                          "--seed", str(seed)])
+
+    @given(sub=st.sampled_from(["concentration", "constants"]), values=_SAMPLING_VALUES,
+           seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_sampling_subcommands_exit_code_verdict_and_stderr(self, sub, values, seed):
+        """The same properties for ``concentration`` and ``constants``."""
+        assert_cli_contract(sub, values, ["--seed", str(seed)])

@@ -505,6 +505,57 @@ class TestPipeline:
         assert started == []
 
 
+_NOISES = {"gaussian": NoiseModel.gaussian(3, 0.5), "bounded": NoiseModel.bounded_uniform(3, 0.8),
+           "none": NoiseModel.noiseless(3)}
+_EVERY_FIELD = ("f_gap", "energy", "theta", "x", "g", "grad")
+
+
+def problem_of(name):
+    if name == "quadratic":
+        return quadratic_new(random_spd(3, 11))
+    return logreg_new(*synthetic_blobs(40, 3, seed=5), refine_tol=None)
+
+
+def assert_trace_equals_reference(obj, noise, K, chunks, **kw):
+    sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
+    ref, ref_prev, ref_cur = reference_ensemble(obj, noise, sched, K, master_seed=6, **kw)
+    for chunk in chunks:
+        tr = run_ensemble(obj, noise, sched, K, master_seed=6, chunk=chunk, **kw)
+        for name, want in ref.items():
+            np.testing.assert_array_equal(getattr(tr, name), want,
+                                          err_msg=f"{name}, chunk={chunk}")
+        np.testing.assert_array_equal(tr.x_prev_final, ref_prev)
+        np.testing.assert_array_equal(tr.x_cur_final, ref_cur)
+
+
+class TestTraceMatrix:
+    """Batched seeding, the gradient-only step, the logistic fused oracle
+    and f_gap/energy evaluated per block of stored iterates reproduce the
+    reference loop bit for bit."""
+
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    @pytest.mark.parametrize("algorithm", ["sgdm", "sgd"])
+    @pytest.mark.parametrize("noise", sorted(_NOISES))
+    @pytest.mark.parametrize("problem", ["quadratic", "logreg"])
+    def test_every_field_for_chunk_1_7_512(self, problem, noise, algorithm, start):
+        kw = dict(M=4, algorithm=algorithm, sgd_scale=0.3)
+        if start == "warm":
+            kw.update(k_start=40, x0=np.full(3, 0.5), x_prev0=np.full(3, 0.6),
+                      record=("f_gap", "energy", "theta"))
+        else:
+            kw.update(record=_EVERY_FIELD)
+        assert_trace_equals_reference(problem_of(problem), _NOISES[noise], 600, (1, 7, 512),
+                                      **kw)
+
+    @pytest.mark.parametrize("record", [("energy",), ("f_gap",), ("theta",), _EVERY_FIELD])
+    @pytest.mark.parametrize("problem", ["quadratic", "logreg"])
+    def test_many_runs_take_several_segments_per_chunk(self, problem, record):
+        # 1000 runs x 3 coordinates: a few steps per block of stored iterates,
+        # a number that does not divide the chunk
+        assert_trace_equals_reference(problem_of(problem), _NOISES["gaussian"], 100, (64,),
+                                      M=1000, record=record)
+
+
 def first_nonfinite_step(obj, noise, sched, K, M, seed):
     """Step each run on its own until x_{k+1} is not finite; returns the
     first such k over all runs and the runs that reach it at that k."""
