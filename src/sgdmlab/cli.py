@@ -4,7 +4,8 @@ batch with counter-based per-run seeding, and writes CSV artifacts plus a
 machine-readable ``verdict.json`` into the output directory.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 config error
-(including a ``ValueError`` raised by the library on the resolved values),
+(including a ``ValueError`` raised by the library on the resolved values, and
+a logistic optimum that :func:`~sgdmlab.problems.fstar_refine` cannot reach),
 3 divergence: an iterate or ODE state left the finite range, or a recorded
 gap or energy did while the iterates stayed finite, reported on one
 ``diverged: ...`` line that names the run(s) and the first non-finite step.
@@ -30,6 +31,7 @@ from .optimizers import StepSchedule, TrajectoryRecord, run_ensemble, run_trajec
 from .problems import (
     NoiseModel,
     Objective,
+    OptimumNotReached,
     load_csv_dataset,
     logreg_new,
     quadratic_new,
@@ -464,8 +466,9 @@ def main(argv=None) -> int:
         fh.write("\n")
     try:
         checks = _HANDLERS[args.subcommand](cfg, out)
-    except (ConfigError, ValueError) as exc:
-        # library validation of the resolved values is a config error too
+    except (ConfigError, ValueError, OptimumNotReached) as exc:
+        # library validation of the resolved values is a config error too,
+        # and so is a dataset whose optimum the refinement cannot reach
         return _fail("config error", exc, 2)
     except FloatingPointError as exc:
         return _fail("diverged", exc, 3)

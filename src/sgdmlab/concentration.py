@@ -346,10 +346,13 @@ def mgf_lemma_check(
     gamma = noise.sample(rng, n_samples) @ w  # |Gamma| <= ||theta|| since ||w|| = 1
     rows = []
     for lam in lambdas:
-        vals = np.exp(float(lam) * gamma / sigma)
-        mean = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / np.sqrt(n_samples))
-        ceiling = float(np.exp(0.75 * float(lam) ** 2))
+        # a large lambda overflows the ceiling (past ~30.8) or the samples'
+        # moments to inf, quietly: a non-finite value is reported as such
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.exp(float(lam) * gamma / sigma)
+            mean = float(np.mean(vals))
+            se = float(np.std(vals, ddof=1) / np.sqrt(n_samples))
+            ceiling = float(np.exp(0.75 * float(lam) ** 2))
         rows.append({
             "lambda": float(lam),
             "mean": mean,

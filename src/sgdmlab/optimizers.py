@@ -386,6 +386,7 @@ def run_ensemble(
     k_start: int = 1,
     x_prev0: np.ndarray | None = None,
     chunk: int = 512,
+    rngs: list[np.random.Generator] | None = None,
 ) -> EnsembleTrace:
     """Run M independent trajectories simultaneously, vectorized across runs.
 
@@ -395,6 +396,11 @@ def run_ensemble(
     matches run-at-a-time execution regardless of batching.
     ``k_start``/``x_prev0`` allow warm-started segments (steps
     k = k_start .. k_start+K-1), used by the continuous-limit comparisons.
+    ``rngs``, a list of M generators, replaces ``rngs_for(master_seed, M)``
+    and is drawn from in place: a segment that starts at the step after the
+    previous segment's last one (``k_start``), from its ``x_prev_final`` and
+    ``x_cur_final`` (``x_prev0``, ``x0``), with the same ``rngs``, continues
+    it bit for bit as one longer call would.
 
     ``record`` selects the fields to keep: ``"f_gap"``, ``"energy"``,
     ``"theta"``, and the full path ``"x"``, ``"g"``, ``"grad"`` (runs that
@@ -424,9 +430,12 @@ def run_ensemble(
     record = set(record)
     if k_start != 1 and record & {"x", "g", "grad"}:
         raise ValueError("full-path recording needs k_start = 1")
+    if rngs is None:
+        rngs = rngs_for(master_seed, M)
+    elif len(rngs) != M:
+        raise ValueError(f"got {len(rngs)} generators for {M} runs")
     d = obj.dim
     xstar = obj.xstar
-    rngs = rngs_for(master_seed, M)
 
     ks = np.arange(k_start - 1, k_start + K)
     eta = np.atleast_1d(np.asarray(schedule_eval(schedule, ks), dtype=float))

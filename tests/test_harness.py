@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgdmlab import problems
 from sgdmlab._csv import write_csv
 from sgdmlab.cli import (ConfigError, _check, default_quadratic, load_config, main,
                          write_verdict)
@@ -320,6 +322,48 @@ class TestFailureSemantics:
         assert main(["smoothness", "--out", str(tmp_path / "o"), "--steps", "4",
                      "--runs", "2"]) == 2
         assert_one_line_config_error(capsys)
+
+    def test_unreachable_logistic_optimum_is_a_config_error(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # separable data: the loss has no minimizer, so ||grad|| never reaches
+        # the tolerance; a short refinement stands in for the 200 000 iterations
+        data = tmp_path / "separable.csv"
+        data.write_text("y,x1,x2\n1,1,0\n1,2,1\n0,-1,0\n0,-2,-1\n")
+        monkeypatch.setattr(problems, "fstar_refine",
+                            functools.partial(problems.fstar_refine, max_iter=50))
+        out = tmp_path / "o"
+        assert main(["run", "--out", str(out), "--steps", "5", "--runs", "1",
+                     "--config", str(self._ini(tmp_path, f"problem = csv:{data}"))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: optimum refinement did not reach")
+        assert err.count("\n") == 1 and "within 50 iterations" in err
+        assert not (out / "verdict.json").exists()
+
+    @staticmethod
+    def _ini(tmp_path, *lines):
+        ini = tmp_path / "c.ini"
+        ini.write_text("\n".join(["[common]", *lines]) + "\n")
+        return ini
+
+    def test_overflowing_mgf_ceiling_prints_no_warning(self, tmp_path):
+        # exp(0.75 * 40^2) overflows: the check fails with a null threshold,
+        # and nothing but the verdict lines is printed
+        ini = self._ini(tmp_path, "lambda_grid = 40", "omega_grid = 1.0",
+                        "mgf_samples = 1000", "tail_samples = 1000")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sgdmlab.cli", "concentration", "--config", str(ini),
+             "--out", str(out)], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        mgf = strict_json(out / "verdict.json")["checks"][0]
+        assert mgf["name"] == "mgf_lambda_40"
+        assert mgf["threshold"] is None and mgf["passed"] is False
+        assert proc.stdout.splitlines()[0] == (f"[FAIL] mgf_lambda_40: value={mgf['value']} "
+                                               "threshold=None")
+        assert len(proc.stdout.splitlines()) == 2
 
     def test_non_finite_value_is_written_as_null_and_fails(self, tmp_path):
         checks = [_check("gap", True, float("inf"), None),

@@ -24,7 +24,7 @@ from sgdmlab.optimizers import (
     sgdm_velocity_step,
 )
 from sgdmlab.problems import NoiseModel, logreg_new, quadratic_new, synthetic_blobs
-from sgdmlab.seeding import rng_for, seed_split
+from sgdmlab.seeding import rng_for, rngs_for, seed_split
 
 from test_problems import random_spd
 
@@ -554,6 +554,37 @@ class TestTraceMatrix:
         # a number that does not divide the chunk
         assert_trace_equals_reference(problem_of(problem), _NOISES["gaussian"], 100, (64,),
                                       M=1000, record=record)
+
+
+class TestContinuation:
+    """Segments that share ``rngs`` continue each other bit for bit."""
+
+    @pytest.mark.parametrize("algorithm", ["sgdm", "sgd"])
+    @pytest.mark.parametrize("problem", ["quadratic", "logreg"])
+    @pytest.mark.parametrize("split", [17, 21])  # neither is a multiple of chunk = 7
+    def test_two_segments_equal_one_call(self, problem, algorithm, split):
+        obj, noise = problem_of(problem), _NOISES["gaussian"]
+        sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
+        K, M = 60, 5
+        kw = dict(M=M, master_seed=9, algorithm=algorithm, sgd_scale=0.3, chunk=7)
+        one = run_ensemble(obj, noise, sched, K=K, **kw)
+        rngs = rngs_for(9, M)
+        head = run_ensemble(obj, noise, sched, K=split, record=(), rngs=rngs, **kw)
+        tail = run_ensemble(obj, noise, sched, K=K - split, k_start=split + 1,
+                            x0=head.x_cur_final, x_prev0=head.x_prev_final,
+                            rngs=rngs, **kw)
+        assert head.f_gap is None
+        np.testing.assert_array_equal(tail.f_gap, one.f_gap[split:])
+        np.testing.assert_array_equal(tail.x_prev_final, one.x_prev_final)
+        np.testing.assert_array_equal(tail.x_cur_final, one.x_cur_final)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_generator_count_must_match_runs(self, n):
+        obj = quadratic_new(np.eye(2))
+        sched = StepSchedule(kind="constant", scale=0.1)
+        with pytest.raises(ValueError, match=f"got {n} generators for 3 runs"):
+            run_ensemble(obj, NoiseModel.gaussian(2, 1.0), sched, K=5, M=3,
+                         master_seed=0, rngs=rngs_for(0, n))
 
 
 def first_nonfinite_step(obj, noise, sched, K, M, seed):

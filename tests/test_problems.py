@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sgdmlab.problems import (
     NoiseModel,
+    OptimumNotReached,
     fstar_refine,
     load_csv_dataset,
     logreg_new,
@@ -160,6 +161,31 @@ class TestLogreg:
         np.testing.assert_array_equal(g[:, 0], [1.0, 0.0, 1.0, 0.0])
         np.testing.assert_array_equal(f, np.logaddexp(0.0, b[:, 0]))
 
+    @pytest.mark.parametrize("shape", [(4,), (7, 4), (3, 5, 4)])
+    def test_oracles_match_an_unfolded_reference(self, shape):
+        """eval, grad and value_and_grad against the textbook formulas in
+        z = X b, at margins of a few units."""
+        X, y = synthetic_blobs(60, 4, seed=2)
+        N = len(y)
+        obj = logreg_new(X, y, refine_tol=None)
+        beta = 0.5 * np.random.default_rng(5).standard_normal(shape)
+        z = beta @ X.T
+        assert 1.0 < np.abs(z).max() < 20.0
+        f_ref = np.mean(np.logaddexp(0.0, z) - y * z, axis=-1)
+        g_ref = (1.0 / (1.0 + np.exp(-z)) - y) @ X / N
+        # float64 rounding, fixed before comparing: each of the N terms is
+        # off by a few ulps of 1 + |z_i| (value) or of |x_ij| (gradient), and
+        # a sum of N terms adds at most N ulps of their magnitudes
+        eps = np.finfo(float).eps
+        f_tol = 8 * N * eps * np.mean(1.0 + np.abs(z), axis=-1)
+        g_tol = 8 * N * eps * np.mean(np.abs(X), axis=0)
+        f, g = obj.value_and_grad(beta)
+        assert f.shape == shape[:-1] and g.shape == shape
+        assert np.all(np.abs(f - f_ref) <= f_tol)
+        assert np.all(np.abs(g - g_ref) <= g_tol)
+        np.testing.assert_array_equal(obj.eval(beta), f)
+        np.testing.assert_array_equal(obj.grad(beta), g)
+
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError, match="labels"):
             logreg_new(np.ones((3, 2)), np.array([0.0, 2.0, 1.0]))
@@ -221,6 +247,13 @@ class TestFstarRefine:
         obj = quadratic_new(np.eye(2))
         with pytest.raises(ValueError):
             fstar_refine(obj, 0.0)
+
+    def test_separable_data_raises_its_own_error(self):
+        # no finite minimizer: the gradient norm decays but never reaches tol
+        X = np.array([[1.0, 0.0], [2.0, 1.0], [-1.0, 0.0], [-2.0, -1.0]])
+        obj = logreg_new(X, np.array([1.0, 1.0, 0.0, 0.0]), refine_tol=None)
+        with pytest.raises(OptimumNotReached, match="within 50 iterations"):
+            fstar_refine(obj, 1e-10, max_iter=50)
 
 
 class TestNoiseModel:

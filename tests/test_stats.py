@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from sgdmlab.optimizers import StepSchedule
-from sgdmlab.problems import NoiseModel, quadratic_new
+from sgdmlab.optimizers import StepSchedule, run_ensemble
+from sgdmlab.problems import NoiseModel, logreg_new, quadratic_new, synthetic_blobs
 from sgdmlab.stats import (
     _increment_variances,
+    _late_gaps,
     ensemble_summary,
     expectation_rate_bound,
     expectation_rate_check,
@@ -93,6 +94,36 @@ class TestSmoothness:
         assert rep["passed"]
         assert rep["median_var_sgdm"] < rep["median_var_sgd"]
         assert rep["noise_multiplier_ratio"] < 1.0
+
+    @pytest.mark.parametrize("K", [5, 800, 1031, 2000])
+    @pytest.mark.parametrize("problem", ["quadratic", "logreg"])
+    def test_medians_equal_recording_the_whole_horizon(self, problem, K):
+        """Evaluating only the last quarter gives the medians of one call
+        that records f_gap at every step, bit for bit."""
+        if problem == "quadratic":
+            obj = quadratic_new(random_spd(3, 2))
+        else:
+            obj = logreg_new(*synthetic_blobs(40, 3, seed=4))
+        noise = NoiseModel.gaussian(3, 2.0)
+        sched = StepSchedule(kind="expectation_log2", L=obj.lipschitz, scale=0.25)
+        rep = smoothness_comparison(obj, noise, K=K, M=5, master_seed=11, schedule=sched,
+                                    sgd_scale=0.6)
+        medians = []
+        for seed, kw in ((11, dict(algorithm="sgdm")), (12, dict(algorithm="sgd", sgd_scale=0.6))):
+            tr = run_ensemble(obj, noise, sched, K=K, M=5, master_seed=seed,
+                              x0=np.ones(3), record=("f_gap",), **kw)
+            medians.append(float(np.median(_increment_variances(tr.f_gap))))
+        assert [rep["median_var_sgdm"], rep["median_var_sgd"]] == medians
+
+    @pytest.mark.parametrize("K", [5, 8, 1031])
+    def test_late_gaps_are_the_quarter_rows(self, K):
+        obj = quadratic_new(random_spd(2, 3))
+        noise = NoiseModel.bounded_uniform(2, 1.0)
+        sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
+        tr = run_ensemble(obj, noise, sched, K=K, M=3, master_seed=5, record=("f_gap",),
+                          chunk=7)
+        late = _late_gaps(obj, noise, sched, K, 3, 5, chunk=7)
+        np.testing.assert_array_equal(late, tr.f_gap[max(1, 3 * K // 4):])
 
     def test_noiseless_comparison_is_skipped(self):
         obj = quadratic_new(np.eye(2))
