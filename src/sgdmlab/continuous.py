@@ -161,17 +161,20 @@ def ode_integrate(
     stage = np.empty((1, m))
     x_stage = stage.reshape(shape)
     grad = obj.grad
+    work2, work3, work4 = work[:2], work[:3], work[:4]
     checked = 0  # path rows [0, checked) are known to be finite
-    for j in range(n_steps):
+    # ndarray.dot with out= is the matmul without the gufunc's dispatch
+    steps = zip(to_x2, to_x3, to_x4, to_next, path[1:])
+    for j, (a2, a3, a4, a_next, nxt) in enumerate(steps):
         rows[2][...] = grad(rows[0])
-        np.matmul(to_x2[j], work[:2], out=stage)
+        a2.dot(work2, out=stage)
         rows[3][...] = grad(x_stage)
-        np.matmul(to_x3[j], work[:3], out=stage)
+        a3.dot(work3, out=stage)
         rows[4][...] = grad(x_stage)
-        np.matmul(to_x4[j], work[:4], out=stage)
+        a4.dot(work4, out=stage)
         rows[5][...] = grad(x_stage)
-        np.matmul(to_next[j], work, out=path[j + 1])
-        work[:2] = path[j + 1]
+        a_next.dot(work, out=nxt)
+        work2[...] = nxt
         if j + 1 - checked >= FINITE_CHECK_BLOCK:
             checked = _check_finite(path, t_grid, checked, j + 2)
     _check_finite(path, t_grid, checked, n_steps + 1)
@@ -296,14 +299,25 @@ def sde_sample_paths(
     X[0] = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, d))
     V[0] = np.broadcast_to(np.asarray(v0, dtype=float), (n_paths, d))
     rngs = rngs_for(master_seed, n_paths) if noise_scale != 0.0 else []
-    sq = np.sqrt(eta)
+    sq = math.sqrt(eta)
+    # the frozen coefficients of each step, as Python floats
+    t_steps = t_grid[:-1].tolist()
+    c_v = [2.0 * eta / tk for tk in t_steps]
+    c_g = [2.0 * eta / tk**1.5 for tk in t_steps]
+    c_w = [2.0 * sq / tk**1.5 for tk in t_steps]
     dw_block = np.empty((SDE_NOISE_BLOCK, n_paths, d))
+    tmp = np.empty((n_paths, d))
     for j in range(n):
-        tk = t_grid[j]
-        xk, vk = X[j], V[j]
-        if noise_scale == 0.0:
-            dw = 0.0
-        else:
+        xk, vk, x_next, v_next = X[j], V[j], X[j + 1], V[j + 1]
+        # in the docstring's order: X' = x + eta v,
+        # V' = ((v - c_v v) - c_g grad f(x)) - c_w dW
+        np.multiply(vk, eta, out=x_next)
+        x_next += xk
+        np.multiply(vk, c_v[j], out=v_next)
+        np.subtract(vk, v_next, out=v_next)
+        np.multiply(obj.grad(xk), c_g[j], out=tmp)
+        v_next -= tmp
+        if noise_scale != 0.0:  # else dW = 0, and v - c_w * 0 is v
             b = j % SDE_NOISE_BLOCK
             if b == 0:
                 # each path's next steps from its own stream, in step order
@@ -312,14 +326,8 @@ def sde_sample_paths(
                     dw_block[:nb, i] = rng.standard_normal((nb, d))
                 dw_block[:nb] *= sq
                 dw_block[:nb] *= noise_scale
-            dw = dw_block[b]
-        X[j + 1] = xk + eta * vk
-        V[j + 1] = (
-            vk
-            - (2.0 * eta / tk) * vk
-            - (2.0 * eta / tk**1.5) * obj.grad(xk)
-            - (2.0 * sq / tk**1.5) * dw
-        )
+            np.multiply(dw_block[b], c_w[j], out=tmp)
+            v_next -= tmp
     return t_grid, X, V
 
 

@@ -152,6 +152,19 @@ def _largest_eigenvalue(A: np.ndarray, tol: float = 1e-10) -> float:
     return lam
 
 
+def _dot(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``x @ m`` for a 2-D ``m``, through ``ndarray.dot`` when ``x`` has one
+    or two axes (a 0-d ``x`` still raises, as ``@`` does).
+
+    ``.dot`` calls the same BLAS routine as ``@`` without the matmul
+    gufunc's dispatch, which costs more than the arithmetic at per-step
+    sizes (0.49 vs 1.00 us at (10,) . (10, 10)); the results are
+    bit-equal. For three or more axes ``.dot`` is far slower (236 vs 12 us
+    at (17, 200, 10) . (10, 10)) and rounds differently, so ``@`` stays.
+    """
+    return x.dot(m) if 0 < x.ndim <= 2 else x @ m
+
+
 def quadratic_new(A: np.ndarray) -> Objective:
     """Objective f(x) = 0.5 x^T A x for symmetric PSD ``A``.
 
@@ -171,10 +184,10 @@ def quadratic_new(A: np.ndarray) -> Objective:
 
     def f(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return 0.5 * np.einsum("...i,...i->...", x @ A, x)
+        return 0.5 * np.einsum("...i,...i->...", _dot(x, A), x)
 
     def g(x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ A
+        return _dot(np.asarray(x, dtype=float), A)
 
     return Objective(
         dim=dim,
@@ -218,20 +231,27 @@ def logreg_new(features: np.ndarray, labels: np.ndarray, refine_tol: float = 1e-
     XsT = np.ascontiguousarray(Xs.T)  # a contiguous copy multiplies faster than the view
 
     def margins(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u = np.asarray(beta, dtype=float) @ XsT  # (..., N)
+        u = _dot(np.asarray(beta, dtype=float), XsT)  # (..., N)
         e = np.abs(u)
         np.negative(e, out=e)
         return u, np.exp(e, out=e)
 
+    # max(u, 0) against a same-shape zero array: a scalar 0.0 takes NumPy's
+    # slow path (4.5 vs 1.3 us at (20, 500)); one slot, keyed by the shape
+    zero = [np.zeros(0)]
+
     def value(u: np.ndarray, e: np.ndarray) -> np.ndarray:
+        z = zero[0]
+        if z.shape != u.shape:
+            z = zero[0] = np.zeros(u.shape)
         v = np.log1p(e)
-        v += np.maximum(u, 0.0)
+        v += np.maximum(u, z)
         return v.sum(axis=-1) / N
 
     def gradient(u: np.ndarray, e: np.ndarray) -> np.ndarray:
         w = np.maximum(e, u >= 0.0)  # where(u >= 0, 1, e): e <= 1
         w /= 1.0 + e
-        return w @ Xs / N
+        return _dot(w, Xs) / N
 
     def f(beta: np.ndarray) -> np.ndarray:
         return value(*margins(beta))

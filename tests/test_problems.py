@@ -236,6 +236,74 @@ class TestFusedOracle:
         np.testing.assert_array_equal(g, obj.grad(x))
 
 
+class TestProductsMatchMatmul:
+    """The oracles compute x A, beta Xs^T and w Xs through ndarray.dot
+    where the left operand has at most two axes; every result must equal,
+    bit for bit, the same formulas written with ``@``."""
+
+    SHAPES = [(10,), (1, 10), (20, 10), (200, 10), (17, 20, 10), "fortran"]
+
+    @staticmethod
+    def point(shape, seed):
+        rng = np.random.default_rng(seed)
+        if shape == "fortran":  # a (200, 10) block in column-major order
+            return np.asfortranarray(rng.standard_normal((200, 10)))
+        return rng.standard_normal(shape)
+
+    @staticmethod
+    def assert_oracles_equal(obj, x, f_ref, g_ref):
+        np.testing.assert_array_equal(obj.eval(x), f_ref)
+        np.testing.assert_array_equal(obj.grad(x), g_ref)
+        if obj.value_and_grad is not None:
+            f, g = obj.value_and_grad(x)
+            np.testing.assert_array_equal(f, f_ref)
+            np.testing.assert_array_equal(g, g_ref)
+        gap, g = obj.gap_and_grad(x)
+        np.testing.assert_array_equal(gap, f_ref - obj.fstar)
+        np.testing.assert_array_equal(g, g_ref)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_quadratic(self, shape):
+        A = random_spd(10, 8)
+        obj = quadratic_new(A)
+        A = 0.5 * (A + A.T)
+        x = self.point(shape, 9)
+        g_ref = x @ A
+        f_ref = 0.5 * np.einsum("...i,...i->...", x @ A, x)
+        self.assert_oracles_equal(obj, x, f_ref, g_ref)
+
+    def test_scalar_quadratic_over_many_runs(self):
+        """d = 1 at (10 000, 1), the supermartingale trace's shape."""
+        obj = quadratic_new(np.array([[2.5]]))
+        x = self.point((10_000, 1), 10)
+        A = np.array([[2.5]])
+        self.assert_oracles_equal(
+            obj, x, 0.5 * np.einsum("...i,...i->...", x @ A, x), x @ A)
+
+    def test_scalar_input_still_raises(self):
+        X, y = synthetic_blobs(50, 1, seed=3)
+        for obj in (quadratic_new(np.array([[2.5]])), logreg_new(X, y, refine_tol=None)):
+            with pytest.raises(ValueError):
+                obj.grad(np.float64(0.5))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_logistic(self, shape):
+        X, y = synthetic_blobs(500, 10, seed=3)
+        N = len(y)
+        obj = logreg_new(X, y, refine_tol=None)
+        Xs = (1.0 - 2.0 * y)[:, None] * X
+        XsT = np.ascontiguousarray(Xs.T)
+        beta = 0.3 * self.point(shape, 11)
+        u = beta @ XsT
+        e = np.exp(-np.abs(u))
+        f_ref = (np.log1p(e) + np.maximum(u, 0.0)).sum(axis=-1) / N
+        g_ref = (np.maximum(e, u >= 0.0) / (1.0 + e)) @ Xs / N
+        # an earlier call at a larger shape must not leak into these
+        obj.eval(np.stack([beta, beta]))
+        assert np.shape(obj.eval(beta)) == f_ref.shape
+        self.assert_oracles_equal(obj, beta, f_ref, g_ref)
+
+
 class TestFstarRefine:
     def test_quadratic_optimum_returned_unchanged(self):
         obj = quadratic_new(random_spd(3, 11))
