@@ -90,6 +90,8 @@ def expectation_rate_check(
     rate at logarithmically spaced checkpoints. The stepsize is the one the
     rate is proved for: eta_k = c / (L^2 log^2(k+2)) with c = 1/4, and the
     noise budget sigma^2 is the raw second moment E||xi||^2."""
+    if M < 2:
+        raise ValueError("M must be >= 2: a standard error needs at least two runs")
     x0 = np.ones(obj.dim) if x0 is None else np.asarray(x0, dtype=float)
     sched = StepSchedule(kind="expectation_log2", L=obj.lipschitz, scale=c)
     tr = run_ensemble(obj, noise, sched, K=K, M=M, master_seed=master_seed,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,12 +18,79 @@ from sgdmlab.concentration import (
 )
 from sgdmlab.optimizers import StepSchedule, run_ensemble, schedule_eval
 from sgdmlab.problems import NoiseModel, quadratic_new
+from sgdmlab.seeding import rng_for
 
 from test_problems import random_spd
 
 
 def anytime_schedule(L=1.0, scale=1.0):
     return StepSchedule(kind="anytime_log2", L=L, scale=scale)
+
+
+def traced_peak_mb(fn, *args, **kwargs):
+    """Peak traced allocation, in MB, of one call fn(*args, **kwargs)."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def reference_gamma_endpoints(schedule, sigma2, K):
+    """gamma_constants' four endpoints from the full (K,) arrays of a_k and
+    log1p(a_k sigma2), each summed in ceil(sqrt(K))-term blocks at once."""
+    c = concentration
+    A, q = c._series_params(schedule)
+    a = a_sequence(schedule, np.arange(1, K + 1, dtype=float))
+
+    def head_sum(terms):
+        b = math.isqrt(K - 1) + 1
+        full = (K // b) * b
+        total = float(np.sum(terms[:full].reshape(-1, b).sum(axis=1)) + np.sum(terms[full:]))
+        return total, (2.0 * b + c._TERM_ULPS) * c._EPS * total
+
+    shrink, grow = 1.0 - c._TERM_ULPS * c._EPS, 1.0 + c._TERM_ULPS * c._EPS
+    tail_lo = shrink * A * (1.0 / ((q - 1.0) * np.log(K + 3.0) ** (q - 1.0)))
+    tail_hi = grow * A * (1.0 + 2.0 / K) * (1.0 / ((q - 1.0) * np.log(K + 2.0) ** (q - 1.0)))
+    s_head, s_err = head_sum(a)
+    log_head, log_err = head_sum(np.log1p(a * sigma2))
+    a_next = float(a_sequence(schedule, K + 1.0))
+    log_tail_hi = grow * sigma2 * tail_hi
+    log_tail_lo = max(0.0, shrink * (sigma2 * tail_lo - 0.5 * sigma2 * a_next * log_tail_hi))
+    return (c._down(s_head - s_err + tail_lo), c._up(s_head + s_err + tail_hi),
+            c._down(math.exp(c._down(log_head - log_err + log_tail_lo))),
+            c._up(math.exp(c._up(log_head + log_err + log_tail_hi))))
+
+
+def reference_supermartingale(obj, noise, schedule, K, M, master_seed, x0=None,
+                              k_trunc=1_000_000):
+    """supermartingale_trace's mean, stderr, overflow flag and drift residual
+    from full (K+1, M) arrays: S, M(k), the drift, the penalty, log N and N."""
+    x0 = np.ones(obj.dim) if x0 is None else np.asarray(x0, dtype=float)
+    sigma2 = noise.hp_sigma2
+    g2 = gamma_constants(schedule, sigma2, k_trunc).gamma2_upper
+    t = 1.0 / g2
+    a = a_sequence(schedule, np.arange(1, K + 1, dtype=float))
+    tr = run_ensemble(obj, noise, schedule, K=K, M=M, master_seed=master_seed,
+                      x0=x0, record=("energy", "theta"))
+    S = np.zeros((K + 1, M))
+    S[1:] = np.cumsum(a[:, None] * tr.theta_sq, axis=0)
+    mart = tr.energy - S
+    drift = mart[1:] - mart[:-1] - np.sqrt(a)[:, None] * tr.theta_tau
+    max_residual = float(np.max(drift / (1.0 + np.abs(mart[1:]))))
+    log_partial = np.concatenate([[0.0], np.cumsum(np.log1p(a * sigma2))])
+    tail_prod = np.exp(np.log(g2) - log_partial)
+    penalty = np.zeros((K + 1, M))
+    penalty[1:] = np.cumsum(a[:, None] * S[:-1], axis=0)
+    log_n = tail_prod[:, None] * t * mart - t * sigma2 * g2 * penalty
+    n_vals = np.exp(np.minimum(log_n, 700.0))
+    return {
+        "mean": np.mean(n_vals, axis=1),
+        "stderr": np.std(n_vals, axis=1, ddof=1) / np.sqrt(M),
+        "overflow_clamped": bool(np.any(log_n > 700.0)),
+        "pathwise_max_residual": max_residual,
+    }
 
 
 class TestASequence:
@@ -112,6 +180,21 @@ class TestGammaConstants:
         # tail integral 1/(eps log^eps(K+2)) is much fatter than the log^2 case
         br2 = gamma_constants(anytime_schedule(), 1.0, k_trunc=100_000)
         assert br.gamma1_width > br2.gamma1_width
+
+    @pytest.mark.parametrize("kind", ["anytime_log2", "expectation_log2", "epsilon_log"])
+    @pytest.mark.parametrize("K", [1, 7, 1000, 12_345, 1_000_000])
+    def test_endpoints_equal_full_array_reference(self, kind, K):
+        """Summing slab by slab keeps every block sum, hence every endpoint,
+        bit for bit those of the full-array computation."""
+        sched = StepSchedule(kind=kind, L=1.3, scale=0.8, epsilon=0.5)
+        br = gamma_constants(sched, 1.7, k_trunc=K)
+        got = (br.gamma1_lower, br.gamma1_upper, br.gamma2_lower, br.gamma2_upper)
+        assert got == reference_gamma_endpoints(sched, 1.7, K)
+
+    def test_memory_is_sublinear_in_truncation(self):
+        """At k_trunc = 10^6 the full arrays of a_k and log1p(a_k sigma2)
+        alone would take 16 MB; the slabs and block sums take well under 2."""
+        assert traced_peak_mb(gamma_constants, anytime_schedule(), 1.0, 1_000_000) <= 2.0
 
     def test_divergent_schedules_rejected(self):
         with pytest.raises(ValueError, match="divergent"):
@@ -222,6 +305,49 @@ class TestSupermartingale:
         e0 = initial_energy(obj, anytime_schedule(), np.ones(1))
         assert m[0] == pytest.approx(math.exp(e0), rel=1e-8)
 
+    @pytest.mark.parametrize("K, M", [(100, 10_000), (57, 3_000), (5, 40_000), (30, 7)])
+    def test_blocks_equal_full_array_reference(self, K, M):
+        """The row blocks split K+1 rows unevenly, hold one row (M > 2^16/2)
+        or all of them (small M); the result is that of the full arrays."""
+        obj = quadratic_new(np.array([[1.0]]))
+        args = (obj, NoiseModel.gaussian(1, 0.01), anytime_schedule(), K, M, 3)
+        rep = supermartingale_trace(*args, k_trunc=100_000)
+        ref = reference_supermartingale(*args, k_trunc=100_000)
+        np.testing.assert_array_equal(rep["mean"], ref["mean"])
+        np.testing.assert_array_equal(rep["stderr"], ref["stderr"])
+        assert rep["pathwise_max_residual"] == ref["pathwise_max_residual"]
+        assert rep["overflow_clamped"] is ref["overflow_clamped"] is False
+
+    # N(k) clamped at exp(700) overflows its square in the standard error
+    # (stderr = inf), in the full-array formulas as in the blocked ones
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+    def test_clamped_overflow_equals_full_array_reference(self):
+        obj = quadratic_new(random_spd(2, 4))
+        args = (obj, NoiseModel.gaussian(2, 0.01), anytime_schedule(L=obj.lipschitz),
+                40, 5_000, 1)
+        x0 = 1e3 * np.ones(2)
+        rep = supermartingale_trace(*args, x0=x0, k_trunc=10_000)
+        ref = reference_supermartingale(*args, x0=x0, k_trunc=10_000)
+        assert rep["overflow_clamped"] and ref["overflow_clamped"]
+        np.testing.assert_array_equal(rep["mean"], ref["mean"])
+        np.testing.assert_array_equal(rep["stderr"], ref["stderr"])
+        assert rep["pathwise_max_residual"] == ref["pathwise_max_residual"]
+
+    def test_memory_beyond_recorded_fields_is_a_block(self):
+        """K = 100, M = 10^4: the ensemble's recorded fields and its noise
+        buffer take about 40 MB; the full-array trace peaked at about 85."""
+        obj = quadratic_new(np.array([[1.0]]))
+        peak = traced_peak_mb(supermartingale_trace, obj, NoiseModel.gaussian(1, 0.01),
+                              anytime_schedule(), K=100, M=10_000, master_seed=6)
+        assert peak <= 48.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_a_single_run(self):
+        obj = quadratic_new(np.array([[1.0]]))
+        with pytest.raises(ValueError, match="two runs"):
+            supermartingale_trace(obj, NoiseModel.gaussian(1, 0.01), anytime_schedule(),
+                                  K=10, M=1, master_seed=0, k_trunc=10_000)
+
     def test_rejects_oversized_transform_parameter(self):
         obj = quadratic_new(np.array([[1.0]]))
         noise = NoiseModel.gaussian(1, 0.01)
@@ -259,6 +385,21 @@ class TestScalarLemmas:
         for row in rows:
             assert row["passed"]
             assert row["mean"] >= 1.0 - 3.0 * row["stderr"]  # Jensen: mean >= exp(0)=1
+
+    def test_mgf_blocked_draws_equal_one_full_draw(self):
+        """The noise is drawn and projected 2^16 samples at a time; the rows
+        equal those computed from one (n_samples, dim) draw."""
+        n, lams = 150_001, [0.25, 1.0]
+        rng = rng_for(4, 0)
+        w = rng.standard_normal(5)
+        w /= np.linalg.norm(w)
+        noise = NoiseModel.gaussian(5, 1.0)
+        gamma = noise.sample(rng, n) @ w
+        rows = mgf_lemma_check(lams, n_samples=n, seed=4)
+        for lam, row in zip(lams, rows):
+            vals = np.exp(lam * gamma / np.sqrt(noise.hp_sigma2))
+            assert row["mean"] == float(np.mean(vals))
+            assert row["stderr"] == float(np.std(vals, ddof=1) / np.sqrt(n))
 
     def test_mgf_ceiling_formula(self):
         rows = mgf_lemma_check([0.5], n_samples=1_000, seed=1)

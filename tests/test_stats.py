@@ -67,6 +67,13 @@ class TestExpectationRate:
         assert rep["first_failure_k"] is None
         assert rep["checkpoints"][-1] == 1000
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_a_single_run(self):
+        obj = quadratic_new(random_spd(2, 0))
+        with pytest.raises(ValueError, match="two runs"):
+            expectation_rate_check(obj, NoiseModel.gaussian(2, 1.0), K=10, M=1,
+                                   master_seed=0)
+
 
 class TestSubsequence:
     def test_running_min_is_monotone_and_decays(self):
