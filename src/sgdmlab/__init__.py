@@ -18,6 +18,7 @@ from .continuous import (
     OdeParams,
     OdeSolution,
     l2_limit_estimate,
+    ode_compare,
     ode_integrate,
     ode_rate_check,
     sde_integrate,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -295,8 +296,8 @@ def cmd_ode_compare(cfg: dict, out: Path) -> list[dict]:
     obj = build_problem(cfg)
     params = cont.OdeParams(p=cfg["p"], alpha=cfg["alpha"], T0=cfg["t0"],
                             T=cfg["t"], dt=cfg["dt"])
-    x0 = np.ones(obj.dim)
-    sol = cont.ode_integrate(obj, params, x0, np.zeros(obj.dim))
+    # the checks' trajectory and the L2 table's ODE starts share one RK4 pass
+    sol, rows = cont.ode_compare(obj, params, cfg["eta_grid"], cfg["runs"], cfg["seed"])
     sol.to_csv(out / "ode.csv", obj)
     rep = cont.ode_rate_check(sol, obj, params)
     checks = [
@@ -305,8 +306,6 @@ def cmd_ode_compare(cfg: dict, out: Path) -> list[dict]:
         dict(_check("rate_bound_holds", rep["rate_bound_holds"], None, None),
              first_violation_t=rep["first_violation_t"]),
     ]
-    rows = cont.l2_limit_estimate(obj, cfg["eta_grid"], cfg["t0"], cfg["t"],
-                                  cfg["runs"], cfg["seed"], x0=x0, dt=cfg["dt"])
     table = np.array([[r["eta"], r["mean_sq_dist"], r["stderr"], r["runs"]] for r in rows])
     write_csv(out / "l2_table.csv", table, "eta,mean_sq_dist,stderr,runs")
     failing = next(([a["eta"], b["eta"]] for a, b in zip(rows, rows[1:])
@@ -424,6 +423,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first invocation of the process and reused:
+    building it costs about as much as the rest of a small invocation's
+    fixed cost, and ``parse_args`` keeps no state between calls."""
+    return build_parser()
+
+
 # every file a subcommand may write into its output directory
 _ARTIFACTS = ("config_resolved.json", "verdict.json", "trajectory.csv", "ensemble.csv",
              "ode.csv", "l2_table.csv")
@@ -446,9 +453,8 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors (including unknown subcommands)
         return int(exc.code) if exc.code else 0

@@ -305,7 +305,9 @@ def supermartingale_trace(
     carrying S(k-1), the penalty sum and M(k-1) from block to block; the
     running sums add row after row exactly as ``np.cumsum`` does, so the
     result is that of the full-array formulas. A standard error needs
-    M >= 2.
+    M >= 2. Where ``overflow_clamped`` is true, N(k) is clamped at
+    exp(700), and a row whose spread overflows reports ``stderr = inf``,
+    without a NumPy overflow warning.
     """
     if M < 2:
         raise ValueError("M must be >= 2: a standard error needs at least two runs")
@@ -359,7 +361,8 @@ def supermartingale_trace(
         overflow |= bool(np.any(ln > 700.0))
         np.exp(np.minimum(ln, 700.0, out=ln), out=ln)
         np.mean(ln, axis=1, out=mean[lo - 1 + s:hi])
-        np.std(ln, axis=1, ddof=1, out=sd[lo - 1 + s:hi])
+        with np.errstate(over="ignore"):  # a clamped N(k) may square to inf
+            np.std(ln, axis=1, ddof=1, out=sd[lo - 1 + s:hi])
         S[0], pen[0], mart[0] = Sb[n], pb[n], mb[n]
     max_residual = float(np.max(row_residual))
     return {

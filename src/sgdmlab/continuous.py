@@ -29,6 +29,7 @@ __all__ = [
     "sde_sample_paths",
     "sgdm_warm_start",
     "l2_limit_estimate",
+    "ode_compare",
 ]
 
 
@@ -197,6 +198,11 @@ def _check_finite(path: np.ndarray, t_grid: np.ndarray, lo: int, hi: int) -> int
     return hi
 
 
+def _require_rate_hypotheses(params: OdeParams) -> None:
+    if not params.rate_hypotheses_hold():
+        raise ValueError("rate check requires alpha <= 2 and p + alpha >= 2")
+
+
 def ode_rate_check(
     sol: OdeSolution, obj: Objective, params: OdeParams, energy_tol: float = 1e-8
 ) -> dict:
@@ -206,8 +212,7 @@ def ode_rate_check(
         f(X(t)) - f* <= E(T0) / (2 (p+1) t^(2-alpha))
 
     holds at every grid point. Reports the first violating grid point."""
-    if not params.rate_hypotheses_hold():
-        raise ValueError("rate check requires alpha <= 2 and p + alpha >= 2")
+    _require_rate_hypotheses(params)
     e0 = sol.energy[0]
     increases = np.diff(sol.energy)
     max_increase = float(np.max(increases)) if len(increases) else 0.0
@@ -338,19 +343,81 @@ def sgdm_warm_start(
 
     Returns (x_{k_stop-1}, x_{k_stop}, v_{k_stop}) with the discrete
     velocity v_k = (x_k - x_{k-1}) / eta, providing the shared initial
-    condition for continuous-discrete comparisons.
+    condition for continuous-discrete comparisons. The steps are one
+    noiseless :func:`~sgdmlab.optimizers.run_ensemble` call with M = 1;
+    k_stop = 1 takes none and returns (x0, x0, 0).
     """
-    x_prev = np.asarray(x0, dtype=float).copy()
-    x_cur = x_prev.copy()
-    for k in range(1, k_stop):
-        g = obj.grad(x_cur)
-        x_next = (
-            x_cur
-            + (k / (k + 2.0)) * (x_cur - x_prev)
-            - (2.0 * np.sqrt(eta) / ((k + 2.0) * np.sqrt(k))) * g
-        )
-        x_prev, x_cur = x_cur, x_next
+    x0 = np.asarray(x0, dtype=float)
+    if k_stop <= 1:
+        return x0.copy(), x0.copy(), np.zeros_like(x0)
+    tr = run_ensemble(obj, NoiseModel.noiseless(obj.dim),
+                      StepSchedule(kind="constant", scale=eta), K=k_stop - 1, M=1,
+                      master_seed=0, x0=x0, record=())
+    x_prev, x_cur = tr.x_prev_final[0], tr.x_cur_final[0]
     return x_prev, x_cur, (x_cur - x_prev) / eta
+
+
+def _integrate_starts(obj: Objective, starts) -> list[tuple[OdeSolution, int]]:
+    """Integrate every ODE start ``(params, X0, V0)`` of ``starts`` with one
+    batched :func:`ode_integrate` call per distinct (p, alpha, T0, T, dt).
+    Returns, per start, the solution of its batch and its column there."""
+    groups: dict[tuple, list[int]] = {}
+    for j, (params, _, _) in enumerate(starts):
+        key = (params.p, params.alpha, params.T0, params.T, params.step)
+        groups.setdefault(key, []).append(j)
+    out = [None] * len(starts)
+    for members in groups.values():
+        sol = ode_integrate(obj, starts[members[0]][0],
+                            np.stack([starts[j][1] for j in members]),
+                            np.stack([starts[j][2] for j in members]))
+        for b, j in enumerate(members):
+            out[j] = (sol, b)
+    return out
+
+
+def _l2_starts(obj: Objective, eta_list, T0: float, T: float, M: int, x0: np.ndarray,
+               dt: float):
+    """Per eta: the discrete window and warm start (k0, kT, x_{k0-1}, x_{k0}),
+    and the ODE start (params on [k0 eta, kT eta], x_{k0}, v_{k0}) that the
+    L2 table of M runs per eta measures against."""
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    runs, odes = [], []
+    for eta in eta_list:
+        k0, kT = _grid_indices(eta, T0, T)
+        if kT - k0 < 10:
+            raise ValueError(
+                f"eta={eta:g} too large: only {kT - k0} discrete steps in [{T0:g}, {T:g}]"
+            )
+        _exact_steps(T - T0, eta, f"eta={eta:g} does not divide T - T0 = {T - T0:g}")
+        x_prev, x_cur, v = sgdm_warm_start(obj, eta, k0, x0)
+        runs.append((k0, kT, x_prev, x_cur))
+        odes.append((OdeParams(p=1.0, alpha=1.5, T0=k0 * eta, T=kT * eta, dt=dt), x_cur, v))
+    return runs, odes
+
+
+def _l2_rows(obj: Objective, eta_list, runs, XT, M: int, seed: int, noisy: bool) -> list[dict]:
+    """The L2 table: per eta, M noisy continuations of its warm start to
+    T/eta and their squared distances to the ODE state ``XT[j]``."""
+    noise = NoiseModel.gaussian(obj.dim, 1.0 if noisy else 0.0)
+    rows = []
+    for j, (eta, (k0, kT, x_prev, x_cur)) in enumerate(zip(eta_list, runs)):
+        sched = StepSchedule(kind="constant", scale=eta)
+        sub_seed = int(np.random.SeedSequence(entropy=(int(seed), j)).generate_state(1)[0])
+        tr = run_ensemble(
+            obj, noise, sched, K=kT - k0, M=M, master_seed=sub_seed,
+            x0=x_cur, x_prev0=x_prev, k_start=k0, record=(),
+        )
+        sq = np.sum((tr.x_cur_final - XT[j]) ** 2, axis=1)
+        rows.append(
+            {
+                "eta": float(eta),
+                "mean_sq_dist": float(np.mean(sq)),
+                "stderr": float(np.std(sq, ddof=1) / np.sqrt(M)) if M > 1 else 0.0,
+                "runs": M,
+            }
+        )
+    return rows
 
 
 def l2_limit_estimate(
@@ -372,47 +439,38 @@ def l2_limit_estimate(
     M momentum continuations with unit Gaussian gradient noise run to
     T/eta. Rows carry the mean squared distance with its standard error.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
     x0 = np.ones(obj.dim) if x0 is None else np.asarray(x0, dtype=float)
-    starts = []  # per eta: (k0, kT, x_{k0-1}, x_{k0}, v_{k0})
-    for eta in eta_list:
-        k0, kT = _grid_indices(eta, T0, T)
-        if kT - k0 < 10:
-            raise ValueError(
-                f"eta={eta:g} too large: only {kT - k0} discrete steps in [{T0:g}, {T:g}]"
-            )
-        _exact_steps(T - T0, eta, f"eta={eta:g} does not divide T - T0 = {T - T0:g}")
-        starts.append((k0, kT) + sgdm_warm_start(obj, eta, k0, x0))
+    runs, odes = _l2_starts(obj, eta_list, T0, T, M, x0, dt)
+    XT = [sol.X[-1, b] for sol, b in _integrate_starts(obj, odes)]
+    return _l2_rows(obj, eta_list, runs, XT, M, seed, noisy)
 
-    # one batched integration per distinct ODE window (k0 eta, kT eta)
-    XT = [None] * len(starts)
-    windows: dict[tuple[float, float], list[int]] = {}
-    for j, (eta, (k0, kT, *_)) in enumerate(zip(eta_list, starts)):
-        windows.setdefault((k0 * eta, kT * eta), []).append(j)
-    for (w0, w1), members in windows.items():
-        params = OdeParams(p=1.0, alpha=1.5, T0=w0, T=w1, dt=dt)
-        sol = ode_integrate(obj, params, np.stack([starts[j][3] for j in members]),
-                            np.stack([starts[j][4] for j in members]))
-        for b, j in enumerate(members):
-            XT[j] = sol.X[-1, b]
 
-    noise = NoiseModel.gaussian(obj.dim, 1.0 if noisy else 0.0)
-    rows = []
-    for j, (eta, (k0, kT, x_prev, x_cur, _)) in enumerate(zip(eta_list, starts)):
-        sched = StepSchedule(kind="constant", scale=eta)
-        sub_seed = int(np.random.SeedSequence(entropy=(int(seed), j)).generate_state(1)[0])
-        tr = run_ensemble(
-            obj, noise, sched, K=kT - k0, M=M, master_seed=sub_seed,
-            x0=x_cur, x_prev0=x_prev, k_start=k0, record=(),
-        )
-        sq = np.sum((tr.x_cur_final - XT[j]) ** 2, axis=1)
-        rows.append(
-            {
-                "eta": float(eta),
-                "mean_sq_dist": float(np.mean(sq)),
-                "stderr": float(np.std(sq, ddof=1) / np.sqrt(M)) if M > 1 else 0.0,
-                "runs": M,
-            }
-        )
-    return rows
+def ode_compare(
+    obj: Objective,
+    params: OdeParams,
+    eta_list,
+    M: int,
+    seed: int,
+) -> tuple[OdeSolution, list[dict]]:
+    """The ``ode-compare`` experiment: the ODE of ``params`` from (x0, 0),
+    x0 = (1, ..., 1), for :func:`ode_rate_check`, and the
+    :func:`l2_limit_estimate` table from the same x0 on
+    [params.T0, params.T] with the same step.
+
+    Every ODE start goes through one grouping, one RK4 pass per distinct
+    (p, alpha, T0, T): with (p, alpha) = (1, 3/2) and every eta's window on
+    [T0, T], the (x0, 0) start and the table's warm starts are one batch.
+    Raises ``ValueError`` before any integration or run if ``params``
+    fails the rate hypotheses, ``eta_list`` is empty or M < 1. Returns the
+    (x0, 0) solution, with ``X``/``V`` of shape (n+1, d), and the table rows.
+    """
+    _require_rate_hypotheses(params)
+    if len(eta_list) == 0:
+        raise ValueError("the L2 table needs at least one eta")
+    x0 = np.ones(obj.dim)
+    runs, odes = _l2_starts(obj, eta_list, params.T0, params.T, M, x0, params.step)
+    (sol, b), *table = _integrate_starts(obj, [(params, x0, np.zeros(obj.dim))] + odes)
+    XT = [s.X[-1, c] for s, c in table]
+    column = OdeSolution(t=sol.t, X=sol.X[:, b], V=sol.V[:, b], energy=sol.energy[:, b],
+                         params=params)
+    return column, _l2_rows(obj, eta_list, runs, XT, M, seed, noisy=True)

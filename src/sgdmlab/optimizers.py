@@ -391,8 +391,8 @@ def run_ensemble(
     """Run M independent trajectories simultaneously, vectorized across runs.
 
     Each run i draws its noise from the generator seeded by
-    (master_seed, i) (all built in one pass by :func:`rngs_for`), in the
-    same stream order as a single-run loop, so the realized randomness
+    (master_seed, i) (all built in one pass by :func:`rngs_for`, and none
+    for a noiseless ensemble), in the same stream order as a single-run loop, so the realized randomness
     matches run-at-a-time execution regardless of batching.
     ``k_start``/``x_prev0`` allow warm-started segments (steps
     k = k_start .. k_start+K-1), used by the continuous-limit comparisons.
@@ -430,8 +430,8 @@ def run_ensemble(
     record = set(record)
     if k_start != 1 and record & {"x", "g", "grad"}:
         raise ValueError("full-path recording needs k_start = 1")
-    if rngs is None:
-        rngs = rngs_for(master_seed, M)
+    if rngs is None:  # a noiseless ensemble draws nothing and builds none
+        rngs = rngs_for(master_seed, M) if noise.scale != 0.0 else []
     elif len(rngs) != M:
         raise ValueError(f"got {len(rngs)} generators for {M} runs")
     d = obj.dim

@@ -44,15 +44,35 @@ def log_spaced_checkpoints(K: int) -> np.ndarray:
     return np.array(sorted(set(pts)), dtype=int)
 
 
+# values per row block of ensemble_summary
+_SUMMARY_BLOCK = 1 << 16
+
+
 def ensemble_summary(values: np.ndarray) -> dict:
     """Per-iteration mean, standard error, and 10/50/90 quantiles of a
-    (K+1, M) ensemble array."""
-    M = values.shape[1]
-    q10, q50, q90 = np.quantile(values, [0.1, 0.5, 0.9], axis=1)
+    (K+1, M) ensemble array.
+
+    The rows are summarized a block of about 2^16 values at a time, so no
+    temporary grows with K. Each block is sorted along its rows before
+    ``np.quantile`` partitions it in place. The results are those of the
+    same NumPy calls over the whole array, ties and non-finite entries
+    included.
+    """
+    n, M = values.shape
+    mean, sd, q10, q50, q90 = np.empty((5, n))
+    rows = max(1, _SUMMARY_BLOCK // M)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        block = values[lo:hi]
+        np.mean(block, axis=1, out=mean[lo:hi])
+        np.std(block, axis=1, ddof=1, out=sd[lo:hi])
+        sorted_block = np.sort(block, axis=1)
+        q10[lo:hi], q50[lo:hi], q90[lo:hi] = np.quantile(
+            sorted_block, [0.1, 0.5, 0.9], axis=1, overwrite_input=True)
     return {
-        "k": np.arange(values.shape[0]),
-        "mean": np.mean(values, axis=1),
-        "stderr": np.std(values, axis=1, ddof=1) / np.sqrt(M),
+        "k": np.arange(n),
+        "mean": mean,
+        "stderr": sd / np.sqrt(M),
         "q10": q10,
         "q50": q50,
         "q90": q90,

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -326,9 +327,12 @@ class TestSupermartingale:
         args = (obj, NoiseModel.gaussian(2, 0.01), anytime_schedule(L=obj.lipschitz),
                 40, 5_000, 1)
         x0 = 1e3 * np.ones(2)
-        rep = supermartingale_trace(*args, x0=x0, k_trunc=10_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the library call warns about nothing
+            rep = supermartingale_trace(*args, x0=x0, k_trunc=10_000)
         ref = reference_supermartingale(*args, x0=x0, k_trunc=10_000)
         assert rep["overflow_clamped"] and ref["overflow_clamped"]
+        assert np.isinf(rep["stderr"]).any()
         np.testing.assert_array_equal(rep["mean"], ref["mean"])
         np.testing.assert_array_equal(rep["stderr"], ref["stderr"])
         assert rep["pathwise_max_residual"] == ref["pathwise_max_residual"]

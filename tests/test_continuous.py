@@ -5,11 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sgdmlab import continuous
 from sgdmlab.continuous import (
     FINITE_CHECK_BLOCK,
     SDE_NOISE_BLOCK,
     OdeParams,
     l2_limit_estimate,
+    ode_compare,
     ode_integrate,
     ode_rate_check,
     sde_integrate,
@@ -17,7 +19,7 @@ from sgdmlab.continuous import (
     sgdm_warm_start,
 )
 from sgdmlab.optimizers import StepSchedule, run_ensemble, run_trajectory
-from sgdmlab.problems import NoiseModel, quadratic_new
+from sgdmlab.problems import NoiseModel, logreg_new, quadratic_new, synthetic_blobs
 from sgdmlab.seeding import rng_for
 
 from test_problems import random_spd
@@ -264,7 +266,45 @@ class TestSde:
         assert abs(xd.std() / xs.std() - 1.0) <= 0.1
 
 
+def reference_warm_start(obj, eta, k_stop, x0):
+    """The momentum recursion written out per step, from x_0 = x_1 = x0."""
+    x_prev = np.asarray(x0, dtype=float).copy()
+    x_cur = x_prev.copy()
+    for k in range(1, k_stop):
+        g = obj.grad(x_cur)
+        x_next = (
+            x_cur
+            + (k / (k + 2.0)) * (x_cur - x_prev)
+            - (2.0 * np.sqrt(eta) / ((k + 2.0) * np.sqrt(k))) * g
+        )
+        x_prev, x_cur = x_cur, x_next
+    return x_prev, x_cur, (x_cur - x_prev) / eta
+
+
 class TestWarmStart:
+    @pytest.mark.parametrize("problem", ["quadratic", "logistic"])
+    @pytest.mark.parametrize("eta,k_stop", [(0.1, 10), (0.05, 20), (0.02, 50), (0.01, 100),
+                                            (0.003, 334), (0.1, 2)])
+    def test_equals_reference_loop(self, problem, eta, k_stop):
+        if problem == "quadratic":
+            obj = quadratic_new(random_spd(10, 3))
+        else:
+            obj = logreg_new(*synthetic_blobs(200, 10, 1))
+        got = sgdm_warm_start(obj, eta, k_stop, np.ones(10))
+        for a, b in zip(got, reference_warm_start(obj, eta, k_stop, np.ones(10))):
+            np.testing.assert_array_equal(a, b)
+
+    def test_single_step_stop_takes_no_step(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("k_stop = 1 must not step")
+
+        monkeypatch.setattr(continuous, "run_ensemble", no_run)
+        x0 = np.array([1.0, -2.0])
+        x_prev, x_cur, v = sgdm_warm_start(quadratic_new(np.eye(2)), 0.1, 1, x0)
+        np.testing.assert_array_equal(x_prev, x0)
+        np.testing.assert_array_equal(x_cur, x0)
+        np.testing.assert_array_equal(v, np.zeros(2))
+
     def test_matches_noiseless_trajectory(self):
         obj = quadratic_new(random_spd(3, 2))
         eta, k0 = 0.05, 20
@@ -335,3 +375,75 @@ class TestL2Limit:
         rows = l2_limit_estimate(obj, [0.1, 0.05], 1.0, 4.0, 3, 0, noisy=False)
         assert all(r["stderr"] == 0.0 for r in rows)
         assert rows[1]["mean_sq_dist"] < rows[0]["mean_sq_dist"]
+
+
+def count_ode_calls(monkeypatch) -> list[int]:
+    """Patch ``continuous.ode_integrate`` to record the batch size of each
+    call; returns the (growing) list of sizes."""
+    sizes = []
+    integrate = continuous.ode_integrate
+
+    def counted(obj, params, X0, V0):
+        sizes.append(1 if np.ndim(X0) == 1 else len(X0))
+        return integrate(obj, params, X0, V0)
+
+    monkeypatch.setattr(continuous, "ode_integrate", counted)
+    return sizes
+
+
+class TestOdeCompare:
+    params = OdeParams(p=1.0, alpha=1.5, T0=1.0, T=4.0, dt=0.01)
+
+    def test_rate_column_matches_separate_integration(self):
+        obj = quadratic_new(random_spd(3, 5))
+        sol, _ = ode_compare(obj, self.params, [0.1, 0.05], 3, 0)
+        ref = ode_integrate(obj, self.params, np.ones(3), np.zeros(3))
+        assert sol.X.shape == ref.X.shape and sol.energy.shape == ref.energy.shape
+        np.testing.assert_array_equal(sol.t, ref.t)
+        assert np.max(np.abs(sol.X - ref.X)) <= 1e-12 * np.max(np.abs(ref.X))
+        assert np.max(np.abs(sol.V - ref.V)) <= 1e-12 * np.max(np.abs(ref.V))
+        rep, ref_rep = (ode_rate_check(s, obj, self.params) for s in (sol, ref))
+        assert rep.keys() == ref_rep.keys()
+        for key, value in ref_rep.items():
+            if isinstance(value, float):  # energies, and a difference of two
+                assert rep[key] == pytest.approx(value, abs=1e-12 * ref_rep["energy_T0"])
+            else:
+                assert rep[key] == value
+
+    def test_rows_match_l2_limit_estimate(self):
+        obj = quadratic_new(random_spd(2, 2))
+        etas, M, seed = [0.3, 0.1, 0.05], 5, 3
+        _, rows = ode_compare(obj, self.params, etas, M, seed)
+        ref = l2_limit_estimate(obj, etas, 1.0, 4.0, M, seed, dt=0.01)
+        assert [r["eta"] for r in rows] == etas and all(r["runs"] == M for r in rows)
+        for r, q in zip(rows, ref):
+            assert r["mean_sq_dist"] == pytest.approx(q["mean_sq_dist"], rel=1e-12)
+            assert r["stderr"] == pytest.approx(q["stderr"], rel=1e-12)
+
+    @pytest.mark.parametrize("pair,etas,sizes", [
+        ((1.0, 1.5), [0.1, 0.05, 0.02], [4]),
+        ((2.0, 1.0), [0.1, 0.05], [1, 2]),
+        # eta = 0.3 integrates on [0.9, 3.9], a window of its own
+        ((1.0, 1.5), [0.3, 0.1], [1, 2]),
+    ])
+    def test_one_pass_per_distinct_ode(self, monkeypatch, pair, etas, sizes):
+        calls = count_ode_calls(monkeypatch)
+        params = replace(self.params, p=pair[0], alpha=pair[1])
+        ode_compare(quadratic_new(random_spd(2, 0)), params, etas, 2, 0)
+        assert sorted(calls) == sizes
+
+    def test_rejects_rate_hypotheses_before_any_run(self, monkeypatch):
+        calls = count_ode_calls(monkeypatch)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("no ensemble may run")
+
+        monkeypatch.setattr(continuous, "run_ensemble", no_run)
+        with pytest.raises(ValueError, match="rate check requires"):
+            ode_compare(quadratic_new(np.eye(2)), replace(self.params, alpha=3.0),
+                        [0.1], 2, 0)
+        with pytest.raises(ValueError, match="M must be"):
+            ode_compare(quadratic_new(np.eye(2)), self.params, [0.1], 0, 0)
+        with pytest.raises(ValueError, match="at least one eta"):
+            ode_compare(quadratic_new(np.eye(2)), self.params, [], 2, 0)
+        assert calls == []

@@ -24,6 +24,7 @@ from sgdmlab.optimizers import StepSchedule, run_trajectory
 from sgdmlab.problems import NoiseModel, logreg_new, synthetic_blobs
 from sgdmlab.seeding import rng_for, seed_split
 
+from test_continuous import count_ode_calls
 from test_optimizers import first_nonfinite_step
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -107,6 +108,20 @@ class TestCliSubcommands:
         assert code == 2
         assert "beta" in capsys.readouterr().err
 
+    def test_consecutive_invocations_resolve_independently(self, tmp_path):
+        """The parser is built once per process; a flag of one invocation
+        leaves nothing behind for the next."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--out", str(a), "--steps", "3", "--runs", "2",
+                     "--seed", "9", "--beta", "0.2"]) == 0
+        assert main(["constants", "--out", str(b), "--dt", "0.01"]) == 0
+        first = json.loads((a / "config_resolved.json").read_text())
+        second = json.loads((b / "config_resolved.json").read_text())
+        assert (first["subcommand"], first["steps"], first["runs"], first["seed"],
+                first["beta"], first["dt"]) == ("run", 3, 2, 9, 0.2, 0.001)
+        assert (second["subcommand"], second["steps"], second["runs"], second["seed"],
+                second["beta"], second["dt"]) == ("constants", 1000, 1, 0, 0.05, 0.01)
+
     def test_run_single_trajectory_one_row(self, tmp_path):
         out = tmp_path / "o"
         code = main(["run", "--out", str(out), "--steps", "1", "--runs", "1"])
@@ -157,6 +172,17 @@ class TestCliSubcommands:
         assert (out / "ode.csv").exists()
         assert (out / "l2_table.csv").read_text().splitlines()[0] == \
             "eta,mean_sq_dist,stderr,runs"
+
+    @pytest.mark.parametrize("flags,sizes", [([], [4]), (["--p", "2", "--alpha", "1"], [1, 3]),
+                                             (["--alpha", "3"], [])])
+    def test_ode_compare_rk4_passes(self, tmp_path, monkeypatch, flags, sizes):
+        """At the defaults the checks' start and the three L2 starts share one
+        pass; another (p, alpha) needs a pass of its own; a pair outside the
+        rate hypotheses is rejected before any pass."""
+        calls = count_ode_calls(monkeypatch)
+        code = main(["ode-compare", "--out", str(tmp_path / "o")] + flags)
+        assert code == (2 if flags[-1:] == ["3"] else 0)
+        assert sorted(calls) == sizes
 
     def test_ode_compare_rate_check_locator(self, tmp_path):
         out = tmp_path / "o"
@@ -273,7 +299,7 @@ class TestFailureSemantics:
         assert_one_line_config_error(capsys)
         assert not (out / "verdict.json").exists()
 
-    @pytest.mark.parametrize("flag", [["--alpha", "3"], ["--eta-grid", "1.0"]])
+    @pytest.mark.parametrize("flag", [["--alpha", "3"], ["--eta-grid", "1.0"], ["--eta-grid", ""]])
     def test_library_value_error_exits_2(self, tmp_path, capsys, flag):
         assert main(["ode-compare", "--out", str(tmp_path / "o"), "--runs", "3"] + flag) == 2
         assert_one_line_config_error(capsys)

@@ -258,6 +258,20 @@ class TestRunEnsemble:
             )
             np.testing.assert_allclose(tr.x_cur_final[i], rec.x[-1], rtol=1e-10)
 
+    def test_noiseless_ensemble_builds_no_generators(self, monkeypatch):
+        from sgdmlab import optimizers
+
+        obj = quadratic_new(random_spd(2, 1))
+        sched = StepSchedule(kind="constant", scale=0.05)
+        ref = run_ensemble(obj, NoiseModel.noiseless(2), sched, K=30, M=3, master_seed=4)
+
+        def no_generators(*args):
+            raise AssertionError("a noiseless ensemble draws nothing")
+
+        monkeypatch.setattr(optimizers, "rngs_for", no_generators)
+        tr = run_ensemble(obj, NoiseModel.noiseless(2), sched, K=30, M=3, master_seed=4)
+        np.testing.assert_array_equal(tr.f_gap, ref.f_gap)
+
     def test_chunked_noise_stream_equals_per_step_draws(self):
         """Drawing an (n, d) block consumes the generator stream exactly like
         n successive (d,) draws, so chunking cannot change results."""

@@ -42,6 +42,41 @@ class TestEnsembleSummary:
                                    vals.std(axis=1, ddof=1) / math.sqrt(40))
         np.testing.assert_allclose(s["q50"], np.quantile(vals, 0.5, axis=1))
 
+    @staticmethod
+    def assert_full_array_results(vals):
+        """The summary equals the NumPy calls over the whole array, bit for bit."""
+        with np.errstate(invalid="ignore"):  # inf - inf in a row's mean
+            s = ensemble_summary(vals)
+            mean = np.mean(vals, axis=1)
+            sd = np.std(vals, axis=1, ddof=1)
+            q10, q50, q90 = np.quantile(vals, [0.1, 0.5, 0.9], axis=1)
+        np.testing.assert_array_equal(s["mean"], mean)
+        np.testing.assert_array_equal(s["stderr"], sd / np.sqrt(vals.shape[1]))
+        for key, ref in (("q10", q10), ("q50", q50), ("q90", q90)):
+            np.testing.assert_array_equal(s[key], ref)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (2_000, 2), (1, 70_000), (700, 100),
+                                       (10_001, 100), (3, 2**16 + 1)])
+    def test_blocks_equal_full_array_quantiles(self, shape):
+        """Row blocks of 2^16 // M rows: (700, 100) and (10 001, 100) cross
+        block boundaries, M = 2 makes blocks of 32 768 rows, and a row longer
+        than a block is a block of its own."""
+        rng = np.random.default_rng(sum(shape))
+        self.assert_full_array_results(rng.standard_normal(shape))
+
+    def test_ties_equal_full_array_quantiles(self):
+        rng = np.random.default_rng(1)
+        self.assert_full_array_results(rng.integers(0, 3, (1_500, 50)).astype(float))
+
+    def test_non_finite_entries_equal_full_array_quantiles(self):
+        rng = np.random.default_rng(2)
+        vals = rng.standard_normal((1_400, 60))
+        vals[3, 7] = np.inf
+        vals[700, :5] = -np.inf
+        vals[900, 1] = np.nan
+        vals[1_399, [0, 9]] = [np.inf, -np.inf]
+        self.assert_full_array_results(vals)
+
     def test_csv_header(self, tmp_path):
         vals = np.ones((3, 4))
         path = tmp_path / "e.csv"
