@@ -21,7 +21,6 @@ from .continuous import (
     ode_compare,
     ode_integrate,
     ode_rate_check,
-    sde_integrate,
     sde_sample_paths,
     sgdm_warm_start,
 )
@@ -35,16 +34,12 @@ from .lyapunov import (
 from .optimizers import (
     AcsaState,
     EnsembleTrace,
-    SgdmState,
     StepSchedule,
     TrajectoryRecord,
     acsa_step,
     run_ensemble,
     run_trajectory,
     schedule_eval,
-    sgd_step,
-    sgdm_step,
-    sgdm_velocity_step,
 )
 from .problems import (
     NoiseModel,
@@ -53,7 +48,6 @@ from .problems import (
     load_csv_dataset,
     logreg_new,
     quadratic_new,
-    sample_gradient,
     synthetic_blobs,
 )
 from .seeding import rng_for, rngs_for, seed_split

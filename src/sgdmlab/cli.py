@@ -28,7 +28,7 @@ from . import continuous as cont
 from . import stats
 from ._csv import write_csv
 from .lyapunov import check_descent
-from .optimizers import StepSchedule, TrajectoryRecord, run_ensemble, run_trajectory
+from .optimizers import PATH_FIELDS, StepSchedule, TrajectoryRecord, run_ensemble, run_trajectory
 from .problems import (
     NoiseModel,
     Objective,
@@ -212,22 +212,12 @@ def write_verdict(out: Path, subcommand: str, checks: list[dict]) -> bool:
     return passed
 
 
-_PATH = ("x", "g", "grad", "f_gap")
-
-
 def _simulate(cfg: dict, obj: Objective, record):
     """All ``runs`` trajectories of the configured algorithm in one batch;
     run i draws its noise from ``rng_for(seed, i)``."""
     return run_ensemble(obj, build_noise(cfg, obj.dim), build_schedule(cfg, obj.lipschitz),
                         cfg["steps"], cfg["runs"], cfg["seed"], algorithm=cfg["algorithm"],
                         record=record, sgd_scale=cfg["sgd_scale"])
-
-
-def _run0(trace, obj: Objective) -> TrajectoryRecord:
-    """The per-step record of the batch's first run."""
-    return TrajectoryRecord.from_path(obj, trace.algorithm, trace.schedule, trace.x[:, 0],
-                                      trace.g[:, 0], trace.grad[:, 0], trace.f_gap[:, 0],
-                                      trace.eta)
 
 
 def cmd_run(cfg: dict, out: Path) -> list[dict]:
@@ -241,9 +231,9 @@ def cmd_run(cfg: dict, out: Path) -> list[dict]:
         f_gap = np.column_stack([r.f_gap for r in recs])
         rec0 = recs[0]
     else:
-        trace = _simulate(cfg, obj, _PATH if single else ("f_gap",))
+        trace = _simulate(cfg, obj, PATH_FIELDS if single else ("f_gap",))
         f_gap = trace.f_gap
-        rec0 = _run0(trace, obj) if single else None
+        rec0 = TrajectoryRecord.from_trace(obj, trace) if single else None
     if single:
         rec0.to_csv(out / "trajectory.csv")
     else:
@@ -257,8 +247,8 @@ def cmd_verify_descent(cfg: dict, out: Path) -> list[dict]:
     if cfg["algorithm"] != "sgdm":
         raise ConfigError("verify-descent applies to the sgdm algorithm only")
     obj = build_problem(cfg)
-    trace = _simulate(cfg, obj, _PATH)
-    _run0(trace, obj).to_csv(out / "trajectory.csv")
+    trace = _simulate(cfg, obj, PATH_FIELDS)
+    TrajectoryRecord.from_trace(obj, trace).to_csv(out / "trajectory.csv")
     rep = check_descent(trace, obj.lipschitz, obj.xstar, obj.fstar, tol=cfg["tol"])
     check = _check("max_descent_residual", rep.max_residual <= cfg["tol"],
                    rep.max_residual, cfg["tol"])

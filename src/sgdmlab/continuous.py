@@ -25,7 +25,6 @@ __all__ = [
     "OdeSolution",
     "ode_integrate",
     "ode_rate_check",
-    "sde_integrate",
     "sde_sample_paths",
     "sgdm_warm_start",
     "l2_limit_estimate",
@@ -240,35 +239,6 @@ def _grid_indices(eta: float, T0: float, T: float) -> tuple[int, int]:
     return k0, kT
 
 
-def sde_integrate(
-    obj: Objective,
-    eta: float,
-    T0: float,
-    T: float,
-    seed,
-    x0: np.ndarray,
-    v0: np.ndarray,
-    noise_scale: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample one path of the auxiliary SDE on the grid t_k = k eta.
-
-    On each interval [t_k, t_{k+1}) the drift is frozen at t_k, so the
-    update is exact (no inner discretization):
-
-        X(t_{k+1}) = X(t_k) + eta V(t_k)
-        V(t_{k+1}) = V(t_k) - (2 eta / t_k) V(t_k)
-                     - (2 eta / t_k^{3/2}) grad f(X(t_k))
-                     - (2 sqrt(eta) / t_k^{3/2}) dW_k,   dW_k ~ N(0, eta I).
-
-    Returns (t grid, X samples, V samples). ``noise_scale`` = 0 gives the
-    deterministic frozen-coefficient recursion.
-    """
-    t, X, V = sde_sample_paths(
-        obj, eta, T0, T, 1, seed, x0, v0, noise_scale=noise_scale
-    )
-    return t, X[:, 0, :], V[:, 0, :]
-
-
 # SDE steps whose noise each path draws in one generator call
 SDE_NOISE_BLOCK = 32
 
@@ -284,8 +254,16 @@ def sde_sample_paths(
     v0: np.ndarray,
     noise_scale: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`sde_integrate` over independently seeded paths.
+    """Sample ``n_paths`` paths of the auxiliary SDE on the grid t_k = k eta.
 
+    The drift is frozen at t_k on [t_k, t_{k+1}), so each update is exact:
+
+        X(t_{k+1}) = X(t_k) + eta V(t_k)
+        V(t_{k+1}) = V(t_k) - (2 eta / t_k) V(t_k) - (2 eta / t_k^{3/2}) grad f(X(t_k))
+                     - (2 sqrt(eta) / t_k^{3/2}) dW_k,   dW_k ~ N(0, eta I).
+
+    Returns (t grid, X, V), X and V of shape (steps + 1, n_paths, d);
+    ``noise_scale`` = 0 gives the deterministic frozen-coefficient recursion.
     Path i draws its increments from ``rng_for(master_seed, i)`` in blocks
     of ``SDE_NOISE_BLOCK`` steps, the same stream as one draw per step; the
     generators are built in one pass by ``rngs_for``, and none are built

@@ -6,15 +6,15 @@ The momentum recursion is
 
     x_{k+1} = x_k + k/(k+2) (x_k - x_{k-1}) - 2 sqrt(eta_k) / ((k+2) sqrt(k)) g_k
 
-with initialization x_0 = x_1, equivalent to a velocity form with an implicit
-velocity update (solved in closed form, see :func:`sgdm_velocity_step`).
+with initialization x_0 = x_1. :func:`run_ensemble` is the only code that
+steps it (and plain SGD); :func:`run_trajectory` is one column of it.
 """
 
 from __future__ import annotations
 
 import collections
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -25,13 +25,9 @@ from .seeding import rng_for, rngs_for  # noqa: F401 (perfbench's tracer patches
 
 __all__ = [
     "StepSchedule",
-    "SgdmState",
     "AcsaState",
     "TrajectoryRecord",
     "schedule_eval",
-    "sgdm_step",
-    "sgdm_velocity_step",
-    "sgd_step",
     "acsa_step",
     "run_trajectory",
     "EnsembleTrace",
@@ -100,64 +96,6 @@ def schedule_eval(s: StepSchedule, k) -> np.ndarray:
 
 
 @dataclass
-class SgdmState:
-    """Iteration state (x_{k-1}, x_k) of the momentum recursion; starts at k=1 with x_0 = x_1."""
-
-    x_prev: np.ndarray
-    x_cur: np.ndarray
-    schedule: StepSchedule
-    k: int = 1
-
-    @staticmethod
-    def initial(x0: np.ndarray, schedule: StepSchedule) -> "SgdmState":
-        x0 = np.asarray(x0, dtype=float)
-        return SgdmState(x_prev=x0.copy(), x_cur=x0.copy(), schedule=schedule, k=1)
-
-
-def sgdm_step(state: SgdmState, g: np.ndarray) -> SgdmState:
-    """One momentum update consuming the realized stochastic gradient at x_k."""
-    k = state.k
-    if k < 1:
-        raise ValueError("iteration index must be >= 1")
-    g = np.asarray(g, dtype=float)
-    if g.shape != state.x_cur.shape:
-        raise ValueError(f"gradient shape {g.shape} != iterate shape {state.x_cur.shape}")
-    eta_k = schedule_eval(state.schedule, k)
-    x_next = (
-        state.x_cur
-        + (k / (k + 2.0)) * (state.x_cur - state.x_prev)
-        - (2.0 * np.sqrt(eta_k) / ((k + 2.0) * np.sqrt(k))) * g
-    )
-    return SgdmState(x_prev=state.x_cur, x_cur=x_next, schedule=state.schedule, k=k + 1)
-
-
-def sgdm_velocity_step(
-    x: np.ndarray, v: np.ndarray, k: int, eta: float, g: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Velocity form of the same recursion: x' = x + eta v, then solve the
-    implicit velocity equation v' - v = -(2/k) v' - (2/k) g / sqrt(k eta).
-
-    The update is linear in v', so it is solved exactly:
-    v' = (v - (2/k) g / sqrt(k eta)) / (1 + 2/k). ``g`` is the stochastic
-    gradient realized at the new position x'.
-    """
-    if k < 1:
-        raise ValueError("iteration index must be >= 1")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    x_new = x + eta * v
-    v_new = (v - (2.0 / k) * g / np.sqrt(k * eta)) / (1.0 + 2.0 / k)
-    return x_new, v_new
-
-
-def sgd_step(x: np.ndarray, k: int, g: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Baseline SGD with the classic 1/sqrt(k) stepsize (scale configurable)."""
-    if k < 1:
-        raise ValueError("iteration index must be >= 1")
-    return x - (scale / np.sqrt(k)) * np.asarray(g, dtype=float)
-
-
-@dataclass
 class AcsaState:
     """Three-sequence accelerated stochastic approximation state."""
 
@@ -200,6 +138,10 @@ def acsa_step(state: AcsaState, grad_oracle: Callable[[np.ndarray], np.ndarray])
         x=x_new, z=z_new, gamma_scale=state.gamma_scale, L=state.L,
         k=k + 1, simplified_gamma=state.simplified_gamma,
     )
+
+
+# The trace fields a TrajectoryRecord is derived from (see from_trace).
+PATH_FIELDS = ("x", "g", "grad", "f_gap")
 
 
 @dataclass
@@ -258,6 +200,12 @@ class TrajectoryRecord:
             schedule=schedule,
         )
 
+    @classmethod
+    def from_trace(cls, obj: Objective, trace: "EnsembleTrace") -> "TrajectoryRecord":
+        """The record of column 0 of a trace of the fields in :data:`PATH_FIELDS`."""
+        col = (trace.x[:, 0], trace.g[:, 0], trace.grad[:, 0], trace.f_gap[:, 0])
+        return cls.from_path(obj, trace.algorithm, trace.schedule, *col, trace.eta)
+
     def to_csv(self, path) -> None:
         """Write the per-step CSV (one row per step k = 1..K)."""
         ks = np.arange(1, self.K + 1)
@@ -275,10 +223,6 @@ class TrajectoryRecord:
         )
         write_csv(path, cols, "k,f_gap,eta,lyapunov,descent_lhs,descent_rhs,grad_norm,noise_norm")
 
-    def dump_states(self, path) -> None:
-        """Full-state binary dump: little-endian float64, row-major x_0..x_{K+1}."""
-        np.asarray(self.x, dtype="<f8").tofile(path)
-
 
 def run_trajectory(
     obj: Objective,
@@ -294,55 +238,47 @@ def run_trajectory(
     """Run K steps of one algorithm and log every per-step quantity.
 
     Fully deterministic given the seed (an int, SeedSequence, or Generator).
-    Aborts with a diagnostic if an iterate leaves the finite range.
+    ``"sgdm"`` and ``"sgd"`` run as the one column of a :func:`run_ensemble`
+    call on that seed's generator, and diverge with its ``FloatingPointError``.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     if algorithm not in ("sgdm", "sgd", "acsa"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    d = obj.dim
-    x0 = np.ones(d) if x0 is None else np.asarray(x0, dtype=float)
-
-    x = np.empty((K + 2, d))
-    g_arr = np.empty((K, d))
-    grad_arr = np.empty((K, d))
-    x[0] = x[1] = x0
     if algorithm == "acsa":
-        st_acsa = AcsaState.initial(x0, acsa_gamma, obj.lipschitz)
-    for k in range(1, K + 1):
-        xk = x[k]
-        if not np.all(np.isfinite(xk)):
-            raise FloatingPointError(f"iterate became non-finite at step k={k}")
-        grad_arr[k - 1] = obj.grad(xk)
-        if algorithm == "acsa":
-            # the oracle is queried at y_k, not x_k; log the realized query
-            def oracle(y, _k=k):
-                gq = obj.grad(y) + noise.sample(rng)
-                g_arr[_k - 1] = gq
-                return gq
+        return _run_acsa(obj, noise, schedule, K, rng, x0, acsa_gamma)
+    trace = run_ensemble(obj, noise, schedule, K, M=1, master_seed=None, algorithm=algorithm,
+                         x0=x0, record=PATH_FIELDS, sgd_scale=sgd_scale, rngs=[rng])
+    return TrajectoryRecord.from_trace(obj, trace)
 
-            st_acsa = acsa_step(st_acsa, oracle)
-            x[k + 1] = st_acsa.x
-            continue
-        g = grad_arr[k - 1] + noise.sample(rng)
-        g_arr[k - 1] = g
-        if algorithm == "sgdm":
-            eta_k = schedule_eval(schedule, k)
-            x[k + 1] = (
-                xk
-                + (k / (k + 2.0)) * (xk - x[k - 1])
-                - (2.0 * np.sqrt(eta_k) / ((k + 2.0) * np.sqrt(k))) * g
-            )
-        else:
-            x[k + 1] = sgd_step(xk, k, g, scale=sgd_scale)
+
+def _run_acsa(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: int,
+              rng: np.random.Generator, x0: np.ndarray | None, gamma: float) -> TrajectoryRecord:
+    """K steps of ACSA, in a loop of its own because its oracle is queried
+    at y_k, not at the iterate x_k; ``g`` logs the realized query."""
+    x = np.empty((K + 2, obj.dim))
+    g_arr, grad_arr = np.empty((2, K, obj.dim))
+    x[0] = x[1] = np.ones(obj.dim) if x0 is None else x0
+    state = AcsaState.initial(x[1], gamma, obj.lipschitz)
+    for k in range(1, K + 1):
+        if not np.all(np.isfinite(x[k])):
+            raise FloatingPointError(f"iterate became non-finite at step k={k}")
+        grad_arr[k - 1] = obj.grad(x[k])
+
+        def oracle(y, _k=k):
+            gq = obj.grad(y) + noise.sample(rng)
+            g_arr[_k - 1] = gq
+            return gq
+
+        state = acsa_step(state, oracle)
+        x[k + 1] = state.x
     if not np.all(np.isfinite(x)):
         raise FloatingPointError("iterate became non-finite at the final step")
 
     eta = np.asarray(schedule_eval(schedule, np.arange(0, K + 1)), dtype=float)
-    return TrajectoryRecord.from_path(
-        obj, algorithm, schedule, x, g_arr, grad_arr, obj.f_gap(x[: K + 1]), eta
-    )
+    return TrajectoryRecord.from_path(obj, "acsa", schedule, x, g_arr, grad_arr,
+                                      obj.f_gap(x[: K + 1]), eta)
 
 
 @dataclass

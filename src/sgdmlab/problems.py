@@ -9,7 +9,7 @@ ensemble runners vectorized across Monte-Carlo runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -21,7 +21,6 @@ __all__ = [
     "logreg_new",
     "fstar_refine",
     "OptimumNotReached",
-    "sample_gradient",
     "synthetic_blobs",
     "load_csv_dataset",
 ]
@@ -126,32 +125,6 @@ class NoiseModel:
         raise ValueError(f"unknown noise kind {self.kind!r}")
 
 
-def _largest_eigenvalue(A: np.ndarray, tol: float = 1e-10) -> float:
-    """lambda_max of a symmetric PSD matrix.
-
-    Dense symmetric eigensolve for dim <= 64; power iteration to ``tol``
-    relative change otherwise (desk-scale problems never hit that branch).
-    """
-    n = A.shape[0]
-    if n <= 64:
-        return float(np.linalg.eigvalsh(A)[-1])
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(100_000):
-        w = A @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = float(v @ (A @ v))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return lam
-
-
 def _dot(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``x @ m`` for a 2-D ``m``, through ``ndarray.dot`` when ``x`` has one
     or two axes (a 0-d ``x`` still raises, as ``@`` does).
@@ -226,7 +199,7 @@ def logreg_new(features: np.ndarray, labels: np.ndarray, refine_tol: float = 1e-
         raise ValueError(f"got {N} feature rows but {y.shape[0]} labels")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must lie in {0, 1}")
-    L = _largest_eigenvalue(X.T @ X) / (4.0 * N)
+    L = float(np.linalg.eigvalsh(X.T @ X)[-1]) / (4.0 * N)
     Xs = (1.0 - 2.0 * y)[:, None] * X
     XsT = np.ascontiguousarray(Xs.T)  # a contiguous copy multiplies faster than the view
 
@@ -323,16 +296,6 @@ def fstar_refine(
         f"within {max_iter} iterations (current {np.linalg.norm(obj.grad(x)):.3e}); "
         "the optimum may not exist (separable data) or be out of reach at this tolerance"
     )
-
-
-def sample_gradient(
-    obj: Objective, noise: NoiseModel, x: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """One stochastic-gradient draw grad(x) + xi; deterministic given the rng state."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("query point must be finite")
-    return obj.grad(x) + noise.sample(rng)
 
 
 def synthetic_blobs(

@@ -12,8 +12,6 @@ from ._csv import write_csv
 from .optimizers import (
     StepSchedule,
     run_ensemble,
-    run_trajectory,
-    schedule_eval,
     sgdm_noise_multiplier,
 )
 from .problems import NoiseModel, Objective
@@ -135,7 +133,6 @@ def expectation_rate_check(
 def subsequence_rate_check(
     obj: Objective,
     K: int,
-    seed: int = 0,
     x0: np.ndarray | None = None,
     schedule: StepSchedule | None = None,
     checkpoints=(100,),
@@ -146,13 +143,11 @@ def subsequence_rate_check(
 
     which the theory sends to zero along a subsequence. Reports m at the
     requested checkpoints and at K so callers can verify strict decrease."""
-    x0 = np.ones(obj.dim) if x0 is None else np.asarray(x0, dtype=float)
     if schedule is None:
         schedule = StepSchedule(kind="expectation_log2", L=obj.lipschitz, scale=0.25)
-    noise = NoiseModel.noiseless(obj.dim)
-    rec = run_trajectory(obj, noise, "sgdm", schedule, K, seed, x0=x0)
+    tr = run_ensemble(obj, NoiseModel.noiseless(obj.dim), schedule, K, 1, 0, x0=x0)
     ks = np.arange(1, K + 1, dtype=float)
-    weighted = np.sqrt(ks) * np.log(np.log(ks + 2.0)) * rec.f_gap[1:]
+    weighted = np.sqrt(ks) * np.log(np.log(ks + 2.0)) * tr.f_gap[1:, 0]
     running_min = np.minimum.accumulate(weighted)
     at = {int(cp): float(running_min[cp - 1]) for cp in checkpoints if cp <= K}
     at[int(K)] = float(running_min[-1])

@@ -159,7 +159,7 @@ def test_09_smoothness_comparison():
 def test_10_subsequence_decay():
     t0 = time.time()
     obj = default_quadratic(10, 0)
-    rep = subsequence_rate_check(obj, K=10_000, seed=0, checkpoints=(100,))
+    rep = subsequence_rate_check(obj, K=10_000, checkpoints=(100,))
     ok = rep["at"][10_000] < rep["at"][100]
     report(10, "weighted running-minimum decay", ok, time.time() - t0, 30.0,
            f"m(1e4)={rep['at'][10_000]:.3g} < m(1e2)={rep['at'][100]:.3g}")

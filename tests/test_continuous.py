@@ -14,14 +14,14 @@ from sgdmlab.continuous import (
     ode_compare,
     ode_integrate,
     ode_rate_check,
-    sde_integrate,
     sde_sample_paths,
     sgdm_warm_start,
 )
-from sgdmlab.optimizers import StepSchedule, run_ensemble, run_trajectory
+from sgdmlab.optimizers import StepSchedule, run_ensemble
 from sgdmlab.problems import NoiseModel, logreg_new, quadratic_new, synthetic_blobs
 from sgdmlab.seeding import rng_for
 
+from reference import reference_ensemble
 from test_problems import random_spd
 
 
@@ -181,8 +181,8 @@ class TestSde:
     def test_frozen_coefficient_update_matches_hand_loop(self):
         obj = quadratic_new(np.array([[2.0]]))
         eta = 0.05
-        t, X, V = sde_integrate(obj, eta, 1.0, 2.0, seed=0,
-                                x0=np.array([1.0]), v0=np.array([0.5]))
+        t, X, V = sde_sample_paths(obj, eta, 1.0, 2.0, 1, 0, np.array([1.0]), np.array([0.5]))
+        X, V = X[:, 0], V[:, 0]
         rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(0,)))
         x, v = 1.0, 0.5
         for j, tk in enumerate(t[:-1]):
@@ -227,15 +227,16 @@ class TestSde:
 
     def test_zero_noise_is_deterministic(self):
         obj = quadratic_new(np.eye(2))
-        a = sde_integrate(obj, 0.1, 1.0, 2.0, 0, np.ones(2), np.zeros(2), noise_scale=0.0)
-        b = sde_integrate(obj, 0.1, 1.0, 2.0, 99, np.ones(2), np.zeros(2), noise_scale=0.0)
-        np.testing.assert_array_equal(a[1], b[1])
+        a = sde_sample_paths(obj, 0.1, 1.0, 2.0, 1, 0, np.ones(2), np.zeros(2), noise_scale=0.0)
+        b = sde_sample_paths(obj, 0.1, 1.0, 2.0, 1, 99, np.ones(2), np.zeros(2),
+                             noise_scale=0.0)
+        np.testing.assert_array_equal(a[1][:, 0], b[1][:, 0])
 
     def test_grid_endpoints(self):
         obj = quadratic_new(np.eye(1))
-        t, X, V = sde_integrate(obj, 0.25, 1.0, 2.0, 0, np.ones(1), np.zeros(1))
+        t, X, V = sde_sample_paths(obj, 0.25, 1.0, 2.0, 1, 0, np.ones(1), np.zeros(1))
         np.testing.assert_allclose(t, [1.0, 1.25, 1.5, 1.75, 2.0])
-        assert X.shape == (5, 1)
+        assert X[:, 0].shape == (5, 1)
 
     def test_rejects_eta_off_the_grid(self):
         obj = quadratic_new(np.eye(1))
@@ -309,12 +310,13 @@ class TestWarmStart:
         obj = quadratic_new(random_spd(3, 2))
         eta, k0 = 0.05, 20
         sched = StepSchedule(kind="constant", scale=eta)
-        rec = run_trajectory(obj, NoiseModel.noiseless(3), "sgdm", sched, k0, 0,
-                             x0=np.ones(3))
+        ref, _, _ = reference_ensemble(obj, NoiseModel.noiseless(3), sched, k0, 1, 0,
+                                       x0=np.ones(3), record=("x",))
+        x = ref["x"][:, 0]
         x_prev, x_cur, v = sgdm_warm_start(obj, eta, k0, np.ones(3))
-        np.testing.assert_allclose(x_prev, rec.x[k0 - 1], rtol=1e-12)
-        np.testing.assert_allclose(x_cur, rec.x[k0], rtol=1e-12)
-        np.testing.assert_allclose(v, (rec.x[k0] - rec.x[k0 - 1]) / eta, rtol=1e-10)
+        np.testing.assert_allclose(x_prev, x[k0 - 1], rtol=1e-12)
+        np.testing.assert_allclose(x_cur, x[k0], rtol=1e-12)
+        np.testing.assert_allclose(v, (x[k0] - x[k0 - 1]) / eta, rtol=1e-10)
 
 
 class TestL2Limit:

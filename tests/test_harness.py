@@ -25,7 +25,7 @@ from sgdmlab.problems import NoiseModel, logreg_new, synthetic_blobs
 from sgdmlab.seeding import rng_for, seed_split
 
 from test_continuous import count_ode_calls
-from test_optimizers import first_nonfinite_step
+from reference import first_nonfinite_step, reference_record
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -442,7 +442,7 @@ def _descent_ini(tmp_path, problem):
 
 class TestBatchedDescent:
     """verify-descent runs all runs in one batch; its verdict must equal the
-    run-at-a-time reference: run_trajectory + check_descent per run."""
+    run-at-a-time reference: the reference loop + check_descent per run."""
 
     STEPS, RUNS, SEED = 300, 4, 5
 
@@ -459,9 +459,8 @@ class TestBatchedDescent:
                 "--seed", str(self.SEED), "--out", str(out)]
         assert main(argv) == 0
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
-        recs = [run_trajectory(obj, NoiseModel.gaussian(10, 100.0), "sgdm", sched,
-                               self.STEPS, seed_split(self.SEED, i))
-                for i in range(self.RUNS)]
+        recs = [reference_record(obj, NoiseModel.gaussian(10, 100.0), sched, self.STEPS,
+                                 self.SEED, run=i) for i in range(self.RUNS)]
         reports = [check_descent(r, obj.lipschitz, obj.xstar, obj.fstar) for r in recs]
         check = json.loads((out / "verdict.json").read_text())["checks"][0]
         return out, recs, reports, check

@@ -11,21 +11,26 @@ from hypothesis import strategies as st
 from sgdmlab.optimizers import (
     _sgdm_coefficients,
     AcsaState,
-    SgdmState,
     StepSchedule,
     TrajectoryRecord,
     acsa_step,
     run_ensemble,
     run_trajectory,
     schedule_eval,
-    sgd_step,
     sgdm_noise_multiplier,
-    sgdm_step,
-    sgdm_velocity_step,
 )
+from sgdmlab.lyapunov import descent_rhs
 from sgdmlab.problems import NoiseModel, logreg_new, quadratic_new, synthetic_blobs
 from sgdmlab.seeding import rng_for, rngs_for, seed_split
 
+from reference import (
+    SgdmState,
+    first_nonfinite_step,
+    reference_ensemble,
+    sgd_step,
+    sgdm_step,
+    sgdm_velocity_step,
+)
 from test_problems import random_spd
 
 
@@ -98,11 +103,9 @@ class TestSgdmStep:
         eta = 0.02
         sched = StepSchedule(kind="constant", scale=eta)
 
-        st = SgdmState.initial(np.ones(3), sched)
-        xs = [st.x_prev.copy(), st.x_cur.copy()]  # xs[k] = x_k, x_0 = x_1
-        for _ in range(40):
-            st = sgdm_step(st, obj.grad(st.x_cur))
-            xs.append(st.x_cur.copy())
+        # xs[k] = x_k, x_0 = x_1, as the kernel records the path
+        xs = run_ensemble(obj, NoiseModel.noiseless(3), sched, K=40, M=1, master_seed=0,
+                          x0=np.ones(3), record=("x",)).x[:, 0]
 
         # velocity form: x_k = x_{k-1} + eta v_{k-1}, then the implicit
         # velocity update consumes the gradient at the new point x_k
@@ -217,11 +220,26 @@ class TestRunTrajectory:
             np.testing.assert_allclose(rec.tau[k - 1], expect)
 
     def test_divergent_run_aborts_with_diagnostic(self):
+        # the engine's message, with no NumPy warning raised before it
         obj = quadratic_new(np.eye(2) * 4.0)
         sched = StepSchedule(kind="constant", scale=1e8)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(FloatingPointError, match="k="):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=r"k=\d+ in run\(s\) \[0\]"):
                 run_trajectory(obj, NoiseModel.noiseless(2), "sgdm", sched, 2000, 0)
+
+    @pytest.mark.parametrize("noise", ["gaussian", "none"])
+    @pytest.mark.parametrize("algorithm", ["sgdm", "sgd"])
+    @pytest.mark.parametrize("problem", ["quadratic", "logreg"])
+    def test_is_the_reference_column_bit_for_bit(self, problem, algorithm, noise):
+        obj, path = problem_of(problem), ("x", "g", "grad", "f_gap")
+        sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
+        rec = run_trajectory(obj, _NOISES[noise], algorithm, sched, 200, seed_split(3, 0),
+                             sgd_scale=0.3)
+        ref, _, _ = reference_ensemble(obj, _NOISES[noise], sched, 200, 1, 3,
+                                       algorithm=algorithm, sgd_scale=0.3, record=path)
+        for name in path:
+            np.testing.assert_array_equal(getattr(rec, name), ref[name][:, 0], err_msg=name)
 
     def test_csv_row_count(self, tmp_path):
         obj = quadratic_new(np.eye(2))
@@ -247,16 +265,19 @@ class TestRunEnsemble:
         obj = quadratic_new(random_spd(3, 0))
         noise = NoiseModel.gaussian(3, 1.0)
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
-        tr = run_ensemble(obj, noise, sched, K=40, M=4, master_seed=9,
-                          record=("f_gap", "energy", "theta"))
+        fields = ("f_gap", "energy", "theta")
+        tr = run_ensemble(obj, noise, sched, K=40, M=4, master_seed=9, record=fields)
         for i in range(4):
-            rec = run_trajectory(obj, noise, "sgdm", sched, 40, seed_split(9, i))
-            np.testing.assert_allclose(tr.f_gap[:, i], rec.f_gap, rtol=1e-10, atol=1e-13)
-            np.testing.assert_allclose(tr.energy[:, i], rec.energy, rtol=1e-10, atol=1e-12)
+            ref, _, ref_cur = reference_ensemble(obj, noise, sched, 40, 1, 9, record=fields,
+                                                 first_run=i)
+            np.testing.assert_allclose(tr.f_gap[:, i], ref["f_gap"][:, 0], rtol=1e-10,
+                                       atol=1e-13)
+            np.testing.assert_allclose(tr.energy[:, i], ref["energy"][:, 0], rtol=1e-10,
+                                       atol=1e-12)
             np.testing.assert_allclose(
-                tr.theta_sq[:, i], np.sum(rec.theta**2, axis=1), rtol=1e-10, atol=1e-13
+                tr.theta_sq[:, i], ref["theta_sq"][:, 0], rtol=1e-10, atol=1e-13
             )
-            np.testing.assert_allclose(tr.x_cur_final[i], rec.x[-1], rtol=1e-10)
+            np.testing.assert_allclose(tr.x_cur_final[i], ref_cur[0], rtol=1e-10)
 
     def test_noiseless_ensemble_builds_no_generators(self, monkeypatch):
         from sgdmlab import optimizers
@@ -293,10 +314,10 @@ class TestRunEnsemble:
         obj = quadratic_new(random_spd(2, 2))
         sched = StepSchedule(kind="constant", scale=0.05)
         noise = NoiseModel.noiseless(2)
-        full = run_trajectory(obj, noise, "sgdm", sched, 20, 0)
+        full = reference_ensemble(obj, noise, sched, 20, 1, 0, record=("x",))[0]["x"][:, 0]
         seg = run_ensemble(obj, noise, sched, K=10, M=1, master_seed=0,
-                           x0=full.x[10], x_prev0=full.x[9], k_start=10)
-        np.testing.assert_allclose(seg.x_cur_final[0], full.x[20], rtol=1e-12)
+                           x0=full[10], x_prev0=full[9], k_start=10)
+        np.testing.assert_allclose(seg.x_cur_final[0], full[20], rtol=1e-12)
 
     def test_sgd_ensemble_matches_formula(self):
         obj = quadratic_new(np.eye(1))
@@ -320,9 +341,10 @@ class TestRunEnsemble:
                           record=("x", "g", "grad", "f_gap"), chunk=10)
         assert tr.x.shape == (27, 3, 3) and tr.g.shape == tr.grad.shape == (25, 3, 3)
         for i in range(3):
-            rec = run_trajectory(obj, noise, "sgdm", sched, 25, seed_split(2, i))
+            ref, _, _ = reference_ensemble(obj, noise, sched, 25, 1, 2,
+                                           record=("x", "g", "grad", "f_gap"), first_run=i)
             for name in ("x", "g", "grad", "f_gap"):
-                np.testing.assert_allclose(getattr(tr, name)[:, i], getattr(rec, name),
+                np.testing.assert_allclose(getattr(tr, name)[:, i], ref[name][:, 0],
                                            rtol=1e-10, atol=1e-13, err_msg=name)
 
     def test_noiseless_g_is_not_a_view_of_grad(self):
@@ -348,10 +370,21 @@ class TestRunEnsemble:
                           record=("x", "g", "grad", "f_gap"))
         col = TrajectoryRecord.from_path(obj, "sgdm", sched, tr.x[:, 1], tr.g[:, 1],
                                          tr.grad[:, 1], tr.f_gap[:, 1], tr.eta)
-        rec = run_trajectory(obj, noise, "sgdm", sched, 30, seed_split(4, 1))
+        ref, _, _ = reference_ensemble(obj, noise, sched, 30, 1, 4, first_run=1,
+                                       record=("x", "g", "grad", "f_gap", "energy", "theta"))
+        x, g, grad, f_gap = (ref[name][:, 0] for name in ("x", "g", "grad", "f_gap"))
+        energy = ref["energy"][:, 0]
+        # the per-step quantities, one step at a time from the scalar formulas
+        rhs = [descent_rhs(x[k], x[k - 1], g[k - 1], grad[k - 1], f_gap[k], k, tr.eta[k],
+                           obj.lipschitz, obj.xstar) for k in range(1, 31)]
+        tau = [k * (x[k] - x[k - 1]) + (x[k] - obj.xstar) for k in range(1, 31)]
+        want = {"energy": energy, "descent_lhs": np.diff(energy), "descent_rhs": rhs,
+                "theta": grad - g, "tau": tau}
         for name in ("energy", "descent_lhs", "descent_rhs", "theta", "tau"):
-            np.testing.assert_allclose(getattr(col, name), getattr(rec, name),
+            np.testing.assert_allclose(getattr(col, name), want[name],
                                        rtol=1e-9, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(np.sum(col.theta * col.tau, axis=1),
+                                   ref["theta_tau"][:, 0], rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("problem", ["quadratic", "logreg"])
     def test_objective_without_fused_oracle_gives_the_same_trace(self, problem):
@@ -387,47 +420,6 @@ class TestRunEnsemble:
                          record=("x",))
         with pytest.raises(ValueError):
             run_ensemble(obj, noise, sched, K=1, M=1, master_seed=0, algorithm="acsa")
-
-
-def reference_ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm",
-                       x0=None, record=("f_gap",), sgd_scale=1.0, k_start=1, x_prev0=None):
-    """Reference for run_ensemble: each run's whole (K, d) noise drawn up
-    front, separate eval and grad calls, fresh arrays at every step, and the
-    kernel's operation order, so the traces must agree bit for bit."""
-    d = obj.dim
-    x0 = np.ones(d) if x0 is None else np.asarray(x0, dtype=float)
-    x_cur = np.broadcast_to(x0, (M, d)).copy()
-    x_prev = x_cur.copy() if x_prev0 is None else np.broadcast_to(x_prev0, (M, d)).copy()
-    eta = np.atleast_1d(schedule_eval(schedule, np.arange(k_start - 1, k_start + K)))
-    xi_all = np.stack([noise.sample(rng_for(master_seed, i), K) for i in range(M)], axis=1)
-    out = {"x": [x_prev, x_cur], "g": [], "grad": [], "f_gap": [obj.f_gap(x_prev)],
-           "theta_sq": [], "theta_tau": []}
-    v = x_cur + float(k_start) * (x_cur - x_prev) - obj.xstar
-    out["energy"] = [np.sum(v * v, axis=1)
-                     + 4.0 * np.sqrt(k_start * eta[0]) * obj.f_gap(x_prev)]
-    for s in range(K):
-        k = k_start + s
-        fg, grad = obj.f_gap(x_cur), obj.grad(x_cur)
-        g = grad if noise.scale == 0.0 else grad + xi_all[s]
-        xi = grad - g
-        tau = k * (x_cur - x_prev) + (x_cur - obj.xstar)
-        if algorithm == "sgdm":
-            x_next = (x_cur + (k / (k + 2.0)) * (x_cur - x_prev)
-                      - (2.0 * np.sqrt(eta[s + 1]) / ((k + 2.0) * np.sqrt(k))) * g)
-        else:
-            x_next = x_cur - (sgd_scale / np.sqrt(k)) * g
-        w = x_next + (k + 1.0) * (x_next - x_cur) - obj.xstar
-        for name, val in (("f_gap", fg), ("grad", grad), ("g", g), ("x", x_next),
-                          ("theta_sq", np.sum(xi * xi, axis=1)),
-                          ("theta_tau", np.sum(xi * tau, axis=1)),
-                          ("energy", np.sum(w * w, axis=1)
-                           + 4.0 * np.sqrt((k + 1.0) * eta[s + 1]) * fg)):
-            out[name].append(val)
-        x_prev, x_cur = x_cur, x_next
-    fields = {"f_gap": ["f_gap"], "energy": ["energy"], "theta": ["theta_sq", "theta_tau"],
-              "x": ["x"], "g": ["g"], "grad": ["grad"]}
-    kept = {f: np.array(out[f]) for r in record for f in fields[r]}
-    return kept, x_prev, x_cur
 
 
 _PIPELINE_CASES = {
@@ -599,26 +591,6 @@ class TestContinuation:
         with pytest.raises(ValueError, match=f"got {n} generators for 3 runs"):
             run_ensemble(obj, NoiseModel.gaussian(2, 1.0), sched, K=5, M=3,
                          master_seed=0, rngs=rngs_for(0, n))
-
-
-def first_nonfinite_step(obj, noise, sched, K, M, seed):
-    """Step each run on its own until x_{k+1} is not finite; returns the
-    first such k over all runs and the runs that reach it at that k."""
-    hits = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(M):
-            rng = rng_for(seed, i)
-            x_prev = x_cur = np.ones(obj.dim)
-            for k in range(1, K + 1):
-                g = obj.grad(x_cur) + noise.sample(rng)
-                eta = schedule_eval(sched, k)
-                x_prev, x_cur = x_cur, (x_cur + k / (k + 2.0) * (x_cur - x_prev)
-                                        - 2.0 * math.sqrt(eta) / ((k + 2.0) * math.sqrt(k)) * g)
-                if not np.all(np.isfinite(x_cur)):
-                    hits.setdefault(k, []).append(i)
-                    break
-    k = min(hits)
-    return k, hits[k]
 
 
 class TestDivergence:

@@ -13,9 +13,10 @@ from sgdmlab.problems import (
     load_csv_dataset,
     logreg_new,
     quadratic_new,
-    sample_gradient,
     synthetic_blobs,
 )
+
+from reference import sample_gradient
 
 
 def random_spd(dim, seed, cond=10.0):
@@ -129,6 +130,12 @@ class TestLogreg:
         # Hessian at any point is X^T D X / N with D entries <= 1/4
         H0 = X.T @ X / (4.0 * len(y))
         assert obj.lipschitz == pytest.approx(np.linalg.eigvalsh(H0)[-1], rel=1e-8)
+
+    @pytest.mark.parametrize("d", [65, 100])
+    def test_lipschitz_is_the_dense_eigenvalue_above_64_dims(self, d):
+        X, y = synthetic_blobs(500, d, 0)
+        obj = logreg_new(X, y, refine_tol=None)
+        assert obj.lipschitz == float(np.linalg.eigvalsh(X.T @ X)[-1]) / (4.0 * 500)
 
     def test_large_margins_do_not_overflow(self):
         """Margins |z| up to ~10^3, where exp(-z) overflows: every oracle must

@@ -113,7 +113,7 @@ class TestExpectationRate:
 class TestSubsequence:
     def test_running_min_is_monotone_and_decays(self):
         obj = quadratic_new(random_spd(4, 2))
-        rep = subsequence_rate_check(obj, K=10_000, seed=0, checkpoints=(100,))
+        rep = subsequence_rate_check(obj, K=10_000, checkpoints=(100,))
         rm = rep["running_min"]
         assert np.all(np.diff(rm) <= 0.0)
         assert rep["at"][10_000] < rep["at"][100]
