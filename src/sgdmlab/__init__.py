@@ -24,13 +24,7 @@ from .continuous import (
     sde_sample_paths,
     sgdm_warm_start,
 )
-from .lyapunov import (
-    DescentReport,
-    check_descent,
-    continuous_energy,
-    descent_rhs,
-    discrete_energy,
-)
+from .lyapunov import DescentReport, check_descent, continuous_energy
 from .optimizers import (
     AcsaState,
     EnsembleTrace,

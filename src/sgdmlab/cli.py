@@ -152,11 +152,11 @@ def load_config(subcommand: str, path: str | None, overrides: dict) -> dict:
     return cfg
 
 
-def default_quadratic(dim: int, seed: int, cond: float = 10.0) -> Objective:
-    """Seeded SPD quadratic with eigenvalues spread linearly over [1, cond]."""
+def default_quadratic(dim: int, seed: int) -> Objective:
+    """Seeded SPD quadratic with eigenvalues spread linearly over [1, 10]."""
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    eigs = np.linspace(1.0, cond, dim)
+    eigs = np.linspace(1.0, 10.0, dim)
     return quadratic_new(q @ np.diag(eigs) @ q.T)
 
 

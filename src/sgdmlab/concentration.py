@@ -236,22 +236,20 @@ def anytime_coverage(
     M: int,
     beta: float,
     master_seed: int,
-    x0: np.ndarray | None = None,
     k_trunc: int = 1_000_000,
 ) -> dict:
-    """Fraction of independent runs whose suboptimality ever exceeds the
-    anytime envelope over k = 1..K. The noise variance proxy fed into the
-    constants is the certified MGF bound, not the raw second moment. The
-    lowest-indexed violating run and its first violating k are reported
-    (None when no run violates), with the smallest margin over all runs."""
-    x0 = np.ones(obj.dim) if x0 is None else np.asarray(x0, dtype=float)
+    """Fraction of independent runs from x_0 = x_1 = (1, ..., 1) whose
+    suboptimality ever exceeds the anytime envelope over k = 1..K. The
+    noise variance proxy fed into the constants is the certified MGF bound,
+    not the raw second moment. The lowest-indexed violating run and its
+    first violating k are reported (None when no run violates), with the
+    smallest margin over all runs."""
     sigma2 = noise.hp_sigma2
-    const = anytime_constants(
-        schedule, initial_energy(obj, schedule, x0), obj.lipschitz, sigma2, k_trunc
-    )
+    e0 = initial_energy(obj, schedule, np.ones(obj.dim))
+    const = anytime_constants(schedule, e0, obj.lipschitz, sigma2, k_trunc)
     bound = anytime_bound(const, np.arange(1, K + 1), beta)
     tr = run_ensemble(obj, noise, schedule, K=K, M=M, master_seed=master_seed,
-                      x0=x0, record=("f_gap",))
+                      record=("f_gap",))
     f_gap = tr.f_gap[1:, :]  # (K, M), rows k = 1..K
     slack = bound[:, None] - f_gap
     above = slack < 0.0  # f_gap > bound, for finite values
@@ -286,7 +284,6 @@ def supermartingale_trace(
     x0: np.ndarray | None = None,
     t: float | None = None,
     k_trunc: int = 1_000_000,
-    pathwise_tol: float = 1e-10,
 ) -> dict:
     """Monte-Carlo trace of the exponential supermartingale
 
@@ -298,7 +295,8 @@ def supermartingale_trace(
     t <= 1/gamma2, which is certified only up to 1/gamma2_upper; that
     endpoint is the default and the largest t accepted. Also checks
     the pathwise drift inequality M(k) - M(k-1) <= sqrt(a_k) <theta_k, tau_k>
-    on every run, which requires eta_k <= k / (16 L^2).
+    on every run (to 1e-10 of 1 + |M(k)|), which requires
+    eta_k <= k / (16 L^2).
 
     Beyond the ensemble's recorded (K+1, M) fields (energy, ||theta||^2 and
     <theta, tau>), the trace works in row blocks of about 2^16 values,
@@ -373,7 +371,7 @@ def supermartingale_trace(
         "gamma2_upper": g2,
         "overflow_clamped": overflow,
         "pathwise_max_residual": max_residual,
-        "pathwise_ok": bool(max_residual <= pathwise_tol),
+        "pathwise_ok": bool(max_residual <= 1e-10),
     }
 
 
@@ -381,22 +379,21 @@ def mgf_lemma_check(
     lambdas,
     n_samples: int = 1_000_000,
     seed: int = 0,
-    dim: int = 5,
-    per_coord_var: float = 1.0,
 ) -> list[dict]:
     """Empirically probe the scalar MGF lemma: for Gamma = <theta, w> with
-    theta Gaussian, |Gamma| <= ||w|| * ||theta||, and sigma^2 the certified
-    MGF constant for ||theta||^2, the lemma asserts
+    theta ~ N(0, I_5) and w a seeded random unit vector, |Gamma| <= ||w||
+    ||theta||, and sigma^2 the certified MGF constant for ||theta||^2, the
+    lemma asserts
 
         E exp(lambda Gamma / (||w|| sigma)) <= exp(3 lambda^2 / 4).
 
     Returns one row per lambda with the Monte-Carlo mean, its standard
     error, and the asserted ceiling.
     """
-    noise = NoiseModel.gaussian(dim, per_coord_var)
+    noise = NoiseModel.gaussian(5, 1.0)
     sigma = np.sqrt(noise.hp_sigma2)
     rng = rng_for(seed, 0)
-    w = rng.standard_normal(dim)
+    w = rng.standard_normal(5)
     w /= np.linalg.norm(w)
     # |Gamma| <= ||theta|| since ||w|| = 1; the noise is drawn and projected
     # 2^16 samples at a time, the same draws in the same order as one batch

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csv import write_csv
+from .lyapunov import continuous_energy
 from .optimizers import StepSchedule, run_ensemble
 from .problems import NoiseModel, Objective
 from .seeding import rng_for, rngs_for  # noqa: F401 (perfbench's tracer patches rng_for here)
@@ -182,8 +183,7 @@ def ode_integrate(
     X = path[:, 0].reshape((n_steps + 1,) + shape)
     V = path[:, 1].reshape((n_steps + 1,) + shape)
     t_col = t_grid.reshape((n_steps + 1,) + (1,) * (len(shape) - 1))
-    w = p * X + t_col[..., None] * V - p * obj.xstar
-    energy = np.sum(w * w, axis=-1) + 2.0 * (p + 1.0) * t_col ** (2.0 - alpha) * obj.f_gap(X)
+    energy = continuous_energy(X, V, t_col, p, alpha, obj.f_gap(X), obj.xstar)
     return OdeSolution(t=t_grid, X=X, V=V, energy=energy, params=params)
 
 
@@ -405,20 +405,19 @@ def l2_limit_estimate(
     T: float,
     M: int,
     seed: int,
-    x0: np.ndarray | None = None,
     noisy: bool = True,
     dt: float = 1e-3,
 ) -> list[dict]:
     """Monte-Carlo table of E||x_{T/eta} - X(T)||^2 across a stepsize grid.
 
-    For each eta: a deterministic warm-up run supplies the shared initial
-    condition (X(T0), V(T0)) = (x_{T0/eta}, v_{T0/eta}); the ODE is
-    integrated once (the etas whose windows coincide in one batched call);
-    M momentum continuations with unit Gaussian gradient noise run to
-    T/eta. Rows carry the mean squared distance with its standard error.
+    For each eta: a deterministic warm-up run from x_0 = (1, ..., 1)
+    supplies the shared initial condition (X(T0), V(T0)) =
+    (x_{T0/eta}, v_{T0/eta}); the ODE is integrated once (the etas whose
+    windows coincide in one batched call); M momentum continuations with
+    unit Gaussian gradient noise run to T/eta. Rows carry the mean squared
+    distance with its standard error.
     """
-    x0 = np.ones(obj.dim) if x0 is None else np.asarray(x0, dtype=float)
-    runs, odes = _l2_starts(obj, eta_list, T0, T, M, x0, dt)
+    runs, odes = _l2_starts(obj, eta_list, T0, T, M, np.ones(obj.dim), dt)
     XT = [sol.X[-1, b] for sol, b in _integrate_starts(obj, odes)]
     return _l2_rows(obj, eta_list, runs, XT, M, seed, noisy)
 

@@ -16,9 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "discrete_energy",
     "continuous_energy",
-    "descent_rhs",
     "check_descent",
     "energy_along",
     "descent_rhs_along",
@@ -26,70 +24,26 @@ __all__ = [
 ]
 
 
-def discrete_energy(
-    x_next: np.ndarray,
-    x_k: np.ndarray,
-    k: int,
-    eta_k: float,
-    f_gap_k: float,
-    xstar: np.ndarray,
-) -> float:
-    """E(k) as defined above. ``x_next`` is x_{k+1}; ``f_gap_k`` = f(x_k) - f*."""
-    if eta_k <= 0:
-        raise ValueError("eta_k must be positive")
-    if f_gap_k < -1e-12:
-        raise ValueError(
-            f"f_gap {f_gap_k:.3e} below the -1e-12 numerical floor; "
-            "the reference optimum (f*, x*) is inconsistent"
-        )
-    v = x_next + (k + 1.0) * (x_next - x_k) - xstar
-    return float(v @ v + 4.0 * np.sqrt((k + 1.0) * eta_k) * f_gap_k)
-
-
 def continuous_energy(
     X: np.ndarray,
     Xdot: np.ndarray,
-    t: float,
+    t,
     p: float,
     alpha: float,
-    f_gap: float,
+    f_gap,
     xstar: np.ndarray,
-) -> float:
-    """Continuous energy ||p X + t Xdot - p x*||^2 + 2 (p+1) t^(2-alpha) (f(X) - f*)."""
-    if t <= 0:
+) -> np.ndarray:
+    """Continuous energy ||p X + t Xdot - p x*||^2 + 2 (p+1) t^(2-alpha) (f(X) - f*).
+
+    ``X`` and ``Xdot`` carry the coordinates on their last axis; ``t``
+    broadcasts against ``f_gap``, which has the leading axes of ``X`` (a grid
+    of n times and B initial conditions gives X (n, B, d), t (n, 1) and
+    f_gap (n, B)). Every t must be positive."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0):
         raise ValueError("t must be positive")
-    w = p * X + t * Xdot - p * xstar
-    return float(w @ w + 2.0 * (p + 1.0) * t ** (2.0 - alpha) * f_gap)
-
-
-def descent_rhs(
-    x_k: np.ndarray,
-    x_prev: np.ndarray,
-    g_k: np.ndarray,
-    grad_k: np.ndarray,
-    f_gap_k: float,
-    k: int,
-    eta_k: float,
-    L: float,
-    xstar: np.ndarray,
-) -> float:
-    """Upper bound on E(k) - E(k-1) for one realized momentum step:
-
-        (4 eta_k / k) ||g_k||^2 - (2/L) sqrt(eta_k/k) ||grad_k||^2
-        - 2 sqrt(eta_k/k) f_gap_k + 4 sqrt(eta_k/k) <grad_k - g_k, tau_k>
-
-    with tau_k = k (x_k - x_{k-1}) + (x_k - x*).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    r = np.sqrt(eta_k / k)
-    tau = k * (x_k - x_prev) + (x_k - xstar)
-    return float(
-        (4.0 * eta_k / k) * (g_k @ g_k)
-        - (2.0 / L) * r * (grad_k @ grad_k)
-        - 2.0 * r * f_gap_k
-        + 4.0 * r * ((grad_k - g_k) @ tau)
-    )
+    w = p * X + t[..., None] * Xdot - p * xstar
+    return np.sum(w * w, axis=-1) + 2.0 * (p + 1.0) * t ** (2.0 - alpha) * f_gap
 
 
 def _per_step(a: np.ndarray, ndim: int) -> np.ndarray:
@@ -121,8 +75,14 @@ def descent_rhs_along(
     L: float,
     xstar: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized :func:`descent_rhs` for steps k = 1..K, shaped (K,), or
-    (K, M) when the arrays carry a run axis as in :func:`energy_along`."""
+    """Upper bound on E(k) - E(k-1) for each realized momentum step
+    k = 1..K:
+
+        (4 eta_k / k) ||g_k||^2 - (2/L) sqrt(eta_k/k) ||grad_k||^2
+        - 2 sqrt(eta_k/k) f_gap_k + 4 sqrt(eta_k/k) <grad_k - g_k, tau_k>
+
+    with tau_k = k (x_k - x_{k-1}) + (x_k - x*). Shaped (K,), or (K, M)
+    when the arrays carry a run axis as in :func:`energy_along`."""
     K = g.shape[0]
     ks = np.arange(1, K + 1, dtype=float)
     r = _per_step(np.sqrt(eta[1:] / ks), f_gap.ndim)

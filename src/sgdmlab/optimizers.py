@@ -43,7 +43,6 @@ _SCHEDULE_KINDS = (
     "constant",
     "custom",
 )
-# non-increasing in k by construction (required by the descent lemma)
 _MONOTONE_KINDS = ("anytime_log2", "expectation_log2", "epsilon_log", "sqrt_k", "constant")
 
 
@@ -56,7 +55,6 @@ class StepSchedule:
     scale: float = 1.0
     epsilon: float = 1.0  # only used by epsilon_log, must lie in (0, 1]
     fn: Callable[[np.ndarray], np.ndarray] | None = None  # only for kind="custom"
-    monotone: bool | None = None
 
     def __post_init__(self):
         if self.kind not in _SCHEDULE_KINDS:
@@ -67,8 +65,11 @@ class StepSchedule:
             raise ValueError("epsilon must lie in (0, 1]")
         if self.kind == "custom" and self.fn is None:
             raise ValueError("custom schedule requires fn")
-        if self.monotone is None:
-            object.__setattr__(self, "monotone", self.kind in _MONOTONE_KINDS)
+
+    @property
+    def monotone(self) -> bool:
+        """Non-increasing in k by construction (required by the descent lemma)."""
+        return self.kind in _MONOTONE_KINDS
 
     def __call__(self, k) -> np.ndarray:
         return schedule_eval(self, k)
@@ -150,7 +151,7 @@ class TrajectoryRecord:
 
     Index conventions: ``x`` holds x_0 .. x_{K+1}; arrays of length K+1
     (``f_gap``, ``eta``, ``energy``) are indexed by k = 0..K; arrays of
-    length K (``g``, ``grad``, ``theta``, ``tau``, ``descent_lhs``,
+    length K (``g``, ``grad``, ``theta``, ``descent_lhs``,
     ``descent_rhs``) correspond to steps k = 1..K.
     """
 
@@ -165,7 +166,6 @@ class TrajectoryRecord:
     descent_lhs: np.ndarray
     descent_rhs: np.ndarray
     theta: np.ndarray
-    tau: np.ndarray
     fstar: float = 0.0
     schedule: StepSchedule | None = None
 
@@ -187,8 +187,6 @@ class TrajectoryRecord:
         from . import lyapunov  # late import: lyapunov consumes records
 
         K = g.shape[0]
-        ks = np.arange(0, K + 1)
-        tau = ks[1:, None] * (x[1 : K + 1] - x[0:K]) + (x[1 : K + 1] - obj.xstar)
         energy = lyapunov.energy_along(x, eta, f_gap, obj.xstar)
         descent_rhs = lyapunov.descent_rhs_along(
             x, g, grad, f_gap, eta, obj.lipschitz, obj.xstar
@@ -196,7 +194,7 @@ class TrajectoryRecord:
         return cls(
             algorithm=algorithm, K=K, x=x, g=g, grad=grad, eta=eta,
             f_gap=f_gap, energy=energy, descent_lhs=energy[1:] - energy[:-1],
-            descent_rhs=descent_rhs, theta=grad - g, tau=tau, fstar=obj.fstar,
+            descent_rhs=descent_rhs, theta=grad - g, fstar=obj.fstar,
             schedule=schedule,
         )
 
@@ -231,11 +229,10 @@ def run_trajectory(
     schedule: StepSchedule,
     K: int,
     seed,
-    x0: np.ndarray | None = None,
     sgd_scale: float = 1.0,
-    acsa_gamma: float = 1.0,
 ) -> TrajectoryRecord:
-    """Run K steps of one algorithm and log every per-step quantity.
+    """Run K steps of one algorithm from x_0 = x_1 = (1, ..., 1) and log
+    every per-step quantity.
 
     Fully deterministic given the seed (an int, SeedSequence, or Generator).
     ``"sgdm"`` and ``"sgd"`` run as the one column of a :func:`run_ensemble`
@@ -247,20 +244,21 @@ def run_trajectory(
         raise ValueError(f"unknown algorithm {algorithm!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if algorithm == "acsa":
-        return _run_acsa(obj, noise, schedule, K, rng, x0, acsa_gamma)
+        return _run_acsa(obj, noise, schedule, K, rng)
     trace = run_ensemble(obj, noise, schedule, K, M=1, master_seed=None, algorithm=algorithm,
-                         x0=x0, record=PATH_FIELDS, sgd_scale=sgd_scale, rngs=[rng])
+                         record=PATH_FIELDS, sgd_scale=sgd_scale, rngs=[rng])
     return TrajectoryRecord.from_trace(obj, trace)
 
 
 def _run_acsa(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: int,
-              rng: np.random.Generator, x0: np.ndarray | None, gamma: float) -> TrajectoryRecord:
-    """K steps of ACSA, in a loop of its own because its oracle is queried
-    at y_k, not at the iterate x_k; ``g`` logs the realized query."""
+              rng: np.random.Generator) -> TrajectoryRecord:
+    """K steps of ACSA with gamma = 1, in a loop of its own because its
+    oracle is queried at y_k, not at the iterate x_k; ``g`` logs the
+    realized query."""
     x = np.empty((K + 2, obj.dim))
     g_arr, grad_arr = np.empty((2, K, obj.dim))
-    x[0] = x[1] = np.ones(obj.dim) if x0 is None else x0
-    state = AcsaState.initial(x[1], gamma, obj.lipschitz)
+    x[0] = x[1] = np.ones(obj.dim)
+    state = AcsaState.initial(x[1], 1.0, obj.lipschitz)
     for k in range(1, K + 1):
         if not np.all(np.isfinite(x[k])):
             raise FloatingPointError(f"iterate became non-finite at step k={k}")

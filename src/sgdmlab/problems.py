@@ -298,19 +298,17 @@ def fstar_refine(
     )
 
 
-def synthetic_blobs(
-    n_samples: int, dim: int, seed: int, separation: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
+def synthetic_blobs(n_samples: int, dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded two-class Gaussian-blob dataset with labels in {0, 1}.
 
-    Class means sit at +-separation/2 along a random unit direction, keeping
-    the classes overlapping so the logistic optimum stays finite.
+    Class means sit at +-1/2 along a random unit direction, keeping the
+    classes overlapping so the logistic optimum stays finite.
     """
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(dim)
     u /= np.linalg.norm(u)
     y = (rng.random(n_samples) < 0.5).astype(float)
-    X = rng.standard_normal((n_samples, dim)) + np.outer(2.0 * y - 1.0, 0.5 * separation * u)
+    X = rng.standard_normal((n_samples, dim)) + np.outer(2.0 * y - 1.0, 0.5 * u)
     return X, y
 
 

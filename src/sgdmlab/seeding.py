@@ -32,7 +32,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-_FAST_STOP = 2**32  # run indices below this are one spawn-key word
 
 
 def _hash(value, h: int, mult: int):
@@ -72,20 +71,19 @@ class _SeedState(ISeedSequence):
         return self._state
 
 
-def rngs_for(master_seed: int, n: int, start: int = 0) -> list[np.random.Generator]:
-    """Generators for runs ``start .. start+n-1``, each with the same state as
+def rngs_for(master_seed: int, n: int) -> list[np.random.Generator]:
+    """Generators for runs ``0 .. n-1``, each with the same state as
     ``rng_for(master_seed, i)``, seeded in one vectorized pass.
 
     ``SeedSequence(entropy=master_seed, spawn_key=(i,))`` hashes the
     master-seed words (zero-padded to the pool size) and then the one-word
     spawn key i into a pool of four words, and PCG64 takes four uint64 words
     generated from that pool. Only the last of these steps depends on i, so
-    it runs in uint32 array arithmetic over all runs at once. Run indices of
-    2**32 and above (two spawn-key words) go through :func:`rng_for`.
+    it runs in uint32 array arithmetic over all runs at once (each run
+    index, below 2**32, is one spawn-key word).
     """
-    if master_seed < 0 or start < 0 or n < 0:
-        raise ValueError("master_seed, n and start must be non-negative")
-    stop = start + n
+    if master_seed < 0 or n < 0:
+        raise ValueError("master_seed and n must be non-negative")
     entropy = _words(int(master_seed))
     entropy += [0] * (_POOL_SIZE - len(entropy))
     h = _INIT_A
@@ -98,8 +96,7 @@ def rngs_for(master_seed: int, n: int, start: int = 0) -> list[np.random.Generat
             if src != dst:
                 value, h = _hash(pool[src], h, _MULT_A)
                 pool[dst] = _mix(pool[dst], value)
-    keys = np.arange(min(start, _FAST_STOP), min(stop, _FAST_STOP), dtype=np.int64)
-    keys = keys.astype(np.uint32)
+    keys = np.arange(n, dtype=np.uint32)
     for word in entropy[_POOL_SIZE:] + [keys]:
         for dst in range(_POOL_SIZE):
             value, h = _hash(word, h, _MULT_A)
@@ -111,5 +108,4 @@ def rngs_for(master_seed: int, n: int, start: int = 0) -> list[np.random.Generat
         words.append(value)
     # uint32 pairs read as little-endian uint64, as generate_state does
     state = np.stack(words, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
-    rngs = [np.random.Generator(np.random.PCG64(_SeedState(row))) for row in state]
-    return rngs + [rng_for(master_seed, i) for i in range(max(start, _FAST_STOP), stop)]
+    return [np.random.Generator(np.random.PCG64(_SeedState(row))) for row in state]

@@ -100,25 +100,24 @@ def expectation_rate_check(
     K: int,
     M: int,
     master_seed: int,
-    x0: np.ndarray | None = None,
     c: float = 0.25,
-    n_sigma: float = 3.0,
 ) -> dict:
-    """Compare the ensemble-mean suboptimality against the in-expectation
-    rate at logarithmically spaced checkpoints. The stepsize is the one the
+    """Compare the ensemble-mean suboptimality of runs from
+    x_0 = x_1 = (1, ..., 1) against the in-expectation rate at
+    logarithmically spaced checkpoints; a checkpoint passes when the mean
+    is within 3 standard errors of the bound. The stepsize is the one the
     rate is proved for: eta_k = c / (L^2 log^2(k+2)) with c = 1/4, and the
     noise budget sigma^2 is the raw second moment E||xi||^2."""
     if M < 2:
         raise ValueError("M must be >= 2: a standard error needs at least two runs")
-    x0 = np.ones(obj.dim) if x0 is None else np.asarray(x0, dtype=float)
     sched = StepSchedule(kind="expectation_log2", L=obj.lipschitz, scale=c)
     tr = run_ensemble(obj, noise, sched, K=K, M=M, master_seed=master_seed,
-                      x0=x0, record=("f_gap",))
+                      record=("f_gap",))
     checkpoints = log_spaced_checkpoints(K)
-    mean = np.mean(tr.f_gap[checkpoints], axis=1)
-    se = np.std(tr.f_gap[checkpoints], axis=1, ddof=1) / np.sqrt(M)
-    bound = expectation_rate_bound(obj, noise.sigma2, x0, checkpoints)
-    ok = mean <= bound + n_sigma * se
+    summary = ensemble_summary(tr.f_gap)
+    mean, se = summary["mean"][checkpoints], summary["stderr"][checkpoints]
+    bound = expectation_rate_bound(obj, noise.sigma2, np.ones(obj.dim), checkpoints)
+    ok = mean <= bound + 3.0 * se
     return {
         "checkpoints": checkpoints,
         "mean": mean,
@@ -126,26 +125,21 @@ def expectation_rate_check(
         "bound": bound,
         "passed": bool(np.all(ok)),
         "first_failure_k": int(checkpoints[np.argmin(ok)]) if not np.all(ok) else None,
-        "summary": ensemble_summary(tr.f_gap),
+        "summary": summary,
     }
 
 
-def subsequence_rate_check(
-    obj: Objective,
-    K: int,
-    x0: np.ndarray | None = None,
-    schedule: StepSchedule | None = None,
-    checkpoints=(100,),
-) -> dict:
+def subsequence_rate_check(obj: Objective, K: int, checkpoints=(100,)) -> dict:
     """Noiseless decay of the weighted running minimum
 
         m(K) = min_{k <= K} sqrt(k) log(log(k+2)) (f(x_k) - f*),
 
-    which the theory sends to zero along a subsequence. Reports m at the
-    requested checkpoints and at K so callers can verify strict decrease."""
-    if schedule is None:
-        schedule = StepSchedule(kind="expectation_log2", L=obj.lipschitz, scale=0.25)
-    tr = run_ensemble(obj, NoiseModel.noiseless(obj.dim), schedule, K, 1, 0, x0=x0)
+    which the theory sends to zero along a subsequence, for the run from
+    x_0 = x_1 = (1, ..., 1) with eta_k = 1 / (4 L^2 log^2(k+2)). Reports m
+    at the requested checkpoints and at K so callers can verify strict
+    decrease."""
+    schedule = StepSchedule(kind="expectation_log2", L=obj.lipschitz, scale=0.25)
+    tr = run_ensemble(obj, NoiseModel.noiseless(obj.dim), schedule, K, 1, 0)
     ks = np.arange(1, K + 1, dtype=float)
     weighted = np.sqrt(ks) * np.log(np.log(ks + 2.0)) * tr.f_gap[1:, 0]
     running_min = np.minimum.accumulate(weighted)
@@ -171,7 +165,7 @@ def _increment_variances(f_gap: np.ndarray, start: int | None = None) -> np.ndar
 
 
 def _late_gaps(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: int,
-               M: int, master_seed: int, x0: np.ndarray | None = None, **kw) -> np.ndarray:
+               M: int, master_seed: int, **kw) -> np.ndarray:
     """f(x_k) - f* of M runs at k = _quarter_start(K) .. K, shape
     (K - start + 1, M), for K >= 3. Steps before the quarter call the
     gradient alone, and the quarter continues them on the same generators,
@@ -180,7 +174,7 @@ def _late_gaps(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: int
     start = _quarter_start(K)
     rngs = rngs_for(master_seed, M)
     head = run_ensemble(obj, noise, schedule, K=start - 1, M=M, master_seed=master_seed,
-                        x0=x0, record=(), rngs=rngs, **kw)
+                        record=(), rngs=rngs, **kw)
     tail = run_ensemble(obj, noise, schedule, K=K - start + 1, M=M, master_seed=master_seed,
                         k_start=start, x0=head.x_cur_final, x_prev0=head.x_prev_final,
                         record=("f_gap",), rngs=rngs, **kw)
@@ -193,16 +187,16 @@ def smoothness_comparison(
     K: int,
     M: int,
     master_seed: int,
-    x0: np.ndarray | None = None,
     schedule: StepSchedule | None = None,
     sgd_scale: float = 1.0,
 ) -> dict:
     """Compare late-horizon trajectory roughness of the momentum method
-    against plain SGD with stepsize sgd_scale / sqrt(k), under the same
-    noise. Roughness is the per-run variance of successive suboptimality
-    increments over the last quarter of iterations; medians across runs are
-    compared. Also reports the ratio of effective per-step noise multipliers
-    at k = K as a deterministic cross-check of why the gap appears.
+    against plain SGD with stepsize sgd_scale / sqrt(k), both from
+    x_0 = x_1 = (1, ..., 1) and under the same noise. Roughness is the
+    per-run variance of successive suboptimality increments over the last
+    quarter of iterations; medians across runs are compared. Also reports
+    the ratio of effective per-step noise multipliers at k = K as a
+    deterministic cross-check of why the gap appears.
 
     Only the last quarter's gaps are evaluated: each ensemble runs its
     earlier steps on gradients alone and continues them, on the same
@@ -215,13 +209,12 @@ def smoothness_comparison(
     if noise.sigma2 == 0.0:
         return {"skipped": True,
                 "reason": "noiseless runs have zero increment variance for both methods"}
-    x0 = np.ones(obj.dim) if x0 is None else np.asarray(x0, dtype=float)
     if schedule is None:
         schedule = StepSchedule(kind="expectation_log2", L=obj.lipschitz, scale=0.25)
     var_m = _increment_variances(
-        _late_gaps(obj, noise, schedule, K, M, master_seed, x0=x0, algorithm="sgdm"), 0)
+        _late_gaps(obj, noise, schedule, K, M, master_seed, algorithm="sgdm"), 0)
     var_s = _increment_variances(
-        _late_gaps(obj, noise, schedule, K, M, master_seed + 1, x0=x0, algorithm="sgd",
+        _late_gaps(obj, noise, schedule, K, M, master_seed + 1, algorithm="sgd",
                    sgd_scale=sgd_scale), 0)
     med_m, med_s = float(np.median(var_m)), float(np.median(var_s))
     mult_ratio = float(sgdm_noise_multiplier(schedule, K) / (sgd_scale / np.sqrt(K)))

@@ -1,6 +1,8 @@
 """Reference oracles for the tests: the momentum and SGD recursions written
 out one step and one run at a time, independent of the batched kernel in
-:func:`sgdmlab.optimizers.run_ensemble` that they check.
+:func:`sgdmlab.optimizers.run_ensemble` that they check, and the discrete
+Lyapunov energy and descent bound of one step, term by term, for the
+vectorized forms in :mod:`sgdmlab.lyapunov`.
 """
 
 import math
@@ -77,6 +79,41 @@ def sample_gradient(obj, noise, x: np.ndarray, rng: np.random.Generator) -> np.n
     if not np.all(np.isfinite(x)):
         raise ValueError("query point must be finite")
     return obj.grad(x) + noise.sample(rng)
+
+
+def discrete_energy(x_next, x_k, k: int, eta_k: float, f_gap_k: float, xstar) -> float:
+    """E(k) = ||x_{k+1} + (k+1)(x_{k+1} - x_k) - x*||^2 + 4 sqrt((k+1) eta_k) f_gap_k
+    of one step; ``x_next`` is x_{k+1} and ``f_gap_k`` = f(x_k) - f*."""
+    if eta_k <= 0:
+        raise ValueError("eta_k must be positive")
+    if f_gap_k < -1e-12:
+        raise ValueError(
+            f"f_gap {f_gap_k:.3e} below the -1e-12 numerical floor; "
+            "the reference optimum (f*, x*) is inconsistent"
+        )
+    v = x_next + (k + 1.0) * (x_next - x_k) - xstar
+    return float(v @ v + 4.0 * np.sqrt((k + 1.0) * eta_k) * f_gap_k)
+
+
+def descent_rhs(x_k, x_prev, g_k, grad_k, f_gap_k: float, k: int, eta_k: float, L: float,
+                xstar) -> float:
+    """Upper bound on E(k) - E(k-1) for one realized momentum step:
+
+        (4 eta_k / k) ||g_k||^2 - (2/L) sqrt(eta_k/k) ||grad_k||^2
+        - 2 sqrt(eta_k/k) f_gap_k + 4 sqrt(eta_k/k) <grad_k - g_k, tau_k>
+
+    with tau_k = k (x_k - x_{k-1}) + (x_k - x*).
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    r = np.sqrt(eta_k / k)
+    tau = k * (x_k - x_prev) + (x_k - xstar)
+    return float(
+        (4.0 * eta_k / k) * (g_k @ g_k)
+        - (2.0 / L) * r * (grad_k @ grad_k)
+        - 2.0 * r * f_gap_k
+        + 4.0 * r * ((grad_k - g_k) @ tau)
+    )
 
 
 def reference_ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm",

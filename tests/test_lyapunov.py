@@ -3,33 +3,41 @@ import math
 import numpy as np
 import pytest
 
+from sgdmlab.continuous import OdeParams, ode_integrate
 from sgdmlab.lyapunov import (
     DescentReport,
     check_descent,
     continuous_energy,
-    descent_rhs,
     descent_rhs_along,
-    discrete_energy,
     energy_along,
 )
 from sgdmlab.optimizers import StepSchedule, run_ensemble, run_trajectory, schedule_eval
 from sgdmlab.problems import NoiseModel, quadratic_new
 from sgdmlab.seeding import seed_split
 
+from reference import descent_rhs, discrete_energy
 from test_problems import random_spd
 
 
 class TestDiscreteEnergy:
+    """The term-by-term oracle in tests/reference.py, and energy_along on
+    the same hand-made steps."""
+
     def test_hand_computed_value(self):
         # k=2, x3=[0.5], x2=[0.7], eta=0.04, f_gap=0.3, x*=[0]:
         # v = 0.5 + 3*(0.5-0.7) = -0.1; E = 0.01 + 4*sqrt(3*0.04)*0.3
+        expect = 0.01 + 1.2 * math.sqrt(0.12)
         val = discrete_energy(np.array([0.5]), np.array([0.7]), 2, 0.04, 0.3,
                               np.array([0.0]))
-        assert val == pytest.approx(0.01 + 1.2 * math.sqrt(0.12), rel=1e-14)
+        assert val == pytest.approx(expect, rel=1e-14)
+        vec = energy_along(np.array([[0.7], [0.5]]), np.array([0.04]), np.array([0.3]),
+                           np.array([0.0]), k0=2)
+        assert vec[0] == pytest.approx(expect, rel=1e-14)
 
     def test_zero_at_optimum(self):
         xs = np.array([1.0, -2.0])
         assert discrete_energy(xs, xs, 5, 0.1, 0.0, xs) == 0.0
+        assert energy_along(np.stack([xs, xs]), np.array([0.1]), np.zeros(1), xs, k0=5)[0] == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="eta"):
@@ -67,9 +75,32 @@ class TestContinuousEnergy:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             continuous_energy(np.zeros(1), np.zeros(1), 0.0, 1.0, 1.5, 0.0, np.zeros(1))
+        with pytest.raises(ValueError):  # one grid time of several
+            continuous_energy(np.zeros((2, 1)), np.zeros((2, 1)), np.array([1.0, 0.0]),
+                              1.0, 1.5, np.zeros(2), np.zeros(1))
+
+    @pytest.mark.parametrize("p, alpha", [(1.0, 1.5), (2.0, 1.0)])
+    def test_is_the_energy_of_a_batched_ode_solution(self, p, alpha):
+        """ode_integrate takes its energy from continuous_energy, bit for bit,
+        and each grid point agrees with the formula written out for it."""
+        obj = quadratic_new(random_spd(3, 2))
+        params = OdeParams(p=p, alpha=alpha, T0=1.0, T=1.5, dt=1e-2)
+        X0 = np.stack([np.ones(3), -0.5 * np.ones(3)])
+        sol = ode_integrate(obj, params, X0, np.zeros((2, 3)))
+        t_col = sol.t[:, None]
+        got = continuous_energy(sol.X, sol.V, t_col, p, alpha, obj.f_gap(sol.X), obj.xstar)
+        np.testing.assert_array_equal(got, sol.energy)
+        for i, b in ((0, 0), (20, 1), (50, 0)):
+            w = p * sol.X[i, b] + sol.t[i] * sol.V[i, b] - p * obj.xstar
+            expect = float(w @ w) + 2.0 * (p + 1.0) * sol.t[i] ** (2.0 - alpha) * float(
+                obj.f_gap(sol.X[i, b]))
+            assert got[i, b] == pytest.approx(expect, rel=1e-12)
 
 
 class TestDescentRhs:
+    """The term-by-term oracle in tests/reference.py, and descent_rhs_along
+    against it."""
+
     def test_coordinatewise_oracle(self):
         """Re-derive the bound term by term with plain Python floats."""
         rng = np.random.default_rng(0)

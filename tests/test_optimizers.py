@@ -19,12 +19,12 @@ from sgdmlab.optimizers import (
     schedule_eval,
     sgdm_noise_multiplier,
 )
-from sgdmlab.lyapunov import descent_rhs
 from sgdmlab.problems import NoiseModel, logreg_new, quadratic_new, synthetic_blobs
 from sgdmlab.seeding import rng_for, rngs_for, seed_split
 
 from reference import (
     SgdmState,
+    descent_rhs,
     first_nonfinite_step,
     reference_ensemble,
     sgd_step,
@@ -214,10 +214,15 @@ class TestRunTrajectory:
         np.testing.assert_allclose(rec.theta, rec.grad - rec.g)
         np.testing.assert_allclose(rec.f_gap, obj.f_gap(rec.x[:31]))
         np.testing.assert_allclose(rec.eta, schedule_eval(sched, np.arange(31)))
-        # tau_k = k (x_k - x_{k-1}) + (x_k - x*)
+        # the noise term of descent_rhs is 4 sqrt(eta_k/k) <theta_k, tau_k>
+        # with tau_k = k (x_k - x_{k-1}) + (x_k - x*)
         for k in (1, 10, 30):
-            expect = k * (rec.x[k] - rec.x[k - 1]) + (rec.x[k] - obj.xstar)
-            np.testing.assert_allclose(rec.tau[k - 1], expect)
+            tau = k * (rec.x[k] - rec.x[k - 1]) + (rec.x[k] - obj.xstar)
+            r = math.sqrt(rec.eta[k] / k)
+            expect = (4.0 * rec.eta[k] / k * (rec.g[k - 1] @ rec.g[k - 1])
+                      - 2.0 / obj.lipschitz * r * (rec.grad[k - 1] @ rec.grad[k - 1])
+                      - 2.0 * r * rec.f_gap[k] + 4.0 * r * (rec.theta[k - 1] @ tau))
+            np.testing.assert_allclose(rec.descent_rhs[k - 1], expect)
 
     def test_divergent_run_aborts_with_diagnostic(self):
         # the engine's message, with no NumPy warning raised before it
@@ -379,11 +384,11 @@ class TestRunEnsemble:
                            obj.lipschitz, obj.xstar) for k in range(1, 31)]
         tau = [k * (x[k] - x[k - 1]) + (x[k] - obj.xstar) for k in range(1, 31)]
         want = {"energy": energy, "descent_lhs": np.diff(energy), "descent_rhs": rhs,
-                "theta": grad - g, "tau": tau}
-        for name in ("energy", "descent_lhs", "descent_rhs", "theta", "tau"):
+                "theta": grad - g}
+        for name in ("energy", "descent_lhs", "descent_rhs", "theta"):
             np.testing.assert_allclose(getattr(col, name), want[name],
                                        rtol=1e-9, atol=1e-12, err_msg=name)
-        np.testing.assert_allclose(np.sum(col.theta * col.tau, axis=1),
+        np.testing.assert_allclose(np.sum(col.theta * np.array(tau), axis=1),
                                    ref["theta_tau"][:, 0], rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("problem", ["quadratic", "logreg"])

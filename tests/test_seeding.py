@@ -30,23 +30,13 @@ def test_batched_generators_equal_numpy_seeding(master_seed):
     assert_same_streams(rngs_for(master_seed, n), master_seed, range(n))
 
 
-@pytest.mark.parametrize("master_seed", MASTER_SEEDS)
-def test_run_indices_across_two_to_the_32(master_seed):
-    # the last two one-word spawn keys, then two-word keys on the fallback path
-    start = 2**32 - 2
-    assert_same_streams(rngs_for(master_seed, 4, start=start), master_seed,
-                        range(start, start + 4))
-    assert_same_streams(rngs_for(master_seed, 2, start=2**40), master_seed,
-                        [2**40, 2**40 + 1])
-
-
 def test_offset_start_and_empty_batch():
-    assert_same_streams(rngs_for(9, 3, start=123_456), 9, range(123_456, 123_459))
+    # runs always start at index 0; an empty batch builds no generator
     assert rngs_for(9, 0) == []
 
 
 def test_negative_inputs_rejected():
-    for args in ((-1, 3), (0, -1), (0, 3, -1)):
+    for args in ((-1, 3), (0, -1)):
         with pytest.raises(ValueError):
             rngs_for(*args)
 
