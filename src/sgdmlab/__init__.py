@@ -26,11 +26,9 @@ from .continuous import (
 )
 from .lyapunov import DescentReport, check_descent, continuous_energy
 from .optimizers import (
-    AcsaState,
     EnsembleTrace,
     StepSchedule,
     TrajectoryRecord,
-    acsa_step,
     run_ensemble,
     run_trajectory,
     schedule_eval,

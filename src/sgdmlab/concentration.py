@@ -388,8 +388,14 @@ def mgf_lemma_check(
         E exp(lambda Gamma / (||w|| sigma)) <= exp(3 lambda^2 / 4).
 
     Returns one row per lambda with the Monte-Carlo mean, its standard
-    error, and the asserted ceiling.
+    error, and the asserted ceiling. A standard error needs
+    ``n_samples >= 2``, and an empty ``lambdas`` would check nothing; both
+    raise ``ValueError``.
     """
+    if len(lambdas) == 0:
+        raise ValueError("the MGF check needs at least one lambda")
+    if n_samples < 2:
+        raise ValueError("the MGF check needs n_samples >= 2 to estimate a standard error")
     noise = NoiseModel.gaussian(5, 1.0)
     sigma = np.sqrt(noise.hp_sigma2)
     rng = rng_for(seed, 0)
@@ -432,8 +438,13 @@ def tail_lemma_check(
 
         Pr( sum c_l Phi_l^2 >= (1 + Omega) sum c_l sigma_l^2 ) <= exp(-Omega).
 
-    Uses Gaussian Phi_l with heterogeneous scales and weights c_l = 1/l.
+    Uses Gaussian Phi_l with heterogeneous scales and weights c_l = 1/l. An
+    empty ``omegas`` or ``n_samples < 1`` raises ``ValueError``.
     """
+    if len(omegas) == 0:
+        raise ValueError("the tail check needs at least one omega")
+    if n_samples < 1:
+        raise ValueError("the tail check needs n_samples >= 1")
     rng = rng_for(seed, 0)
     ls = np.arange(1, n_terms + 1, dtype=float)
     c = 1.0 / ls

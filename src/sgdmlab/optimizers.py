@@ -1,13 +1,19 @@
 """Discrete algorithms: momentum SGD, plain SGD, and the three-sequence
-accelerated stochastic-approximation method, plus step-size schedules and
-trajectory runners.
+accelerated stochastic-approximation method (ACSA), plus step-size
+schedules and trajectory runners.
 
 The momentum recursion is
 
     x_{k+1} = x_k + k/(k+2) (x_k - x_{k-1}) - 2 sqrt(eta_k) / ((k+2) sqrt(k)) g_k
 
-with initialization x_0 = x_1. :func:`run_ensemble` is the only code that
-steps it (and plain SGD); :func:`run_trajectory` is one column of it.
+with initialization x_0 = x_1; plain SGD is x_{k+1} = x_k - (c / sqrt(k)) g_k.
+ACSA queries its oracle at y_k = (1 - alpha_k) x_k + alpha_k z_k and steps
+
+    z_{k+1} = z_k - gamma_k g_k,  x_{k+1} = (1 - alpha_k) x_k + alpha_k z_{k+1}
+
+with z_1 = x_1, alpha_k = 2/(k+1) and gamma_k = 1/(2L/k + sqrt(k)).
+:func:`run_ensemble` is the only code that steps any of the three;
+:func:`run_trajectory` is one column of it.
 """
 
 from __future__ import annotations
@@ -25,10 +31,8 @@ from .seeding import rng_for, rngs_for  # noqa: F401 (perfbench's tracer patches
 
 __all__ = [
     "StepSchedule",
-    "AcsaState",
     "TrajectoryRecord",
     "schedule_eval",
-    "acsa_step",
     "run_trajectory",
     "EnsembleTrace",
     "run_ensemble",
@@ -96,51 +100,6 @@ def schedule_eval(s: StepSchedule, k) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-@dataclass
-class AcsaState:
-    """Three-sequence accelerated stochastic approximation state."""
-
-    x: np.ndarray
-    z: np.ndarray
-    gamma_scale: float
-    L: float
-    k: int = 1
-    simplified_gamma: bool = False  # drop the 2L/k term (large-k form)
-
-    @staticmethod
-    def initial(
-        x0: np.ndarray, gamma_scale: float, L: float, simplified_gamma: bool = False
-    ) -> "AcsaState":
-        x0 = np.asarray(x0, dtype=float)
-        return AcsaState(
-            x=x0.copy(), z=x0.copy(), gamma_scale=gamma_scale, L=L,
-            k=1, simplified_gamma=simplified_gamma,
-        )
-
-
-def acsa_step(state: AcsaState, grad_oracle: Callable[[np.ndarray], np.ndarray]) -> AcsaState:
-    """One step of the (y, z, x) scheme with alpha_k = 2/(k+1) and
-    1/gamma_k = 2L/k + gamma sqrt(k) (full form; simplified_gamma uses
-    gamma_k = 1/(gamma sqrt(k)) instead)."""
-    k = state.k
-    if k < 1:
-        raise ValueError("iteration index must be >= 1")
-    if state.gamma_scale <= 0:
-        raise ValueError("gamma_scale must be positive")
-    alpha = 2.0 / (k + 1.0)
-    if state.simplified_gamma:
-        gamma_k = 1.0 / (state.gamma_scale * np.sqrt(k))
-    else:
-        gamma_k = 1.0 / (2.0 * state.L / k + state.gamma_scale * np.sqrt(k))
-    y = (1.0 - alpha) * state.x + alpha * state.z
-    z_new = state.z - gamma_k * np.asarray(grad_oracle(y), dtype=float)
-    x_new = (1.0 - alpha) * state.x + alpha * z_new
-    return AcsaState(
-        x=x_new, z=z_new, gamma_scale=state.gamma_scale, L=state.L,
-        k=k + 1, simplified_gamma=state.simplified_gamma,
-    )
-
-
 # The trace fields a TrajectoryRecord is derived from (see from_trace).
 PATH_FIELDS = ("x", "g", "grad", "f_gap")
 
@@ -152,7 +111,9 @@ class TrajectoryRecord:
     Index conventions: ``x`` holds x_0 .. x_{K+1}; arrays of length K+1
     (``f_gap``, ``eta``, ``energy``) are indexed by k = 0..K; arrays of
     length K (``g``, ``grad``, ``theta``, ``descent_lhs``,
-    ``descent_rhs``) correspond to steps k = 1..K.
+    ``descent_rhs``) correspond to steps k = 1..K. ``g`` is the realized
+    gradient the step took and ``grad`` the exact gradient at the same query
+    point: x_k for momentum SGD and SGD, y_k for ACSA.
     """
 
     algorithm: str
@@ -234,49 +195,14 @@ def run_trajectory(
     """Run K steps of one algorithm from x_0 = x_1 = (1, ..., 1) and log
     every per-step quantity.
 
-    Fully deterministic given the seed (an int, SeedSequence, or Generator).
-    ``"sgdm"`` and ``"sgd"`` run as the one column of a :func:`run_ensemble`
-    call on that seed's generator, and diverge with its ``FloatingPointError``.
+    Fully deterministic given the seed (an int, SeedSequence, or Generator):
+    the run is the one column of a :func:`run_ensemble` call on that seed's
+    generator, and diverges with its ``FloatingPointError``.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if algorithm not in ("sgdm", "sgd", "acsa"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if algorithm == "acsa":
-        return _run_acsa(obj, noise, schedule, K, rng)
     trace = run_ensemble(obj, noise, schedule, K, M=1, master_seed=None, algorithm=algorithm,
                          record=PATH_FIELDS, sgd_scale=sgd_scale, rngs=[rng])
     return TrajectoryRecord.from_trace(obj, trace)
-
-
-def _run_acsa(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: int,
-              rng: np.random.Generator) -> TrajectoryRecord:
-    """K steps of ACSA with gamma = 1, in a loop of its own because its
-    oracle is queried at y_k, not at the iterate x_k; ``g`` logs the
-    realized query."""
-    x = np.empty((K + 2, obj.dim))
-    g_arr, grad_arr = np.empty((2, K, obj.dim))
-    x[0] = x[1] = np.ones(obj.dim)
-    state = AcsaState.initial(x[1], 1.0, obj.lipschitz)
-    for k in range(1, K + 1):
-        if not np.all(np.isfinite(x[k])):
-            raise FloatingPointError(f"iterate became non-finite at step k={k}")
-        grad_arr[k - 1] = obj.grad(x[k])
-
-        def oracle(y, _k=k):
-            gq = obj.grad(y) + noise.sample(rng)
-            g_arr[_k - 1] = gq
-            return gq
-
-        state = acsa_step(state, oracle)
-        x[k + 1] = state.x
-    if not np.all(np.isfinite(x)):
-        raise FloatingPointError("iterate became non-finite at the final step")
-
-    eta = np.asarray(schedule_eval(schedule, np.arange(0, K + 1)), dtype=float)
-    return TrajectoryRecord.from_path(obj, "acsa", schedule, x, g_arr, grad_arr,
-                                      obj.f_gap(x[: K + 1]), eta)
 
 
 @dataclass
@@ -322,14 +248,16 @@ def run_ensemble(
     chunk: int = 512,
     rngs: list[np.random.Generator] | None = None,
 ) -> EnsembleTrace:
-    """Run M independent trajectories simultaneously, vectorized across runs.
+    """Run M independent trajectories of ``algorithm`` (``"sgdm"``,
+    ``"sgd"`` or ``"acsa"``) simultaneously, vectorized across runs.
 
     Each run i draws its noise from the generator seeded by
     (master_seed, i) (all built in one pass by :func:`rngs_for`, and none
     for a noiseless ensemble), in the same stream order as a single-run loop, so the realized randomness
     matches run-at-a-time execution regardless of batching.
     ``k_start``/``x_prev0`` allow warm-started segments (steps
-    k = k_start .. k_start+K-1), used by the continuous-limit comparisons.
+    k = k_start .. k_start+K-1), used by the continuous-limit comparisons;
+    ACSA has no z_k to carry across segments, so it runs from k = 1 only.
     ``rngs``, a list of M generators, replaces ``rngs_for(master_seed, M)``
     and is drawn from in place: a segment that starts at the step after the
     previous segment's last one (``k_start``), from its ``x_prev_final`` and
@@ -338,9 +266,11 @@ def run_ensemble(
 
     ``record`` selects the fields to keep: ``"f_gap"``, ``"energy"``,
     ``"theta"``, and the full path ``"x"``, ``"g"``, ``"grad"`` (runs that
-    start at k = 1 only). Each step calls the gradient alone, or the fused
-    :meth:`Objective.gap_and_grad` when the objective has a
-    ``value_and_grad`` and ``f_gap`` is recorded. Steps run in
+    start at k = 1 only). ``g`` and ``grad`` are the realized and exact
+    gradients at the step's query point: x_k, or y_k for ACSA. Each step
+    calls the gradient alone, or the fused :meth:`Objective.gap_and_grad`
+    when the objective has a ``value_and_grad``, ``f_gap`` is recorded and
+    the query point is x_k (not for ACSA). Steps run in
     short segments whose iterates are kept (in ``x`` when the path is
     recorded); after each segment ``f_gap`` and ``energy`` are evaluated on
     all of its iterates at once.
@@ -359,8 +289,11 @@ def run_ensemble(
 
     if K < 1 or M < 1:
         raise ValueError("K and M must be >= 1")
-    if algorithm not in ("sgdm", "sgd"):
-        raise ValueError("ensemble runner supports sgdm and sgd only")
+    if algorithm not in ("sgdm", "sgd", "acsa"):
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    acsa = algorithm == "acsa"
+    if acsa and (k_start != 1 or x_prev0 is not None):
+        raise ValueError("acsa runs start at k_start = 1 with x_0 = x_1 (no x_prev0)")
     record = set(record)
     if k_start != 1 and record & {"x", "g", "grad"}:
         raise ValueError("full-path recording needs k_start = 1")
@@ -376,7 +309,7 @@ def run_ensemble(
     trace = EnsembleTrace(K=K, M=M, eta=eta, algorithm=algorithm,
                           schedule=schedule, fstar=obj.fstar)
     evaluated = bool(record & {"f_gap", "energy"})
-    fused = "f_gap" in record and obj.value_and_grad is not None
+    fused = "f_gap" in record and obj.value_and_grad is not None and not acsa
     # steps per segment: a block of iterates that f_gap or energy is
     # evaluated on at once, else a few whose rows only carry the recursion
     size = _BLOCK_ELEMENTS if "energy" in record or (evaluated and not fused) else _CARRY_ELEMENTS
@@ -401,11 +334,15 @@ def run_ensemble(
         trace.theta_sq = np.empty((K, M))
         trace.theta_tau = np.empty((K, M))
 
-    # per-step coefficients, indexed by s = k - k_start (eta[s + 1] = eta_k)
+    # per-step coefficients, indexed by s = k - k_start (eta[s + 1] = eta_k);
+    # for ACSA ``momentum`` is alpha_k and ``gain`` gamma_k
     sgdm = algorithm == "sgdm"
     k_steps = ks[1:].astype(float)
     if sgdm:
         momentum, gain = (c.tolist() for c in _sgdm_coefficients(eta[1:], k_steps))
+    elif acsa:
+        momentum = (2.0 / (k_steps + 1.0)).tolist()
+        gain = (1.0 / (2.0 * obj.lipschitz / k_steps + np.sqrt(k_steps))).tolist()
     else:
         momentum, gain = None, (sgd_scale / np.sqrt(k_steps)).tolist()
 
@@ -415,6 +352,8 @@ def run_ensemble(
         f_gap[0] = obj.f_gap(path[0])
     dx = np.empty((M, d))  # x_k - x_{k-1}, then the momentum point
     g_buf = np.empty((M, d))  # the realized gradient, then the step taken along it
+    if acsa:  # z_k, and the query point y_k, then alpha_k z_{k+1}
+        z, y = path[1].copy(), np.empty((M, d))
 
     def advance(xw, first, n, xi):
         """Take steps s = first .. first+n-1 (k = k_start + s) with noise
@@ -426,6 +365,9 @@ def run_ensemble(
             k = k_start + s
             if fused:
                 f_gap[s + 1], grad = obj.gap_and_grad(x_cur)
+            elif acsa:  # y_k = (1 - alpha_k) x_k + alpha_k z_k
+                np.multiply(x_cur, 1.0 - momentum[s], out=y)
+                grad = obj.grad(np.add(y, np.multiply(z, momentum[s], out=dx), out=y))
             else:
                 grad = obj.grad(x_cur)
             g = grad if xi is None else np.add(grad, xi[j], out=g_buf)
@@ -444,6 +386,10 @@ def run_ensemble(
                 np.multiply(dx, momentum[s], out=dx)
                 np.add(x_cur, dx, out=dx)
                 x_next = np.subtract(dx, g_buf, out=xw[j + 2])
+            elif acsa:  # x_{k+1} = (1 - alpha_k) x_k + alpha_k z_{k+1}
+                np.subtract(z, g_buf, out=z)
+                np.multiply(x_cur, 1.0 - momentum[s], out=xw[j + 2])
+                x_next = np.add(xw[j + 2], np.multiply(z, momentum[s], out=y), out=xw[j + 2])
             else:
                 x_next = np.subtract(x_cur, g_buf, out=xw[j + 2])
             x_prev, x_cur = x_cur, x_next

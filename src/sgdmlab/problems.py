@@ -83,18 +83,24 @@ class NoiseModel:
     def gaussian(dim: int, per_coord_var: float) -> "NoiseModel":
         """Isotropic Gaussian noise N(0, s^2 I) with s^2 = per_coord_var.
 
-        The sub-Gaussian scale is set conservatively to
-        ``2 * dim * s^2 / (1 - exp(-2/dim))``, which makes the exponential
-        moment E[exp(||xi||^2 / hp_sigma2)] = (1 - 2 s^2/hp_sigma2)^(-dim/2)
-        at most e with ample margin.
+        The sub-Gaussian scale is ``2 * dim * s^2 / (1 - exp(-2/dim))``
+        rounded upward, which makes the exponential moment
+        E[exp(||xi||^2 / hp_sigma2)] = (1 - 2 v/hp_sigma2)^(-dim/2) at most e
+        for the sampled variance v = ``scale**2``. At dim = 1 the exact scale
+        gives exactly e (at dim = 2 the moment is already 1.25 below it), so
+        rounding decides: the float evaluation through ``expm1`` is within 5
+        units of 2^-53 (relative) of the exact scale, v exceeds s^2 by at
+        most 2 such units, and the result is stepped 8 ulps up, each at
+        least one unit.
         """
         if per_coord_var < 0:
             raise ValueError("per_coord_var must be >= 0")
         s2 = float(per_coord_var)
-        if s2 == 0.0:
-            hp = 0.0
-        else:
-            hp = 2.0 * dim * s2 / (1.0 - np.exp(-2.0 / dim))
+        hp = 0.0
+        if s2 != 0.0:
+            hp = 2.0 * dim * s2 / -np.expm1(-2.0 / dim)
+            for _ in range(8):
+                hp = float(np.nextafter(hp, np.inf))
         return NoiseModel("gaussian_isotropic", dim, np.sqrt(s2), dim * s2, hp)
 
     @staticmethod

@@ -21,6 +21,7 @@ __all__ = [
     "log_spaced_checkpoints",
     "ensemble_summary",
     "save_ensemble_csv",
+    "EXPECTATION_STDERRS",
     "expectation_rate_check",
     "subsequence_rate_check",
     "smoothness_comparison",
@@ -94,6 +95,11 @@ def expectation_rate_bound(obj: Objective, sigma2: float, x0: np.ndarray, k) -> 
     return (3.0 * L * d2 + 4.0 * sigma2 / L) * np.log(k + 2.0) / (2.0 * np.sqrt(k + 1.0))
 
 
+# a checkpoint of the expectation check passes when the ensemble mean is
+# within this many standard errors above the rate bound
+EXPECTATION_STDERRS = 3.0
+
+
 def expectation_rate_check(
     obj: Objective,
     noise: NoiseModel,
@@ -105,9 +111,10 @@ def expectation_rate_check(
     """Compare the ensemble-mean suboptimality of runs from
     x_0 = x_1 = (1, ..., 1) against the in-expectation rate at
     logarithmically spaced checkpoints; a checkpoint passes when the mean
-    is within 3 standard errors of the bound. The stepsize is the one the
-    rate is proved for: eta_k = c / (L^2 log^2(k+2)) with c = 1/4, and the
-    noise budget sigma^2 is the raw second moment E||xi||^2."""
+    is within :data:`EXPECTATION_STDERRS` standard errors of the bound. The
+    stepsize is the one the rate is proved for: eta_k = c / (L^2 log^2(k+2))
+    with c = 1/4, and the noise budget sigma^2 is the raw second moment
+    E||xi||^2."""
     if M < 2:
         raise ValueError("M must be >= 2: a standard error needs at least two runs")
     sched = StepSchedule(kind="expectation_log2", L=obj.lipschitz, scale=c)
@@ -117,7 +124,7 @@ def expectation_rate_check(
     summary = ensemble_summary(tr.f_gap)
     mean, se = summary["mean"][checkpoints], summary["stderr"][checkpoints]
     bound = expectation_rate_bound(obj, noise.sigma2, np.ones(obj.dim), checkpoints)
-    ok = mean <= bound + 3.0 * se
+    ok = mean <= bound + EXPECTATION_STDERRS * se
     return {
         "checkpoints": checkpoints,
         "mean": mean,

@@ -1,8 +1,8 @@
-"""Reference oracles for the tests: the momentum and SGD recursions written
-out one step and one run at a time, independent of the batched kernel in
-:func:`sgdmlab.optimizers.run_ensemble` that they check, and the discrete
-Lyapunov energy and descent bound of one step, term by term, for the
-vectorized forms in :mod:`sgdmlab.lyapunov`.
+"""Reference oracles for the tests: the momentum, SGD and ACSA recursions
+written out one step and one run at a time, independent of the batched
+kernel in :func:`sgdmlab.optimizers.run_ensemble` that they check, and the
+discrete Lyapunov energy and descent bound of one step, term by term, for
+the vectorized forms in :mod:`sgdmlab.lyapunov`.
 """
 
 import math
@@ -122,7 +122,10 @@ def reference_ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm"
     """Reference for run_ensemble: each run's whole (K, d) noise drawn up
     front, separate eval and grad calls, fresh arrays at every step, and the
     kernel's operation order, so the traces must agree bit for bit. Column i
-    is run ``first_run + i``, seeded by ``rng_for(master_seed, first_run + i)``."""
+    is run ``first_run + i``, seeded by ``rng_for(master_seed, first_run + i)``.
+    ACSA (cold start only) takes its gradients at y_k = (1 - a) x_k + a z_k,
+    a = 2/(k+1), and steps z with gamma_k = 1/(2L/k + sqrt(k)), in the order
+    of Lan's three-sequence scheme: y, z_{k+1}, then x_{k+1}."""
     d = obj.dim
     x0 = np.ones(d) if x0 is None else np.asarray(x0, dtype=float)
     x_cur = np.broadcast_to(x0, (M, d)).copy()
@@ -135,15 +138,25 @@ def reference_ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm"
     v = x_cur + float(k_start) * (x_cur - x_prev) - obj.xstar
     out["energy"] = [np.sum(v * v, axis=1)
                      + 4.0 * np.sqrt(k_start * eta[0]) * obj.f_gap(x_prev)]
+    z = x_cur.copy()
     for s in range(K):
         k = k_start + s
-        fg, grad = obj.f_gap(x_cur), obj.grad(x_cur)
+        if algorithm == "acsa":
+            alpha = 2.0 / (k + 1.0)
+            gamma = 1.0 / (2.0 * obj.lipschitz / k + math.sqrt(k))
+            query = (1.0 - alpha) * x_cur + alpha * z
+        else:
+            query = x_cur
+        fg, grad = obj.f_gap(x_cur), obj.grad(query)
         g = grad if noise.scale == 0.0 else grad + xi_all[s]
         xi = grad - g
         tau = k * (x_cur - x_prev) + (x_cur - obj.xstar)
         if algorithm == "sgdm":
             x_next = (x_cur + (k / (k + 2.0)) * (x_cur - x_prev)
                       - (2.0 * np.sqrt(eta[s + 1]) / ((k + 2.0) * np.sqrt(k))) * g)
+        elif algorithm == "acsa":
+            z = z - gamma * g
+            x_next = (1.0 - alpha) * x_cur + alpha * z
         else:
             x_next = x_cur - (sgd_scale / np.sqrt(k)) * g
         w = x_next + (k + 1.0) * (x_next - x_cur) - obj.xstar

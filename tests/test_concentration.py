@@ -409,6 +409,19 @@ class TestScalarLemmas:
         rows = mgf_lemma_check([0.5], n_samples=1_000, seed=1)
         assert rows[0]["ceiling"] == pytest.approx(math.exp(0.75 * 0.25))
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_mgf_needs_two_samples_for_a_standard_error(self, n):
+        with pytest.raises(ValueError, match="n_samples >= 2"):
+            mgf_lemma_check([0.5], n_samples=n, seed=0)
+
+    def test_empty_grids_are_rejected(self):
+        with pytest.raises(ValueError, match="at least one lambda"):
+            mgf_lemma_check([], n_samples=100, seed=0)
+        with pytest.raises(ValueError, match="at least one omega"):
+            tail_lemma_check([], n_samples=100, seed=0)
+        with pytest.raises(ValueError, match="n_samples >= 1"):
+            tail_lemma_check([1.0], n_samples=0, seed=0)
+
     def test_tail_rows_pass_and_fractions_decrease(self):
         rows = tail_lemma_check([0.5, 1.0, 2.0], n_terms=20, n_samples=40_000, seed=0)
         fracs = [r["fraction"] for r in rows]

@@ -20,7 +20,7 @@ from sgdmlab._csv import write_csv
 from sgdmlab.cli import (ConfigError, _check, default_quadratic, load_config, main,
                          write_verdict)
 from sgdmlab.lyapunov import check_descent
-from sgdmlab.optimizers import StepSchedule, run_trajectory
+from sgdmlab.optimizers import StepSchedule, run_ensemble
 from sgdmlab.problems import NoiseModel, logreg_new, synthetic_blobs
 from sgdmlab.seeding import rng_for, seed_split
 
@@ -424,6 +424,31 @@ class TestFailureSemantics:
                                f"at step k={k} in run(s) [0]\n")
         assert not (out / "verdict.json").exists()
 
+    def test_nonpositive_dim_is_a_config_error(self, tmp_path, capsys):
+        for problem in ("quadratic", "logreg"):
+            ini = self._ini(tmp_path, f"problem = {problem}", "dim = 0")
+            assert main(["run", "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
+            assert_one_line_config_error(capsys)
+
+    def test_unreadable_dataset_is_a_config_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        out = tmp_path / "o"
+        ini = self._ini(tmp_path, f"problem = csv:{missing}")
+        assert main(["run", "--config", str(ini), "--out", str(out)]) == 2
+        assert_one_line_config_error(capsys)
+        assert not (out / "verdict.json").exists()
+
+    @pytest.mark.parametrize("key,value", [("mgf_samples", "1"), ("lambda_grid", ""),
+                                           ("omega_grid", ""), ("tail_samples", "0")])
+    def test_concentration_without_a_check_or_a_spread_is_a_config_error(self, tmp_path,
+                                                                         capsys, key, value):
+        values = {"mgf_samples": "1000", "tail_samples": "1000", key: value}
+        ini = self._ini(tmp_path, *(f"{k} = {v}" for k, v in values.items()))
+        out = tmp_path / "o"
+        assert main(["concentration", "--config", str(ini), "--out", str(out)]) == 2
+        assert_one_line_config_error(capsys)
+        assert not (out / "verdict.json").exists()
+
     def test_stale_verdict_removed_on_config_error(self, tmp_path):
         out = tmp_path / "o"
         assert main(["run", "--out", str(out), "--steps", "5"]) == 0
@@ -511,12 +536,23 @@ class TestAcsaRun:
         assert main(["run", "--config", str(ini), "--out", str(out), "--steps", "30",
                      "--runs", str(runs), "--seed", "2"]) == 0
         obj = default_quadratic(10, 0)
-        rec = run_trajectory(obj, NoiseModel.gaussian(10, 1.0), "acsa",
-                             StepSchedule(kind="anytime_log2", L=obj.lipschitz), 30,
-                             seed_split(2, 0))
+        tr = run_ensemble(obj, NoiseModel.gaussian(10, 1.0),
+                          StepSchedule(kind="anytime_log2", L=obj.lipschitz), 30, runs, 2,
+                          algorithm="acsa")
         checks = json.loads((out / "verdict.json").read_text())["checks"]
-        assert checks[1]["value"] == rec.f_gap[-1]
+        assert checks[1]["value"] == tr.f_gap[-1, 0]
         assert (out / ("trajectory.csv" if runs == 1 else "ensemble.csv")).exists()
+
+    def test_noise_norm_is_the_norm_of_the_noise(self, tmp_path):
+        # g_k = grad f(y_k) + xi_k, so noise_norm = ||grad - g|| is ||xi_k||
+        ini = tmp_path / "acsa.ini"
+        ini.write_text("[common]\nalgorithm = acsa\nnoise_var = 1e-4\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(ini), "--out", str(out), "--steps", "200",
+                     "--seed", "2"]) == 0
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        xi = NoiseModel.gaussian(10, 1e-4).sample(rng_for(2, 0), 200)
+        np.testing.assert_allclose(rows[:, 7], np.linalg.norm(xi, axis=1), rtol=1e-10)
 
 
 # every subcommand but the slow sample-heavy ``concentration`` and ``constants``

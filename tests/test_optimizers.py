@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from sgdmlab.optimizers import (
     _sgdm_coefficients,
-    AcsaState,
     StepSchedule,
     TrajectoryRecord,
-    acsa_step,
     run_ensemble,
     run_trajectory,
     schedule_eval,
@@ -159,33 +157,26 @@ class TestSgdAndAcsa:
 
     def test_acsa_matches_hand_rolled_loop(self):
         obj = quadratic_new(random_spd(4, 1))
-        L, gamma = obj.lipschitz, 0.7
-        st = AcsaState.initial(np.ones(4), gamma, L)
-        for _ in range(30):
-            st = acsa_step(st, obj.grad)
-        # independent re-implementation of the three-sequence scheme
+        L = obj.lipschitz
+        tr = run_ensemble(obj, NoiseModel.noiseless(4), StepSchedule(kind="anytime_log2", L=L),
+                          K=30, M=1, master_seed=0, algorithm="acsa")
+        # independent re-implementation of the three-sequence scheme (gamma = 1)
         x, z = np.ones(4), np.ones(4)
         for k in range(1, 31):
             alpha = 2.0 / (k + 1.0)
-            gam = 1.0 / (2.0 * L / k + gamma * math.sqrt(k))
+            gam = 1.0 / (2.0 * L / k + math.sqrt(k))
             y = (1.0 - alpha) * x + alpha * z
             z = z - gam * obj.grad(y)
             x = (1.0 - alpha) * x + alpha * z
-        np.testing.assert_allclose(st.x, x, rtol=1e-13)
-
-    def test_acsa_simplified_gamma_variant(self):
-        obj = quadratic_new(np.eye(2))
-        st = AcsaState.initial(np.ones(2), 1.0, obj.lipschitz, simplified_gamma=True)
-        st = acsa_step(st, obj.grad)
-        # k=1: alpha=1, gamma_1=1, y=z0, z1=z0-grad(y), x1=z1
-        np.testing.assert_allclose(st.x, np.zeros(2), atol=1e-15)
+        np.testing.assert_allclose(tr.x_cur_final[0], x, rtol=1e-13)
 
     def test_acsa_converges_on_quadratic(self):
         obj = quadratic_new(random_spd(5, 2))
-        st = AcsaState.initial(np.ones(5), 0.5, obj.lipschitz)
-        for _ in range(3000):
-            st = acsa_step(st, obj.grad)
-        assert obj.f_gap(st.x) < 1e-3
+        tr = run_ensemble(obj, NoiseModel.noiseless(5),
+                          StepSchedule(kind="anytime_log2", L=obj.lipschitz), K=3000, M=1,
+                          master_seed=0, algorithm="acsa")
+        assert obj.f_gap(tr.x_cur_final[0]) < 1e-3
+        assert tr.f_gap[-1, 0] < 1e-3
 
 
 class TestRunTrajectory:
@@ -234,7 +225,7 @@ class TestRunTrajectory:
                 run_trajectory(obj, NoiseModel.noiseless(2), "sgdm", sched, 2000, 0)
 
     @pytest.mark.parametrize("noise", ["gaussian", "none"])
-    @pytest.mark.parametrize("algorithm", ["sgdm", "sgd"])
+    @pytest.mark.parametrize("algorithm", ["sgdm", "sgd", "acsa"])
     @pytest.mark.parametrize("problem", ["quadratic", "logreg"])
     def test_is_the_reference_column_bit_for_bit(self, problem, algorithm, noise):
         obj, path = problem_of(problem), ("x", "g", "grad", "f_gap")
@@ -423,8 +414,15 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="k_start"):
             run_ensemble(obj, noise, sched, K=1, M=1, master_seed=0, k_start=3,
                          record=("x",))
-        with pytest.raises(ValueError):
-            run_ensemble(obj, noise, sched, K=1, M=1, master_seed=0, algorithm="acsa")
+        with pytest.raises(ValueError, match="unknown algorithm 'adam'"):
+            run_ensemble(obj, noise, sched, K=1, M=1, master_seed=0, algorithm="adam")
+        # ACSA has no z_k to carry into a warm-started segment
+        with pytest.raises(ValueError, match="k_start = 1"):
+            run_ensemble(obj, noise, sched, K=1, M=1, master_seed=0, algorithm="acsa",
+                         k_start=3)
+        with pytest.raises(ValueError, match="x_prev0"):
+            run_ensemble(obj, noise, sched, K=1, M=1, master_seed=0, algorithm="acsa",
+                         x_prev0=np.zeros(2))
 
 
 _PIPELINE_CASES = {
@@ -557,6 +555,13 @@ class TestTraceMatrix:
             kw.update(record=_EVERY_FIELD)
         assert_trace_equals_reference(problem_of(problem), _NOISES[noise], 600, (1, 7, 512),
                                       **kw)
+
+    @pytest.mark.parametrize("noise", sorted(_NOISES))
+    @pytest.mark.parametrize("problem", ["quadratic", "logreg"])
+    def test_acsa_every_field_for_chunk_1_7_512(self, problem, noise):
+        # ACSA runs from a cold start only
+        assert_trace_equals_reference(problem_of(problem), _NOISES[noise], 600, (1, 7, 512),
+                                      M=4, algorithm="acsa", record=_EVERY_FIELD)
 
     @pytest.mark.parametrize("record", [("energy",), ("f_gap",), ("theta",), _EVERY_FIELD])
     @pytest.mark.parametrize("problem", ["quadratic", "logreg"])

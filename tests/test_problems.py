@@ -347,6 +347,21 @@ class TestNoiseModel:
             assert ratio < 1.0
             assert (1.0 - ratio) ** (-dim / 2.0) <= np.e + 1e-12
 
+    @pytest.mark.parametrize("s2", [0.01, 0.3, 1e-6, 1.0, 2.5, 1.0 / 3.0, 7.3, 1e4, 1e-300])
+    def test_exponential_moment_at_most_e_in_exact_arithmetic(self, s2):
+        """Referee at 50 digits: the moment (1 - 2 v/hp_sigma2)^(-d/2) of the
+        float hp_sigma2, for the larger of s^2 and the variance scale^2 the
+        samples actually have, is at most e (at d = 1 the unrounded scale
+        gives exactly e)."""
+        import mpmath as mp
+
+        with mp.workdps(50):
+            for dim in range(1, 65):
+                noise = NoiseModel.gaussian(dim, s2)
+                v = max(mp.mpf(s2), mp.mpf(noise.scale) ** 2)
+                moment = (1 - 2 * v / mp.mpf(noise.hp_sigma2)) ** (mp.mpf(-dim) / 2)
+                assert moment <= mp.e, (dim, moment - mp.e)
+
     def test_bounded_uniform_norm_never_exceeds_certificate(self):
         noise = NoiseModel.bounded_uniform(4, 1.5)
         rng = np.random.default_rng(1)
