@@ -15,12 +15,14 @@ bound and a weighted chi-square-type tail bound).
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lyapunov import energy_along
-from .optimizers import StepSchedule, run_ensemble, schedule_eval
+from .optimizers import StepSchedule, _ensemble, schedule_eval
+from .optimizers import run_ensemble  # noqa: F401 (perfbench's tracer patches it here)
 from .problems import NoiseModel, Objective
 from .seeding import rng_for
 
@@ -243,22 +245,26 @@ def anytime_coverage(
     noise variance proxy fed into the constants is the certified MGF bound,
     not the raw second moment. The lowest-indexed violating run and its
     first violating k are reported (None when no run violates), with the
-    smallest margin over all runs."""
+    smallest margin over all runs, all folded in as the ensemble streams."""
     sigma2 = noise.hp_sigma2
     e0 = initial_energy(obj, schedule, np.ones(obj.dim))
     const = anytime_constants(schedule, e0, obj.lipschitz, sigma2, k_trunc)
     bound = anytime_bound(const, np.arange(1, K + 1), beta)
-    tr = run_ensemble(obj, noise, schedule, K=K, M=M, master_seed=master_seed,
-                      record=("f_gap",))
-    f_gap = tr.f_gap[1:, :]  # (K, M), rows k = 1..K
-    slack = bound[:, None] - f_gap
-    above = slack < 0.0  # f_gap > bound, for finite values
-    violated = np.any(above, axis=0)
-    margin = float(np.min(slack))
-    first_run = first_k = None
-    if violated.any():
-        first_run = int(np.argmax(violated))
-        first_k = int(np.argmax(above[:, first_run])) + 1
+    violated = np.zeros(M, dtype=bool)
+    margin, first_run, first_k = np.inf, None, None
+    _, blocks = _ensemble(obj, noise, schedule, K, M, master_seed)
+    with closing(blocks):
+        for b in blocks:
+            k0 = max(b.lo, 1)  # rows k = k0..hi-1 are checked, k = 0 is not
+            slack = bound[k0 - 1 : b.hi - 1, None] - b.f_gap[k0 - b.lo :]
+            above = slack < 0.0  # f_gap > bound, for finite values
+            hit = np.any(above, axis=0)
+            margin = np.minimum(margin, np.min(slack))
+            # a run violating here first is the lowest yet if it is below it
+            if hit.any() and (first_run is None or np.argmax(hit) < first_run):
+                first_run = int(np.argmax(hit))
+                first_k = k0 + int(np.argmax(above[:, first_run]))
+            violated |= hit
     return {
         "fraction_violating": float(np.mean(violated)),
         "n_violating": int(np.sum(violated)),
@@ -269,7 +275,7 @@ def anytime_coverage(
         "nominal_level": 2.0 * float(beta),
         "C1": const.C1,
         "C2": const.C2,
-        "min_margin": margin,
+        "min_margin": float(margin),
         "passed": bool(np.mean(violated) <= 2.0 * beta),
     }
 
@@ -298,11 +304,10 @@ def supermartingale_trace(
     on every run (to 1e-10 of 1 + |M(k)|), which requires
     eta_k <= k / (16 L^2).
 
-    Beyond the ensemble's recorded (K+1, M) fields (energy, ||theta||^2 and
-    <theta, tau>), the trace works in row blocks of about 2^16 values,
-    carrying S(k-1), the penalty sum and M(k-1) from block to block; the
-    running sums add row after row exactly as ``np.cumsum`` does, so the
-    result is that of the full-array formulas. A standard error needs
+    The ensemble's energy, ||theta||^2 and <theta, tau> are folded in as it
+    streams them, with S(k-1), the penalty sum and M(k-1) carried from block
+    to block; the running sums add row after row exactly as ``np.cumsum``
+    does, so the result is that of the full-array formulas. A standard error needs
     M >= 2. Where ``overflow_clamped`` is true, N(k) is clamped at
     exp(700), and a row whose spread overflows reports ``stderr = inf``,
     without a NumPy overflow warning.
@@ -321,48 +326,48 @@ def supermartingale_trace(
     if np.any(a > 1.0 / obj.lipschitz**2 + 1e-12):
         raise ValueError("drift inequality needs eta_k <= k / (16 L^2) for all k")
 
-    tr = run_ensemble(obj, noise, schedule, K=K, M=M, master_seed=master_seed,
-                      x0=x0, record=("energy", "theta"))
     # P(k) = gamma2 / prod_{l<=k}(1+a_l sigma^2), in log space
     log_partial = np.concatenate([[0.0], np.cumsum(np.log1p(a * sigma2))])
     mart_coef = np.exp(np.log(g2) - log_partial)[:, None] * t  # P(k) t, (K+1, 1)
     pen_coef = t * sigma2 * g2
-    sqrt_a = np.sqrt(a)
+    sqrt_a = np.sqrt(a)[:, None]
 
-    rows = max(1, 2**16 // M)
-    # row 0 of S, pen and mart carries row lo-1 of S(k), the penalty
-    # sum_{l<=k} a_l S(l-1) and M(k) = E(k) - S(k) into the block of rows lo..hi-1
-    S, pen, mart, log_n, work = np.zeros((5, rows + 1, M))
-    mart[0] = tr.energy[0]
+    # S(k), the penalty sum_{l<=k} a_l S(l-1) and M(k) = E(k) - S(k) before a block
+    carry = np.zeros((3, M))
     mean, sd = np.empty((2, K + 1))
-    row_residual = np.empty(K)
-    overflow = False
-    for lo in range(1, K + 1, rows):
-        hi = min(lo + rows, K + 1)
-        n, ak = hi - lo, a[lo - 1:hi - 1, None]
-        Sb, pb, mb = S[:n + 1], pen[:n + 1], mart[:n + 1]
-        np.multiply(ak, tr.theta_sq[lo - 1:hi - 1], out=Sb[1:])
-        np.cumsum(Sb, axis=0, out=Sb)
-        np.multiply(ak, Sb[:-1], out=pb[1:])
-        np.cumsum(pb, axis=0, out=pb)
-        np.subtract(tr.energy[lo:hi], Sb[1:], out=mb[1:])
+    max_residual, overflow = -np.inf, False
 
-        drift = np.subtract(mb[1:], mb[:-1], out=log_n[:n])
-        drift -= np.multiply(sqrt_a[lo - 1:hi - 1, None], tr.theta_tau[lo - 1:hi - 1],
-                             out=work[:n])
-        drift /= np.add(1.0, np.abs(mb[1:], out=work[:n]), out=work[:n])
-        np.max(drift, axis=1, out=row_residual[lo - 1:hi - 1])
+    def fold(b) -> None:  # its temporaries are gone before the ensemble steps on
+        nonlocal max_residual, overflow
+        if b.lo == 0:
+            carry[2] = b.energy[0]  # M(0) = E(0)
+        k0, n = max(b.lo, 1), b.hi - max(b.lo, 1)  # rows k0..hi-1 take a step
+        ak = a[k0 - 1 : b.hi - 1, None]
+        S, pen, mart = np.empty((3, n + 1, M))
+        S[0], pen[0], mart[0] = carry
+        np.multiply(ak, b.theta_sq, out=S[1:])
+        np.cumsum(S, axis=0, out=S)
+        np.multiply(ak, S[:-1], out=pen[1:])
+        np.cumsum(pen, axis=0, out=pen)
+        np.subtract(b.energy[k0 - b.lo :], S[1:], out=mart[1:])
+        drift = mart[1:] - mart[:-1] - sqrt_a[k0 - 1 : b.hi - 1] * b.theta_tau
+        max_residual = np.maximum(max_residual, np.max(drift / (1.0 + np.abs(mart[1:]))))
 
-        s = 0 if lo == 1 else 1  # row k = 0 enters the statistics with the first block
-        ln = np.multiply(mart_coef[lo - 1 + s:hi], mb[s:], out=log_n[:n + 1 - s])
-        ln -= np.multiply(pen_coef, pb[s:], out=work[:n + 1 - s])
+        s = 1 if b.lo else 0  # row k = 0 enters the statistics with the first block
+        ln = mart_coef[b.lo : b.hi] * mart[s:] - pen_coef * pen[s:]
         overflow |= bool(np.any(ln > 700.0))
         np.exp(np.minimum(ln, 700.0, out=ln), out=ln)
-        np.mean(ln, axis=1, out=mean[lo - 1 + s:hi])
+        np.mean(ln, axis=1, out=mean[b.lo : b.hi])
         with np.errstate(over="ignore"):  # a clamped N(k) may square to inf
-            np.std(ln, axis=1, ddof=1, out=sd[lo - 1 + s:hi])
-        S[0], pen[0], mart[0] = Sb[n], pb[n], mb[n]
-    max_residual = float(np.max(row_residual))
+            np.std(ln, axis=1, ddof=1, out=sd[b.lo : b.hi])
+        carry[:] = S[n], pen[n], mart[n]
+
+    _, blocks = _ensemble(obj, noise, schedule, K, M, master_seed, x0=x0,
+                          record=("energy", "theta"))
+    with closing(blocks):
+        for b in blocks:
+            fold(b)
+    max_residual = float(max_residual)
     return {
         "k": np.arange(K + 1),
         "mean": mean,
@@ -373,6 +378,9 @@ def supermartingale_trace(
         "pathwise_max_residual": max_residual,
         "pathwise_ok": bool(max_residual <= 1e-10),
     }
+
+
+LEMMA_STDERRS = 3.0  # a lemma check's row passes this many standard errors above it
 
 
 def mgf_lemma_check(
@@ -388,7 +396,8 @@ def mgf_lemma_check(
         E exp(lambda Gamma / (||w|| sigma)) <= exp(3 lambda^2 / 4).
 
     Returns one row per lambda with the Monte-Carlo mean, its standard
-    error, and the asserted ceiling. A standard error needs
+    error, the asserted ceiling, and the ``threshold`` (ceiling plus
+    :data:`LEMMA_STDERRS` standard errors) of ``passed``. A standard error needs
     ``n_samples >= 2``, and an empty ``lambdas`` would check nothing; both
     raise ``ValueError``.
     """
@@ -416,12 +425,14 @@ def mgf_lemma_check(
             mean = float(np.mean(vals))
             se = float(np.std(vals, ddof=1) / np.sqrt(n_samples))
             ceiling = float(np.exp(0.75 * float(lam) ** 2))
+        threshold = ceiling + LEMMA_STDERRS * se
         rows.append({
             "lambda": float(lam),
             "mean": mean,
             "stderr": se,
             "ceiling": ceiling,
-            "passed": bool(mean <= ceiling + 3.0 * se),
+            "threshold": threshold,
+            "passed": bool(mean <= threshold),
         })
     return rows
 
@@ -438,8 +449,9 @@ def tail_lemma_check(
 
         Pr( sum c_l Phi_l^2 >= (1 + Omega) sum c_l sigma_l^2 ) <= exp(-Omega).
 
-    Uses Gaussian Phi_l with heterogeneous scales and weights c_l = 1/l. An
-    empty ``omegas`` or ``n_samples < 1`` raises ``ValueError``.
+    Uses Gaussian Phi_l with heterogeneous scales and weights c_l = 1/l. A
+    row's ``threshold`` is the level plus :data:`LEMMA_STDERRS` standard
+    errors. An empty ``omegas`` or ``n_samples < 1`` raises ``ValueError``.
     """
     if len(omegas) == 0:
         raise ValueError("the tail check needs at least one omega")
@@ -449,7 +461,8 @@ def tail_lemma_check(
     ls = np.arange(1, n_terms + 1, dtype=float)
     c = 1.0 / ls
     scales = 1.0 + 0.5 * np.sin(ls)  # heterogeneous but fixed standard deviations
-    sigma2 = 2.0 * scales**2 / (1.0 - np.exp(-2.0))  # certified scalar MGF constants
+    # certified scalar MGF constants 2 s_l^2/(1 - e^-2), rounded upward as at dim = 1
+    sigma2 = np.array([NoiseModel.gaussian(1, s2).hp_sigma2 for s2 in scales**2])
     phi = rng.standard_normal((n_samples, n_terms)) * scales
     stat = phi**2 @ c
     budget = float(c @ sigma2)
@@ -458,11 +471,13 @@ def tail_lemma_check(
         frac = float(np.mean(stat >= (1.0 + float(om)) * budget))
         level = float(np.exp(-float(om)))
         se = float(np.sqrt(max(level * (1.0 - level), frac * (1.0 - frac)) / n_samples))
+        threshold = level + LEMMA_STDERRS * se
         rows.append({
             "omega": float(om),
             "fraction": frac,
             "level": level,
             "stderr": se,
-            "passed": bool(frac <= level + 3.0 * se),
+            "threshold": threshold,
+            "passed": bool(frac <= threshold),
         })
     return rows

@@ -232,22 +232,17 @@ class EnsembleTrace:
     x_cur_final: np.ndarray | None = None  # (M, d): x_{K+1}
 
 
-def run_ensemble(
-    obj: Objective,
-    noise: NoiseModel,
-    schedule: StepSchedule,
-    K: int,
-    M: int,
-    master_seed: int,
-    algorithm: str = "sgdm",
-    x0: np.ndarray | None = None,
-    record: Iterable[str] = ("f_gap",),
-    sgd_scale: float = 1.0,
-    k_start: int = 1,
-    x_prev0: np.ndarray | None = None,
-    chunk: int = 512,
-    rngs: list[np.random.Generator] | None = None,
-) -> EnsembleTrace:
+# A block of an ensemble's stream: rows lo..hi-1 (row r at k = k_start-1+r)
+# of f_gap and energy, and theta_sq/theta_tau of the steps k of rows
+# max(lo, 1)..hi-1; None where not recorded. The next block overwrites them.
+_Block = collections.namedtuple("_Block", "lo hi f_gap energy theta_sq theta_tau")
+
+
+def run_ensemble(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: int, M: int,
+                 master_seed: int, algorithm: str = "sgdm", x0: np.ndarray | None = None,
+                 record: Iterable[str] = ("f_gap",), sgd_scale: float = 1.0,
+                 k_start: int = 1, x_prev0: np.ndarray | None = None, chunk: int = 512,
+                 rngs: list[np.random.Generator] | None = None) -> EnsembleTrace:
     """Run M independent trajectories of ``algorithm`` (``"sgdm"``,
     ``"sgd"`` or ``"acsa"``) simultaneously, vectorized across runs.
 
@@ -285,6 +280,20 @@ def run_ensemble(
     x_{k+1} non-finite, and the runs it hit; so does a recorded gap
     f(x_k) - f* or energy E(k) that is not finite.
     """
+    trace, blocks = _ensemble(obj, noise, schedule, K, M, master_seed, algorithm, x0, record,
+                              sgd_scale, k_start, x_prev0, chunk, rngs, keep=True)
+    collections.deque(blocks, maxlen=0)  # its blocks are rows of the trace's fields
+    return trace
+
+
+def _ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm", x0=None,
+              record=("f_gap",), sgd_scale=1.0, k_start=1, x_prev0=None, chunk=512, rngs=None,
+              keep=False):
+    """:func:`run_ensemble` as a stream: the trace it fills with ``eta``, the
+    path, the final iterates and (``keep``) the fields, and a generator of the
+    recorded fields in :data:`_Block` s of whole segments, about 2^15 values per
+    field. From a gap or energy that is not finite on, no block is yielded, and
+    the error raises after the last step. Closing it joins the noise helper."""
     from . import lyapunov  # late import: lyapunov consumes records
 
     if K < 1 or M < 1:
@@ -326,13 +335,14 @@ def run_ensemble(
         trace.g = np.empty((K, M, d))
     if "grad" in record:
         trace.grad = np.empty((K, M, d))
-    if "f_gap" in record:
-        trace.f_gap = np.empty((K + 1, M))
-    if "energy" in record:
-        trace.energy = np.empty((K + 1, M))
-    if "theta" in record:
-        trace.theta_sq = np.empty((K, M))
-        trace.theta_tau = np.empty((K, M))
+    # buffer row i holds block row off + i, and theta the step of that row;
+    # the first block also holds row 0, x_{k_start-1}, which no step reaches
+    cap = K + 1 if keep else min(max(seg, _BLOCK_VALUES // M), K) + 1
+    f_gap, energy, theta_sq, theta_tau = (np.empty((cap, M)) if name in record else None
+                                          for name in ("f_gap", "energy", "theta", "theta"))
+    if keep:  # the trace's own fields; row 0 of theta is no step's
+        trace.f_gap, trace.energy = f_gap, energy
+        trace.theta_sq, trace.theta_tau = (t if t is None else t[1:] for t in (theta_sq, theta_tau))
 
     # per-step coefficients, indexed by s = k - k_start (eta[s + 1] = eta_k);
     # for ACSA ``momentum`` is alpha_k and ``gain`` gamma_k
@@ -346,25 +356,22 @@ def run_ensemble(
     else:
         momentum, gain = None, (sgd_scale / np.sqrt(k_steps)).tolist()
 
-    f_gap, energy = trace.f_gap, trace.energy
-    g_rec, grad_rec, theta_sq, theta_tau = trace.g, trace.grad, trace.theta_sq, trace.theta_tau
-    if fused:  # the gap at x_{k_start-1}, which no step evaluates
-        f_gap[0] = obj.f_gap(path[0])
+    g_rec, grad_rec = trace.g, trace.grad
     dx = np.empty((M, d))  # x_k - x_{k-1}, then the momentum point
     g_buf = np.empty((M, d))  # the realized gradient, then the step taken along it
     if acsa:  # z_k, and the query point y_k, then alpha_k z_{k+1}
         z, y = path[1].copy(), np.empty((M, d))
 
-    def advance(xw, first, n, xi):
+    def advance(xw, first, n, xi, r):
         """Take steps s = first .. first+n-1 (k = k_start + s) with noise
-        xi[s - first]. ``xw[j]`` holds x_{k-1} of step j, and the step writes
-        x_{k+1} into ``xw[j + 2]``."""
+        xi[s - first], recording into buffer rows r ... ``xw[j]`` holds
+        x_{k-1} of step j, and the step writes x_{k+1} into ``xw[j + 2]``."""
         x_prev, x_cur = xw[0], xw[1]
         for j in range(n):
             s = first + j
             k = k_start + s
             if fused:
-                f_gap[s + 1], grad = obj.gap_and_grad(x_cur)
+                f_gap[r + j], grad = obj.gap_and_grad(x_cur)
             elif acsa:  # y_k = (1 - alpha_k) x_k + alpha_k z_k
                 np.multiply(x_cur, 1.0 - momentum[s], out=y)
                 grad = obj.grad(np.add(y, np.multiply(z, momentum[s], out=dx), out=y))
@@ -379,8 +386,8 @@ def run_ensemble(
             if theta_sq is not None:
                 noise_s = grad - g
                 tau = k * dx + (x_cur - xstar)
-                theta_sq[s] = np.sum(noise_s * noise_s, axis=1)
-                theta_tau[s] = np.sum(noise_s * tau, axis=1)
+                theta_sq[r + j] = np.sum(noise_s * noise_s, axis=1)
+                theta_tau[r + j] = np.sum(noise_s * tau, axis=1)
             np.multiply(g, gain[s], out=g_buf)
             if sgdm:
                 np.multiply(dx, momentum[s], out=dx)
@@ -396,11 +403,11 @@ def run_ensemble(
 
     late = None  # (k, message) of the first gap or energy that is not finite
 
-    def evaluate(xw, first, lo, hi):
+    def evaluate(xw, first, r, lo, hi):
         """f_gap and energy at rows lo..hi-1 of a segment's iterates ``xw``
-        (path rows first+lo ..)."""
+        (path rows first+lo .., block rows r+lo ..)."""
         nonlocal late
-        rows = slice(first + lo, first + hi)
+        rows = slice(r + lo, r + hi)
         k = k_start - 1 + first + lo  # x_k is row lo
         if fused:
             fb = f_gap[rows]
@@ -410,54 +417,69 @@ def run_ensemble(
                 f_gap[rows] = fb
         hits = [_nonfinite(fb, k, lambda k: f"f(x_{k}) - f*")]
         if energy is not None:
-            energy[rows] = lyapunov.energy_along(xw[lo : hi + 1], eta[rows], fb, xstar, k)
+            energy[rows] = lyapunov.energy_along(xw[lo : hi + 1], eta[first + lo : first + hi],
+                                                 fb, xstar, k)
             hits.append(_nonfinite(energy[rows], k, lambda k: f"energy E({k})"))
         if late is None:
             late = min(filter(None, hits), key=lambda hit: hit[0], default=None)
 
-    xw = path
-    # noise buffers (steps, runs, dim); a second one and the helper thread
-    # only when there is a second chunk
-    bufs, fill = [], None
-    if noise.scale != 0.0:
-        bufs.append(np.empty((min(chunk, K), M, d)))
-        if K > chunk:
-            bufs.append(np.empty((chunk, M, d)))
-        fill = _NoiseFill(noise, rngs, bufs[0], helper=K > chunk)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # divergence raises below
-            for c, first in enumerate(range(0, K, chunk)):
-                n = min(chunk, K - first)
-                xi = None
-                if fill is not None:  # this chunk's draws; start the next chunk's
-                    fill.wait()
-                    xi, fill = bufs[c % 2][:n], None
-                    rest = K - first - n
-                    if rest:
-                        fill = _NoiseFill(noise, rngs, bufs[(c + 1) % 2][: min(chunk, rest)],
-                                          helper=True)
-                for a in range(0, n, seg):
-                    s0, m = first + a, min(seg, n - a)
-                    if trace.x is not None:
-                        xw = path[s0 : s0 + m + 2]
-                    elif s0:  # carry x_{k-1}, x_k of the segment's first step
-                        path[:2] = path[m_prev : m_prev + 2]
-                    advance(xw, s0, m, None if xi is None else xi[a : a + m])
-                    if not np.isfinite(xw[m + 1]).all():
-                        raise FloatingPointError(_nonfinite(
-                            xw[2 : m + 2], k_start + s0, lambda k: f"iterate x_{k + 1}")[1])
-                    if evaluated:
-                        evaluate(xw, s0, 1 if s0 else 0, m + 1)
-                    m_prev = m
+    def blocks():
+        xw, xi, m = path, None, 0
+        if fused:  # the gap at x_{k_start-1}, which no step evaluates
+            f_gap[0] = obj.f_gap(path[0])
+        # noise buffers (steps, runs, dim); a second one and the helper
+        # thread only when there is a second chunk
+        bufs, fill = [], None
+        if noise.scale != 0.0:
+            bufs.append(np.empty((min(chunk, K), M, d)))
+            if K > chunk:
+                bufs.append(np.empty((chunk, M, d)))
+            fill = _NoiseFill(noise, rngs, bufs[0], helper=K > chunk)
+        s0 = lo = off = 0  # the next step; the block's first row; the buffers' row 0
+        try:
+            while s0 < K:
+                # divergence raises below; the error state is restored at each yield
+                with np.errstate(over="ignore", invalid="ignore"):
+                    while s0 < K:  # whole segments, until the block is full
+                        a, c = s0 % chunk, s0 // chunk  # step s0 is step a of chunk c
+                        if a == 0 and fill is not None:  # its draws; start the next chunk's
+                            fill.wait()
+                            xi, fill = bufs[c % 2][: min(chunk, K - s0)], None
+                            if K - s0 > chunk:
+                                fill = _NoiseFill(noise, rngs, bufs[(c + 1) % 2][
+                                    : min(chunk, K - s0 - chunk)], helper=True)
+                        if trace.x is None and s0:  # carry x_{k-1}, x_k of its first step
+                            path[:2] = path[m : m + 2]
+                        m = min(seg, chunk - a, K - s0)
+                        if trace.x is not None:
+                            xw = path[s0 : s0 + m + 2]
+                        advance(xw, s0, m, None if xi is None else xi[a : a + m], s0 + 1 - off)
+                        if not np.isfinite(xw[m + 1]).all():
+                            raise FloatingPointError(_nonfinite(
+                                xw[2 : m + 2], k_start + s0, lambda k: f"iterate x_{k + 1}")[1])
+                        if evaluated:
+                            evaluate(xw, s0, s0 - off, 1 if s0 else 0, m + 1)
+                        s0 += m
+                        if s0 + 1 - off + seg > cap:
+                            break
+                if late is None:
+                    rows = slice(lo - off, s0 + 1 - off)
+                    steps = slice(max(lo, 1) - off, s0 + 1 - off)  # row 0 is no step's
+                    yield _Block(lo, s0 + 1,
+                                 *(None if f is None else f[rows] for f in (f_gap, energy)),
+                                 *(None if f is None else f[steps] for f in (theta_sq, theta_tau)))
+                lo = s0 + 1
+                off = 0 if keep else lo
             # a diverging iterate is reported first, even where its gap
             # overflowed some steps before
             if late is not None:
                 raise FloatingPointError(late[1])
-    finally:
-        if fill is not None:
-            fill.cancel()
-    trace.x_prev_final, trace.x_cur_final = xw[m], xw[m + 1]
-    return trace
+        finally:
+            if fill is not None:
+                fill.cancel()
+        trace.x_prev_final, trace.x_cur_final = xw[m], xw[m + 1]
+
+    return trace, blocks()
 
 
 # steps x runs x dim elements of the iterates kept per segment: a block to
@@ -466,6 +488,8 @@ def run_ensemble(
 # peak RSS of the benchmark's ode workload by about 1 MB
 _BLOCK_ELEMENTS = 1 << 15
 _CARRY_ELEMENTS = 1 << 13
+# steps x runs values per field of an evaluated block that _ensemble yields
+_BLOCK_VALUES = 1 << 15
 
 
 def _nonfinite(values: np.ndarray, k0: int, what: Callable[[int], str]) -> tuple[int, str] | None:

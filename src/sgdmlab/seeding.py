@@ -58,17 +58,18 @@ def _words(n: int) -> list[int]:
     return out
 
 
-class _SeedState(ISeedSequence):
-    """Hands PCG64 the four state words that ``SeedSequence.generate_state``
-    would give it (NumPy's interface for custom seed sources)."""
+class _SeedStates(ISeedSequence):
+    """Hands each PCG64 seeded from it the next row of four state words, as
+    ``SeedSequence.generate_state`` would (NumPy's interface for custom seed
+    sources). A generator keeps its seed source, so one serves a batch."""
 
-    def __init__(self, state: np.ndarray):
-        self._state = state
+    def __init__(self, states: np.ndarray):
+        self._rows = iter(states)
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 4 or np.dtype(dtype) != np.uint64:
             raise ValueError("a precomputed seed state holds 4 uint64 words only")
-        return self._state
+        return next(self._rows)
 
 
 def rngs_for(master_seed: int, n: int) -> list[np.random.Generator]:
@@ -108,4 +109,5 @@ def rngs_for(master_seed: int, n: int) -> list[np.random.Generator]:
         words.append(value)
     # uint32 pairs read as little-endian uint64, as generate_state does
     state = np.stack(words, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
-    return [np.random.Generator(np.random.PCG64(_SeedState(row))) for row in state]
+    seeds = _SeedStates(state)
+    return [np.random.Generator(np.random.PCG64(seeds)) for _ in range(n)]

@@ -6,14 +6,13 @@ method and plain SGD.
 
 from __future__ import annotations
 
+from contextlib import closing
+from typing import Iterable
+
 import numpy as np
 
 from ._csv import write_csv
-from .optimizers import (
-    StepSchedule,
-    run_ensemble,
-    sgdm_noise_multiplier,
-)
+from .optimizers import StepSchedule, _ensemble, run_ensemble, sgdm_noise_multiplier
 from .problems import NoiseModel, Objective
 from .seeding import rngs_for
 
@@ -30,51 +29,30 @@ __all__ = [
 
 def log_spaced_checkpoints(K: int) -> np.ndarray:
     """1, 2, 5, 10, 20, 50, ... up to and including K."""
-    pts = []
-    base = 1
-    while base <= K:
-        for m in (1, 2, 5):
-            v = m * base
-            if v <= K:
-                pts.append(v)
-        base *= 10
-    if pts[-1] != K:
-        pts.append(K)
-    return np.array(sorted(set(pts)), dtype=int)
+    pts = {m * 10**e for e in range(len(str(K))) for m in (1, 2, 5) if m * 10**e <= K}
+    return np.array(sorted(pts | {K}), dtype=int)
 
 
-# values per row block of ensemble_summary
-_SUMMARY_BLOCK = 1 << 16
-
-
-def ensemble_summary(values: np.ndarray) -> dict:
+def ensemble_summary(blocks: Iterable[np.ndarray]) -> dict:
     """Per-iteration mean, standard error, and 10/50/90 quantiles of a
-    (K+1, M) ensemble array.
-
-    The rows are summarized a block of about 2^16 values at a time, so no
-    temporary grows with K. Each block is sorted along its rows before
-    ``np.quantile`` partitions it in place. The results are those of the
-    same NumPy calls over the whole array, ties and non-finite entries
-    included.
+    (K+1, M) ensemble array, and its ``final`` row, from its row blocks in
+    order (``[values]`` for a whole array). The working memory is a block
+    and its sorted copy, which ``np.quantile`` partitions in place. The results
+    are those of the NumPy calls over the whole array, ties and non-finite included.
     """
-    n, M = values.shape
-    mean, sd, q10, q50, q90 = np.empty((5, n))
-    rows = max(1, _SUMMARY_BLOCK // M)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        block = values[lo:hi]
-        np.mean(block, axis=1, out=mean[lo:hi])
-        np.std(block, axis=1, ddof=1, out=sd[lo:hi])
-        sorted_block = np.sort(block, axis=1)
-        q10[lo:hi], q50[lo:hi], q90[lo:hi] = np.quantile(
-            sorted_block, [0.1, 0.5, 0.9], axis=1, overwrite_input=True)
+    parts = []
+    for block in blocks:
+        q = np.quantile(np.sort(block, axis=1), [0.1, 0.5, 0.9], axis=1, overwrite_input=True)
+        parts.append((np.mean(block, axis=1), np.std(block, axis=1, ddof=1), *q))
+    mean, sd, q10, q50, q90 = (np.concatenate(p) for p in zip(*parts))
     return {
-        "k": np.arange(n),
+        "k": np.arange(len(mean)),
         "mean": mean,
-        "stderr": sd / np.sqrt(M),
+        "stderr": sd / np.sqrt(block.shape[1]),
         "q10": q10,
         "q50": q50,
         "q90": q90,
+        "final": block[-1].copy(),
     }
 
 
@@ -114,14 +92,14 @@ def expectation_rate_check(
     is within :data:`EXPECTATION_STDERRS` standard errors of the bound. The
     stepsize is the one the rate is proved for: eta_k = c / (L^2 log^2(k+2))
     with c = 1/4, and the noise budget sigma^2 is the raw second moment
-    E||xi||^2."""
+    E||xi||^2. The gaps are summarized as the ensemble yields them."""
     if M < 2:
         raise ValueError("M must be >= 2: a standard error needs at least two runs")
     sched = StepSchedule(kind="expectation_log2", L=obj.lipschitz, scale=c)
-    tr = run_ensemble(obj, noise, sched, K=K, M=M, master_seed=master_seed,
-                      record=("f_gap",))
+    _, blocks = _ensemble(obj, noise, sched, K, M, master_seed)
+    with closing(blocks):
+        summary = ensemble_summary(b.f_gap for b in blocks)
     checkpoints = log_spaced_checkpoints(K)
-    summary = ensemble_summary(tr.f_gap)
     mean, se = summary["mean"][checkpoints], summary["stderr"][checkpoints]
     bound = expectation_rate_bound(obj, noise.sigma2, np.ones(obj.dim), checkpoints)
     ok = mean <= bound + EXPECTATION_STDERRS * se

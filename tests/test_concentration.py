@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -36,6 +38,24 @@ def traced_peak_mb(fn, *args, **kwargs):
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
+
+
+def noise_threads():
+    return [t for t in threading.enumerate() if t.name == "sgdmlab-noise"]
+
+
+@pytest.fixture
+def slow_helper(monkeypatch):
+    """Each noise draw on a helper thread takes 20 ms longer, so a helper
+    that nobody joins is still drawing when its caller has returned."""
+    sample = NoiseModel.sample
+
+    def slow(self, rng, n=None):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.02)
+        return sample(self, rng, n)
+
+    monkeypatch.setattr(NoiseModel, "sample", slow)
 
 
 def reference_gamma_endpoints(schedule, sigma2, K):
@@ -282,6 +302,43 @@ class TestCoverage:
         assert rep["first_violating_k"] == ks[0]
         assert rep["min_margin"] == np.min(bound[:, None] - f_gap)
 
+    def test_blocks_equal_the_full_slack_formula(self, monkeypatch):
+        """K = 3000, M = 40 streams four blocks of gaps. At one k of the
+        first block the run with the largest gap crosses the envelope, and
+        at one k of the last the two largest, one of them a lower run; the
+        report is that of the slack bound - f_gap over the whole field."""
+        obj = quadratic_new(random_spd(3, 1))
+        noise = NoiseModel.gaussian(3, 1.0)
+        sched = anytime_schedule(L=obj.lipschitz)
+        K, M = 3000, 40
+        f_gap = run_ensemble(obj, noise, sched, K=K, M=M, master_seed=8).f_gap[1:]
+        order = np.argsort(f_gap, axis=1)  # runs by gap, per row k - 1
+        k1 = next(k for k in range(300, 800) if order[k - 1, -1] > 0)
+        k2 = next(k for k in range(2500, K + 1) if order[k - 1, -2] < order[k1 - 1, -1])
+        bound = f_gap.max(axis=1) + 1.0
+        bound[k1 - 1] = np.sort(f_gap[k1 - 1])[-2]
+        bound[k2 - 1] = np.sort(f_gap[k2 - 1])[-3]
+        monkeypatch.setattr(concentration, "anytime_bound", lambda const, k, beta: bound)
+        rep = anytime_coverage(obj, noise, sched, K=K, M=M, beta=0.05, master_seed=8,
+                               k_trunc=10_000)
+        slack = bound[:, None] - f_gap
+        above = slack < 0.0
+        violated = np.any(above, axis=0)
+        first = int(np.argmax(violated))
+        assert rep["n_violating"] == np.sum(violated) >= 2
+        assert rep["first_violating_run"] == first == order[k2 - 1, -2]
+        assert rep["first_violating_k"] == np.argmax(above[:, first]) + 1 == k2
+        assert rep["min_margin"] == np.min(slack)
+
+    def test_traced_peak_is_the_gradient_only_ensemble(self):
+        """K = 10^4, M = 200: the noise double buffer takes 16 MB, and the
+        recorded (K+1, M) gaps with their slack peaked at about 34 MB."""
+        obj = quadratic_new(random_spd(10, 0))
+        peak = traced_peak_mb(anytime_coverage, obj, NoiseModel.gaussian(10, 0.01),
+                              anytime_schedule(L=obj.lipschitz), K=10_000, M=200, beta=0.05,
+                              master_seed=3, k_trunc=10_000)
+        assert peak <= 20.0
+
     def test_no_violation_has_null_locator(self):
         obj = quadratic_new(random_spd(3, 1))
         rep = anytime_coverage(obj, NoiseModel.gaussian(3, 0.01),
@@ -337,13 +394,14 @@ class TestSupermartingale:
         np.testing.assert_array_equal(rep["stderr"], ref["stderr"])
         assert rep["pathwise_max_residual"] == ref["pathwise_max_residual"]
 
-    def test_memory_beyond_recorded_fields_is_a_block(self):
-        """K = 100, M = 10^4: the ensemble's recorded fields and its noise
-        buffer take about 40 MB; the full-array trace peaked at about 85."""
+    def test_traced_peak_is_the_gradient_only_ensemble(self):
+        """K = 100, M = 10^4: the noise buffer and the runs' generators take
+        about 15 MB; recording the (K+1, M) fields peaked at about 42 MB,
+        and the full-array trace at about 85."""
         obj = quadratic_new(np.array([[1.0]]))
         peak = traced_peak_mb(supermartingale_trace, obj, NoiseModel.gaussian(1, 0.01),
                               anytime_schedule(), K=100, M=10_000, master_seed=6)
-        assert peak <= 48.0
+        assert peak <= 20.0
 
     @pytest.mark.filterwarnings("error")
     def test_rejects_a_single_run(self):
@@ -381,6 +439,46 @@ class TestSupermartingale:
         with pytest.raises(ValueError, match="16"):
             supermartingale_trace(obj, noise, sched, K=10, M=5, master_seed=0,
                                   k_trunc=10_000)
+
+
+class TestStreamLifetime:
+    """The ensembles of the Monte-Carlo checks stream their blocks; the
+    noise helper is joined whether the check finishes, its fold raises
+    mid-stream, or the ensemble diverges."""
+
+    def test_a_fold_raising_mid_stream_leaves_no_helper(self, slow_helper, monkeypatch):
+        obj = quadratic_new(random_spd(3, 1))
+        # an envelope too short for the blocks past k = 700: the fold fails
+        # while the helper draws the third of four noise chunks
+        monkeypatch.setattr(concentration, "anytime_bound",
+                            lambda const, k, beta: np.full(700, np.inf))
+        # the traceback, kept alive here, holds the check's frame and its stream
+        with pytest.raises(ValueError, match="broadcast") as failure:
+            anytime_coverage(obj, NoiseModel.gaussian(3, 0.01), anytime_schedule(L=obj.lipschitz),
+                             K=2000, M=200, beta=0.05, master_seed=0, k_trunc=10_000)
+        assert noise_threads() == [], failure
+
+    def test_a_divergence_in_the_coverage_leaves_no_helper(self, slow_helper):
+        """The FloatingPointError is the one the recorded ensemble gave."""
+        obj = quadratic_new(random_spd(3, 1))
+        with pytest.raises(FloatingPointError) as exc:
+            anytime_coverage(obj, NoiseModel.gaussian(3, 1e-290),
+                             anytime_schedule(L=obj.lipschitz, scale=1e30), K=2000, M=6,
+                             beta=0.05, master_seed=2, k_trunc=10_000)
+        assert str(exc.value) == ("iterate x_26 became non-finite at step k=25 "
+                                  "in run(s) [0, 1, 2, 3, 4] and 1 more")
+        assert noise_threads() == []
+
+    def test_a_divergence_in_the_supermartingale_leaves_no_helper(self, slow_helper):
+        """E(0) overflows at x_0 = 1e200: no block is folded, and the error
+        is raised once the last step is taken, as before."""
+        obj = quadratic_new(np.array([[1.0]]))
+        with pytest.raises(FloatingPointError) as exc:
+            supermartingale_trace(obj, NoiseModel.gaussian(1, 0.01), anytime_schedule(),
+                                  K=1500, M=4, master_seed=1, x0=np.array([1e200]),
+                                  k_trunc=10_000)
+        assert str(exc.value) == "f(x_0) - f* became non-finite at step k=0 in run(s) [0, 1, 2, 3]"
+        assert noise_threads() == []
 
 
 class TestScalarLemmas:
@@ -427,6 +525,30 @@ class TestScalarLemmas:
         fracs = [r["fraction"] for r in rows]
         assert all(r["passed"] for r in rows)
         assert fracs == sorted(fracs, reverse=True)
+
+    def test_tail_certificates_hold_per_term_at_50_digits(self, monkeypatch):
+        """Referee: for each of the 20 terms, the float scale s_l and the
+        sigma_l^2 the check certifies give E exp(Phi_l^2/sigma_l^2) =
+        (1 - 2 s_l^2/sigma_l^2)^(-1/2) at most e at 50 digits (with
+        2 s_l^2/(1 - e^-2) unrounded, 10 of the 20 exceed it)."""
+        import mpmath as mp
+
+        certified, gaussian = [], NoiseModel.gaussian
+
+        def spy(dim, per_coord_var):
+            noise = gaussian(dim, per_coord_var)
+            certified.append(noise.hp_sigma2)
+            return noise
+
+        rows = tail_lemma_check([1.0], n_terms=20, n_samples=1_000, seed=0)
+        monkeypatch.setattr(NoiseModel, "gaussian", spy)
+        assert tail_lemma_check([1.0], n_terms=20, n_samples=1_000, seed=0) == rows
+        scales = 1.0 + 0.5 * np.sin(np.arange(1, 21, dtype=float))
+        assert len(certified) == 20
+        with mp.workdps(50):
+            for l, (s, sig2) in enumerate(zip(scales, certified), start=1):
+                moment = (1 - 2 * mp.mpf(s) ** 2 / mp.mpf(sig2)) ** mp.mpf(-0.5)
+                assert moment <= mp.e, (l, moment - mp.e)
 
     def test_tail_certificates_hold_per_term(self):
         # the per-term scale sigma_l^2 = 2 s_l^2/(1-e^-2) certifies the scalar

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdmlab import problems
+from sgdmlab import concentration, problems
 from sgdmlab._csv import write_csv
 from sgdmlab.cli import (ConfigError, _check, default_quadratic, load_config, main,
                          write_verdict)
@@ -236,6 +237,23 @@ class TestCliSubcommands:
         assert any(n.startswith("mgf_lambda") for n in names)
         assert any(n.startswith("tail_omega") for n in names)
 
+    def test_concentration_thresholds_are_the_rows_thresholds(self, tmp_path):
+        """Each verdict entry carries the threshold its lemma row decided
+        ``passed`` with, and passes exactly when its value is within it."""
+        ini = tmp_path / "c.ini"
+        ini.write_text("[common]\nmgf_samples = 3000\ntail_samples = 3000\n"
+                       "lambda_grid = 0.25,1.0,2.5\nomega_grid = 0.1,1.0,4.0\n")
+        out = tmp_path / "o"
+        main(["concentration", "--config", str(ini), "--out", str(out), "--seed", "5"])
+        checks = strict_json(out / "verdict.json")["checks"]
+        rows = (concentration.mgf_lemma_check([0.25, 1.0, 2.5], 3000, 5)
+                + concentration.tail_lemma_check([0.1, 1.0, 4.0], 20, 3000, 5))
+        assert len(checks) == len(rows) == 6
+        for check, row in zip(checks, rows):
+            assert check["threshold"] == row["threshold"]
+            assert row["passed"] is (row.get("mean", row.get("fraction")) <= row["threshold"])
+            assert check["passed"] is row["passed"]
+
     def test_smoothness(self, tmp_path):
         out = tmp_path / "o"
         assert main(["smoothness", "--out", str(out), "--steps", "400",
@@ -448,6 +466,27 @@ class TestFailureSemantics:
         assert main(["concentration", "--config", str(ini), "--out", str(out)]) == 2
         assert_one_line_config_error(capsys)
         assert not (out / "verdict.json").exists()
+
+    @pytest.mark.parametrize("sub", ["constants", "run"])
+    def test_an_out_that_is_or_lies_under_a_file_is_a_config_error(self, tmp_path, capsys, sub):
+        afile = tmp_path / "a-file"
+        afile.write_text("kept\n")
+        for out in (afile, afile / "o"):
+            assert main([sub, "--out", str(out), "--steps", "5"]) == 2
+            assert_one_line_config_error(capsys)
+        assert afile.read_text() == "kept\n"
+
+    def test_divergence_in_verify_anytime_joins_the_noise_helper(self, tmp_path, capsys):
+        """A stepsize scale of 1e30 diverges within the first noise chunk of
+        four; the message is the one the library gave before the ensemble
+        was streamed, and no helper thread outlives the call."""
+        ini = self._ini(tmp_path, "dim = 3", "scale = 1e30", "noise_var = 1e-290",
+                        "k_trunc = 10000")
+        assert main(["verify-anytime", "--config", str(ini), "--out", str(tmp_path / "o"),
+                     "--steps", "2000", "--runs", "6", "--seed", "2"]) == 3
+        assert capsys.readouterr().err == ("diverged: iterate x_26 became non-finite at step "
+                                           "k=25 in run(s) [0, 1, 2, 3, 4] and 1 more\n")
+        assert not [t for t in threading.enumerate() if t.name == "sgdmlab-noise"]
 
     def test_stale_verdict_removed_on_config_error(self, tmp_path):
         out = tmp_path / "o"

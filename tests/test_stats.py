@@ -1,8 +1,12 @@
 import math
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sgdmlab import stats
 from sgdmlab.optimizers import StepSchedule, run_ensemble
 from sgdmlab.problems import NoiseModel, logreg_new, quadratic_new, synthetic_blobs
 from sgdmlab.stats import (
@@ -32,11 +36,16 @@ class TestCheckpoints:
         assert log_spaced_checkpoints(1)[-1] == 1
 
 
+def row_blocks(vals, rows):
+    """``vals`` as consecutive blocks of ``rows`` rows (the last may be shorter)."""
+    return [vals[lo:lo + rows] for lo in range(0, len(vals), rows)]
+
+
 class TestEnsembleSummary:
     def test_matches_numpy_oracle(self):
         rng = np.random.default_rng(0)
         vals = rng.standard_normal((11, 40))
-        s = ensemble_summary(vals)
+        s = ensemble_summary([vals])
         np.testing.assert_allclose(s["mean"], vals.mean(axis=1))
         np.testing.assert_allclose(s["stderr"],
                                    vals.std(axis=1, ddof=1) / math.sqrt(40))
@@ -44,9 +53,10 @@ class TestEnsembleSummary:
 
     @staticmethod
     def assert_full_array_results(vals):
-        """The summary equals the NumPy calls over the whole array, bit for bit."""
+        """The summary of the array's row blocks of about 2^15 values equals
+        the NumPy calls over the whole array, bit for bit."""
         with np.errstate(invalid="ignore"):  # inf - inf in a row's mean
-            s = ensemble_summary(vals)
+            s = ensemble_summary(row_blocks(vals, max(1, 2**15 // vals.shape[1])))
             mean = np.mean(vals, axis=1)
             sd = np.std(vals, axis=1, ddof=1)
             q10, q50, q90 = np.quantile(vals, [0.1, 0.5, 0.9], axis=1)
@@ -54,12 +64,13 @@ class TestEnsembleSummary:
         np.testing.assert_array_equal(s["stderr"], sd / np.sqrt(vals.shape[1]))
         for key, ref in (("q10", q10), ("q50", q50), ("q90", q90)):
             np.testing.assert_array_equal(s[key], ref)
+        np.testing.assert_array_equal(s["final"], vals[-1])
 
     @pytest.mark.parametrize("shape", [(1, 5), (2_000, 2), (1, 70_000), (700, 100),
                                        (10_001, 100), (3, 2**16 + 1)])
     def test_blocks_equal_full_array_quantiles(self, shape):
-        """Row blocks of 2^16 // M rows: (700, 100) and (10 001, 100) cross
-        block boundaries, M = 2 makes blocks of 32 768 rows, and a row longer
+        """Row blocks of 2^15 // M rows: (700, 100) and (10 001, 100) cross
+        block boundaries, M = 2 makes blocks of 16 384 rows, and a row longer
         than a block is a block of its own."""
         rng = np.random.default_rng(sum(shape))
         self.assert_full_array_results(rng.standard_normal(shape))
@@ -80,7 +91,7 @@ class TestEnsembleSummary:
     def test_csv_header(self, tmp_path):
         vals = np.ones((3, 4))
         path = tmp_path / "e.csv"
-        save_ensemble_csv(path, ensemble_summary(vals))
+        save_ensemble_csv(path, ensemble_summary([vals]))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "k,mean,stderr,q10,q50,q90"
         assert len(lines) == 4
@@ -108,6 +119,60 @@ class TestExpectationRate:
         with pytest.raises(ValueError, match="two runs"):
             expectation_rate_check(obj, NoiseModel.gaussian(2, 1.0), K=10, M=1,
                                    master_seed=0)
+
+    @pytest.mark.parametrize("K, M", [(2_000, 100), (1_300, 7), (20, 40_000)])
+    def test_streamed_summary_equals_the_recorded_field(self, K, M):
+        """The summary folded from the ensemble's blocks is that of the
+        whole recorded (K+1, M) f_gap: blocks of many rows, of one row
+        (M > 2^15), and several noise chunks."""
+        obj = quadratic_new(random_spd(3, 1))
+        noise = NoiseModel.gaussian(3, 1.0)
+        rep = expectation_rate_check(obj, noise, K=K, M=M, master_seed=2)
+        sched = StepSchedule(kind="expectation_log2", L=obj.lipschitz, scale=0.25)
+        f_gap = run_ensemble(obj, noise, sched, K=K, M=M, master_seed=2).f_gap
+        ref = ensemble_summary([f_gap])
+        assert len(rep["summary"]["mean"]) == K + 1
+        for key in ("mean", "stderr", "q10", "q50", "q90", "final"):
+            np.testing.assert_array_equal(rep["summary"][key], ref[key], err_msg=key)
+        np.testing.assert_array_equal(rep["summary"]["mean"], np.mean(f_gap, axis=1))
+        np.testing.assert_array_equal(rep["summary"]["q50"], np.quantile(f_gap, 0.5, axis=1))
+
+    def test_a_summary_raising_mid_stream_leaves_no_helper(self, monkeypatch):
+        """The fold stops after two blocks while the helper, slowed down,
+        draws the next noise chunk: the helper is joined before the error
+        leaves the check."""
+        sample = NoiseModel.sample
+
+        def slow(self, rng, n=None):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.02)
+            return sample(self, rng, n)
+
+        def two_blocks(blocks):
+            next(blocks), next(blocks)
+            raise RuntimeError("fold failed")
+
+        monkeypatch.setattr(NoiseModel, "sample", slow)
+        monkeypatch.setattr(stats, "ensemble_summary", two_blocks)
+        obj = quadratic_new(random_spd(3, 1))
+        # the traceback, kept alive here, holds the check's frame and its stream
+        with pytest.raises(RuntimeError, match="fold failed") as failure:
+            expectation_rate_check(obj, NoiseModel.gaussian(3, 1.0), K=3_000, M=300,
+                                   master_seed=0)
+        assert not [t for t in threading.enumerate() if t.name == "sgdmlab-noise"], failure
+
+    def test_traced_peak_is_the_gradient_only_ensemble(self):
+        """K = 10^4, M = 100: the noise double buffer takes 8 MB; recording
+        the (K+1, M) gaps and summarizing them peaked at about 18 MB."""
+        obj = quadratic_new(random_spd(10, 0))
+        tracemalloc.start()
+        try:
+            expectation_rate_check(obj, NoiseModel.gaussian(10, 1.0), K=10_000, M=100,
+                                   master_seed=3)
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11.0
 
 
 class TestSubsequence:
