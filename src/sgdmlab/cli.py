@@ -29,8 +29,7 @@ from . import continuous as cont
 from . import stats
 from ._csv import write_csv
 from .lyapunov import check_descent
-from .optimizers import PATH_FIELDS, StepSchedule, TrajectoryRecord, _ensemble, run_ensemble
-from .optimizers import run_trajectory  # noqa: F401 (perfbench's tracer patches it here)
+from .optimizers import StepSchedule, TrajectoryRecord, _ensemble, run_trajectory
 from .problems import (
     NoiseModel,
     Objective,
@@ -40,6 +39,7 @@ from .problems import (
     quadratic_new,
     synthetic_blobs,
 )
+from .seeding import seed_split
 
 SUBCOMMANDS = (
     "run", "verify-descent", "verify-expectation", "verify-anytime",
@@ -201,22 +201,24 @@ def write_verdict(out: Path, subcommand: str, checks: list[dict]) -> bool:
     return passed
 
 
-def _simulate(cfg: dict, obj: Objective, record, engine=run_ensemble):
-    """All ``runs`` trajectories of the configured algorithm in one batch (a
-    stream with ``engine=_ensemble``); run i draws from ``rng_for(seed, i)``."""
-    return engine(obj, build_noise(cfg, obj.dim), build_schedule(cfg, obj.lipschitz),
-                  cfg["steps"], cfg["runs"], cfg["seed"], algorithm=cfg["algorithm"],
-                  record=record, sgd_scale=cfg["sgd_scale"])
+def _simulate(cfg: dict, obj: Objective, record):
+    """All ``runs`` trajectories of the configured algorithm in one batch, as
+    a stream; run i draws from ``rng_for(seed, i)``."""
+    return _ensemble(obj, build_noise(cfg, obj.dim), build_schedule(cfg, obj.lipschitz),
+                     cfg["steps"], cfg["runs"], cfg["seed"], algorithm=cfg["algorithm"],
+                     record=record, sgd_scale=cfg["sgd_scale"])
 
 
 def cmd_run(cfg: dict, out: Path) -> list[dict]:
     obj = build_problem(cfg)
-    if cfg["runs"] == 1:
-        trace = _simulate(cfg, obj, PATH_FIELDS)
-        TrajectoryRecord.from_trace(obj, trace).to_csv(out / "trajectory.csv")
-        final = trace.f_gap[-1, 0]
+    if cfg["runs"] == 1:  # the one run of a batch, drawing from rng_for(seed, 0)
+        rec = run_trajectory(obj, build_noise(cfg, obj.dim), cfg["algorithm"],
+                             build_schedule(cfg, obj.lipschitz), cfg["steps"],
+                             seed_split(cfg["seed"], 0), cfg["sgd_scale"])
+        rec.to_csv(out / "trajectory.csv")
+        final = rec.f_gap[-1]
     else:
-        _, blocks = _simulate(cfg, obj, ("f_gap",), _ensemble)
+        _, blocks = _simulate(cfg, obj, ("f_gap",))
         with closing(blocks):
             summary = stats.ensemble_summary(b.f_gap for b in blocks)
         stats.save_ensemble_csv(out / "ensemble.csv", summary)
@@ -230,9 +232,12 @@ def cmd_verify_descent(cfg: dict, out: Path) -> list[dict]:
     if cfg["algorithm"] != "sgdm":
         raise ConfigError("verify-descent applies to the sgdm algorithm only")
     obj = build_problem(cfg)
-    trace = _simulate(cfg, obj, PATH_FIELDS)
-    TrajectoryRecord.from_trace(obj, trace).to_csv(out / "trajectory.csv")
-    rep = check_descent(trace, obj.lipschitz, obj.xstar, obj.fstar, tol=cfg["tol"])
+    # one pass feeds both folds: run 0's record and the check over all runs
+    trace, blocks = _simulate(cfg, obj, TrajectoryRecord.RECORD)
+    rec = TrajectoryRecord.of(trace)
+    with closing(blocks):
+        rep = check_descent(trace, rec.fold(blocks), tol=cfg["tol"])
+    rec.to_csv(out / "trajectory.csv")
     check = _check("max_descent_residual", rep.max_residual <= cfg["tol"],
                    rep.max_residual, cfg["tol"])
     return [dict(check, run=rep.run, argmax_k=rep.argmax_k)]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from contextlib import closing
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -323,7 +324,8 @@ def supermartingale_trace(
         raise ValueError(f"t must not exceed 1/gamma2_upper = {1.0 / g2:.17g}")
     ks = np.arange(1, K + 1, dtype=float)
     a = a_sequence(schedule, ks)
-    if np.any(a > 1.0 / obj.lipschitz**2 + 1e-12):
+    # a_k L^2 <= 1, exactly for the float a_k and L: the largest a_k decides
+    if Fraction(float(np.max(a))) * Fraction(obj.lipschitz) ** 2 > 1:
         raise ValueError("drift inequality needs eta_k <= k / (16 L^2) for all k")
 
     # P(k) = gamma2 / prod_{l<=k}(1+a_l sigma^2), in log space

@@ -13,12 +13,15 @@ not merely an in-expectation statement.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 __all__ = [
     "continuous_energy",
     "check_descent",
     "energy_along",
+    "noise_terms",
     "descent_rhs_along",
     "DescentReport",
 ]
@@ -66,90 +69,93 @@ def energy_along(
     return np.sum(v * v, axis=-1) + 4.0 * np.sqrt(_per_step(ks1 * eta, f_gap.ndim)) * f_gap
 
 
-def descent_rhs_along(
-    x: np.ndarray,
-    g: np.ndarray,
-    grad: np.ndarray,
-    f_gap: np.ndarray,
-    eta: np.ndarray,
-    L: float,
-    xstar: np.ndarray,
-) -> np.ndarray:
+def noise_terms(x: np.ndarray, g: np.ndarray, grad: np.ndarray, xstar: np.ndarray,
+                k0: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """||theta_k||^2 and <theta_k, tau_k> of steps k = k0+1..k0+K, with the
+    gradient noise theta_k = grad_k - g_k and
+
+        tau_k = k (x_k - x_{k-1}) + (x_k - x*).
+
+    x is (K+1, d) holding x_{k0}..x_{k0+K} and g and grad are (K, d), the
+    realized and exact gradients of the steps; or, for M runs at once, they
+    carry a run axis before the last, as in :func:`energy_along`."""
+    K = g.shape[0]
+    ks = np.arange(k0 + 1, k0 + K + 1, dtype=float)
+    tau = _per_step(ks, x.ndim) * (x[1 : K + 1] - x[0:K]) + (x[1 : K + 1] - xstar)
+    theta = grad - g
+    return np.sum(theta * theta, axis=-1), np.sum(theta * tau, axis=-1)
+
+
+def descent_rhs_along(g_sq: np.ndarray, grad_sq: np.ndarray, theta_tau: np.ndarray,
+                      f_gap: np.ndarray, eta: np.ndarray, L: float, k0: int = 0) -> np.ndarray:
     """Upper bound on E(k) - E(k-1) for each realized momentum step
-    k = 1..K:
+    k = k0+1..k0+K:
 
         (4 eta_k / k) ||g_k||^2 - (2/L) sqrt(eta_k/k) ||grad_k||^2
         - 2 sqrt(eta_k/k) f_gap_k + 4 sqrt(eta_k/k) <grad_k - g_k, tau_k>
 
-    with tau_k = k (x_k - x_{k-1}) + (x_k - x*). Shaped (K,), or (K, M)
-    when the arrays carry a run axis as in :func:`energy_along`."""
-    K = g.shape[0]
-    ks = np.arange(1, K + 1, dtype=float)
-    r = _per_step(np.sqrt(eta[1:] / ks), f_gap.ndim)
-    c = _per_step(4.0 * eta[1:] / ks, f_gap.ndim)
-    tau = _per_step(ks, x.ndim) * (x[1 : K + 1] - x[0:K]) + (x[1 : K + 1] - xstar)
-    theta = grad - g
-    return (
-        c * np.sum(g * g, axis=-1)
-        - (2.0 / L) * r * np.sum(grad * grad, axis=-1)
-        - 2.0 * r * f_gap[1:]
-        + 4.0 * r * np.sum(theta * tau, axis=-1)
-    )
+    from the steps' rows ||g_k||^2, ||grad_k||^2, <theta_k, tau_k> (see
+    :func:`noise_terms`) and f_gap_k = f(x_k) - f*, each (K,) or (K, M), and
+    eta_k (K,)."""
+    ks = np.arange(k0 + 1, k0 + len(eta) + 1, dtype=float)
+    r = _per_step(np.sqrt(eta / ks), f_gap.ndim)
+    c = _per_step(4.0 * eta / ks, f_gap.ndim)
+    return c * g_sq - (2.0 / L) * r * grad_sq - 2.0 * r * f_gap + 4.0 * r * theta_tau
 
 
 class DescentReport:
-    """Residuals of the pathwise descent inequality, per step k = 1..K and,
-    for a batch of runs, per run (shape (K, M)). ``argmax_k`` and ``run``
-    locate the largest residual."""
+    """The pathwise descent inequality's residuals, folded block of steps by
+    block of steps: their maximum, the step ``argmax_k`` and ``run`` of its
+    first occurrence, and the number of residuals above ``tol`` times
+    1 + |E(k)|."""
 
-    def __init__(self, residuals: np.ndarray, energy: np.ndarray, tol: float):
-        self.residuals = residuals
+    def __init__(self, tol: float):
         self.tol = tol
-        allowed = tol * (1.0 + np.abs(energy[1:]))
-        self.n_violations = int(np.sum(residuals > allowed))
+        self.n_violations = 0
+        self.max_residual = -np.inf
+        self.argmax_k = self.run = 0
+
+    @property
+    def passed(self) -> bool:
+        return self.n_violations == 0
+
+    def add(self, residuals: np.ndarray, energy: np.ndarray, k0: int = 1) -> None:
+        """Fold the (steps, runs) residuals of steps k0, k0+1, ... with the
+        energies E(k) of the same steps."""
+        self.n_violations += int(np.sum(residuals > self.tol * (1.0 + np.abs(energy))))
         worst = np.unravel_index(np.argmax(residuals), residuals.shape)
-        self.argmax_k = int(worst[0]) + 1
-        self.run = int(worst[1]) if residuals.ndim > 1 else 0
-        self.max_residual = float(residuals[worst])
-        self.passed = self.n_violations == 0
-
-    def summary(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "argmax_k": self.argmax_k,
-            "run": self.run,
-            "n_violations": self.n_violations,
-        }
+        value = float(residuals[worst])
+        # the first maximum wins, and a NaN is the maximum, as in np.argmax
+        if not value <= self.max_residual and self.max_residual == self.max_residual:
+            self.max_residual = value
+            self.argmax_k = k0 + int(worst[0])
+            self.run = int(worst[1])
 
 
-def check_descent(record, L: float, xstar: np.ndarray, fstar: float, tol: float = 1e-10) -> DescentReport:
-    """Verify E(k) - E(k-1) <= descent_rhs pathwise for every logged step.
+def check_descent(trace, blocks, tol: float = 1e-10) -> DescentReport:
+    """Verify E(k) - E(k-1) <= descent_rhs pathwise for every step of every
+    run of an ensemble stream, folding its blocks as they arrive.
 
-    ``record`` is one run (a :class:`~sgdmlab.optimizers.TrajectoryRecord`)
-    or a batch (an :class:`~sgdmlab.optimizers.EnsembleTrace` recorded with
-    ``x``, ``g``, ``grad`` and ``f_gap``), checked on every column at once.
-    Residuals are measured relative to 1 + |E(k)| so the tolerance stays
-    meaningful for large early energies. Non-monotone schedules violate the
-    lemma hypothesis and are refused; records from algorithms other than the
-    momentum recursion only trigger a warning (the inequality is specific to
-    that update rule).
+    ``trace`` and ``blocks`` are the pair :func:`~sgdmlab.optimizers._ensemble`
+    returns, recorded with ``energy`` and ``descent``; E(k-1) is carried
+    from block to block. Residuals are measured relative to 1 + |E(k)| so
+    the tolerance stays meaningful for large early energies. Non-monotone
+    schedules violate the lemma hypothesis and are refused before a step is
+    taken; streams from algorithms other than the momentum recursion only
+    trigger a warning (the inequality is specific to that update rule).
     """
-    if record.schedule is not None and not record.schedule.monotone:
+    if not trace.schedule.monotone:
         raise ValueError("descent check requires a monotone non-increasing stepsize schedule")
-    if record.algorithm != "sgdm":
-        import warnings
-
+    if trace.algorithm != "sgdm":
         warnings.warn(
             f"descent inequality is specific to the momentum recursion; "
-            f"record is from {record.algorithm!r} and residuals may be positive"
+            f"record is from {trace.algorithm!r} and residuals may be positive"
         )
-    if record.x is None or record.g is None or record.grad is None or record.f_gap is None:
-        raise ValueError("descent check needs the recorded x, g, grad and f_gap")
-    # re-reference the gap if the caller's f* differs from the record's
-    f_gap = record.f_gap + (record.fstar - fstar)
-    energy = energy_along(record.x, record.eta, f_gap, xstar)
-    rhs = descent_rhs_along(
-        record.x, record.g, record.grad, f_gap, record.eta, L, xstar
-    )
-    residuals = (energy[1:] - energy[:-1]) - rhs
-    return DescentReport(residuals, energy, tol)
+    report, last = DescentReport(tol), None  # last: E(k-1) of the block's first step k
+    for b in blocks:
+        if b.energy is None or b.descent_rhs is None:
+            raise ValueError("descent check needs a stream recorded with energy and descent")
+        energy = b.energy if last is None else np.concatenate([last, b.energy])
+        report.add(energy[1:] - energy[:-1] - b.descent_rhs, energy[1:], max(b.lo, 1))
+        last = b.energy[-1:].copy()
+    return report

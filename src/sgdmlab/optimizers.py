@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import collections
 import threading
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
+from . import lyapunov
 from ._csv import write_csv
 from .problems import NoiseModel, Objective
 from .seeding import rng_for, rngs_for  # noqa: F401 (perfbench's tracer patches rng_for here)
@@ -100,70 +102,45 @@ def schedule_eval(s: StepSchedule, k) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-# The trace fields a TrajectoryRecord is derived from (see from_trace).
-PATH_FIELDS = ("x", "g", "grad", "f_gap")
-
-
 @dataclass
 class TrajectoryRecord:
-    """Per-iteration log of one run.
+    """Per-iteration log of run 0 of an ensemble stream, filled by :meth:`fold`.
 
-    Index conventions: ``x`` holds x_0 .. x_{K+1}; arrays of length K+1
-    (``f_gap``, ``eta``, ``energy``) are indexed by k = 0..K; arrays of
-    length K (``g``, ``grad``, ``theta``, ``descent_lhs``,
-    ``descent_rhs``) correspond to steps k = 1..K. ``g`` is the realized
-    gradient the step took and ``grad`` the exact gradient at the same query
-    point: x_k for momentum SGD and SGD, y_k for ACSA.
+    ``eta``, ``f_gap`` and ``energy`` are indexed by k = 0..K; ``descent_rhs``,
+    ``grad_norm`` and ``noise_norm`` by the steps k = 1..K. ``grad_norm`` is
+    the norm of the exact gradient at the step's query point (x_k for
+    momentum SGD and SGD, y_k for ACSA) and ``noise_norm`` that of its
+    difference to the realized gradient.
     """
 
     algorithm: str
     K: int
-    x: np.ndarray
-    g: np.ndarray
-    grad: np.ndarray
     eta: np.ndarray
     f_gap: np.ndarray
     energy: np.ndarray
-    descent_lhs: np.ndarray
     descent_rhs: np.ndarray
-    theta: np.ndarray
-    fstar: float = 0.0
-    schedule: StepSchedule | None = None
+    grad_norm: np.ndarray
+    noise_norm: np.ndarray
+
+    RECORD = ("f_gap", "energy", "descent")  # the stream fields a record folds
 
     @classmethod
-    def from_path(
-        cls,
-        obj: Objective,
-        algorithm: str,
-        schedule: StepSchedule,
-        x: np.ndarray,
-        g: np.ndarray,
-        grad: np.ndarray,
-        f_gap: np.ndarray,
-        eta: np.ndarray,
-    ) -> "TrajectoryRecord":
-        """Derive every logged quantity of one run from its iterates
-        x_0..x_{K+1}, realized and exact gradients (steps 1..K), and the
-        gaps and stepsizes at k = 0..K."""
-        from . import lyapunov  # late import: lyapunov consumes records
+    def of(cls, trace: "EnsembleTrace") -> "TrajectoryRecord":
+        """The empty record of run 0 of the stream whose trace is ``trace``."""
+        rows, steps = np.empty((2, trace.K + 1)), np.empty((3, trace.K))
+        return cls(trace.algorithm, trace.K, trace.eta, *rows, *steps)
 
-        K = g.shape[0]
-        energy = lyapunov.energy_along(x, eta, f_gap, obj.xstar)
-        descent_rhs = lyapunov.descent_rhs_along(
-            x, g, grad, f_gap, eta, obj.lipschitz, obj.xstar
-        )
-        return cls(
-            algorithm=algorithm, K=K, x=x, g=g, grad=grad, eta=eta,
-            f_gap=f_gap, energy=energy, descent_lhs=energy[1:] - energy[:-1],
-            descent_rhs=descent_rhs, theta=grad - g, fstar=obj.fstar,
-            schedule=schedule,
-        )
-
-    @classmethod
-    def from_trace(cls, obj: Objective, trace: "EnsembleTrace") -> "TrajectoryRecord":
-        """The record of column 0 of a trace of the fields in :data:`PATH_FIELDS`."""
-        col = (trace.x[:, 0], trace.g[:, 0], trace.grad[:, 0], trace.f_gap[:, 0])
-        return cls.from_path(obj, trace.algorithm, trace.schedule, *col, trace.eta)
+    def fold(self, blocks):
+        """Pass the blocks of a stream recorded with :attr:`RECORD` on,
+        keeping run 0's rows of each."""
+        for b in blocks:
+            self.f_gap[b.lo : b.hi] = b.f_gap[:, 0]
+            self.energy[b.lo : b.hi] = b.energy[:, 0]
+            steps = slice(max(b.lo, 1) - 1, b.hi - 1)
+            self.descent_rhs[steps] = b.descent_rhs[:, 0]
+            np.sqrt(b.grad_sq[:, 0], out=self.grad_norm[steps])
+            np.sqrt(b.theta_sq[:, 0], out=self.noise_norm[steps])
+            yield b
 
     def to_csv(self, path) -> None:
         """Write the per-step CSV (one row per step k = 1..K)."""
@@ -174,10 +151,10 @@ class TrajectoryRecord:
                 self.f_gap[1:],
                 self.eta[1:],
                 self.energy[1:],
-                self.descent_lhs,
+                np.diff(self.energy),
                 self.descent_rhs,
-                np.linalg.norm(self.grad, axis=1),
-                np.linalg.norm(self.theta, axis=1),
+                self.grad_norm,
+                self.noise_norm,
             ]
         )
         write_csv(path, cols, "k,f_gap,eta,lyapunov,descent_lhs,descent_rhs,grad_norm,noise_norm")
@@ -196,23 +173,27 @@ def run_trajectory(
     every per-step quantity.
 
     Fully deterministic given the seed (an int, SeedSequence, or Generator):
-    the run is the one column of a :func:`run_ensemble` call on that seed's
-    generator, and diverges with its ``FloatingPointError``.
+    the run is the one column of an ensemble stream on that seed's
+    generator, folded into its record, and diverges with its
+    ``FloatingPointError``.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    trace = run_ensemble(obj, noise, schedule, K, M=1, master_seed=None, algorithm=algorithm,
-                         record=PATH_FIELDS, sgd_scale=sgd_scale, rngs=[rng])
-    return TrajectoryRecord.from_trace(obj, trace)
+    trace, blocks = _ensemble(obj, noise, schedule, K, 1, None, algorithm,
+                              record=TrajectoryRecord.RECORD, sgd_scale=sgd_scale, rngs=[rng])
+    record = TrajectoryRecord.of(trace)
+    with closing(blocks):
+        collections.deque(record.fold(blocks), maxlen=0)
+    return record
 
 
 @dataclass
 class EnsembleTrace:
     """Vectorized per-step records of M runs (columns are runs).
 
-    Only the requested fields are populated; all arrays use the same k
-    indexing as :class:`TrajectoryRecord`, with the run axis after the step
-    axis. ``algorithm``, ``schedule`` and ``fstar`` let
-    :func:`~sgdmlab.lyapunov.check_descent` read a trace like a record.
+    Only the requested fields are populated; arrays of K+1 rows are indexed
+    by k = 0..K, those of K rows by the steps k = 1..K, with the run axis
+    after the step axis. ``algorithm`` and ``schedule`` tell
+    :func:`~sgdmlab.lyapunov.check_descent` which lemma a stream may meet.
     """
 
     K: int
@@ -220,22 +201,25 @@ class EnsembleTrace:
     eta: np.ndarray  # (K+1,)
     algorithm: str = "sgdm"
     schedule: StepSchedule | None = None
-    fstar: float = 0.0
-    x: np.ndarray | None = None  # (K+2, M, d): x_0 .. x_{K+1}
-    g: np.ndarray | None = None  # (K, M, d): realized gradients, steps 1..K
-    grad: np.ndarray | None = None  # (K, M, d): exact gradients, steps 1..K
     f_gap: np.ndarray | None = None  # (K+1, M)
     energy: np.ndarray | None = None  # (K+1, M)
-    theta_sq: np.ndarray | None = None  # (K, M)
-    theta_tau: np.ndarray | None = None  # (K, M)
+    theta_sq: np.ndarray | None = None  # (K, M): ||grad_k - g_k||^2
+    theta_tau: np.ndarray | None = None  # (K, M): <grad_k - g_k, tau_k>
+    grad_sq: np.ndarray | None = None  # (K, M): ||grad_k||^2
+    descent_rhs: np.ndarray | None = None  # (K, M)
     x_prev_final: np.ndarray | None = None  # (M, d): x_K
     x_cur_final: np.ndarray | None = None  # (M, d): x_{K+1}
 
 
+# The fields run_ensemble can record: "theta" gives theta_sq and theta_tau,
+# "descent" those and grad_sq and descent_rhs.
+RECORDS = ("f_gap", "energy", "theta", "descent")
+
 # A block of an ensemble's stream: rows lo..hi-1 (row r at k = k_start-1+r)
-# of f_gap and energy, and theta_sq/theta_tau of the steps k of rows
+# of f_gap and energy, and the step fields of the steps k of rows
 # max(lo, 1)..hi-1; None where not recorded. The next block overwrites them.
-_Block = collections.namedtuple("_Block", "lo hi f_gap energy theta_sq theta_tau")
+_Block = collections.namedtuple(
+    "_Block", "lo hi f_gap energy theta_sq theta_tau grad_sq descent_rhs")
 
 
 def run_ensemble(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: int, M: int,
@@ -259,16 +243,16 @@ def run_ensemble(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: i
     ``x_cur_final`` (``x_prev0``, ``x0``), with the same ``rngs``, continues
     it bit for bit as one longer call would.
 
-    ``record`` selects the fields to keep: ``"f_gap"``, ``"energy"``,
-    ``"theta"``, and the full path ``"x"``, ``"g"``, ``"grad"`` (runs that
-    start at k = 1 only). ``g`` and ``grad`` are the realized and exact
-    gradients at the step's query point: x_k, or y_k for ACSA. Each step
-    calls the gradient alone, or the fused :meth:`Objective.gap_and_grad`
-    when the objective has a ``value_and_grad``, ``f_gap`` is recorded and
-    the query point is x_k (not for ACSA). Steps run in
-    short segments whose iterates are kept (in ``x`` when the path is
-    recorded); after each segment ``f_gap`` and ``energy`` are evaluated on
-    all of its iterates at once.
+    ``record`` selects the fields to keep, from :data:`RECORDS` (any other
+    name raises ``ValueError``); ``"theta"`` and ``"descent"`` are the rows of
+    :func:`~sgdmlab.lyapunov.noise_terms` and ``descent_rhs_along``, for the
+    realized and exact gradients at the step's query point: x_k, or y_k for
+    ACSA. Each step calls the gradient alone, or the fused
+    :meth:`Objective.gap_and_grad` when the objective has a ``value_and_grad``,
+    ``f_gap`` is recorded and the query point is x_k (not for ACSA). Steps
+    run in short segments whose iterates (and gradients, for the step
+    fields) are kept; after each segment the fields are evaluated on all of
+    them at once.
 
     Steps run in chunks of ``chunk``. While one chunk is stepped, a helper
     thread draws the next chunk's noise (NumPy releases the interpreter lock
@@ -290,12 +274,10 @@ def _ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm", x0=None
               record=("f_gap",), sgd_scale=1.0, k_start=1, x_prev0=None, chunk=512, rngs=None,
               keep=False):
     """:func:`run_ensemble` as a stream: the trace it fills with ``eta``, the
-    path, the final iterates and (``keep``) the fields, and a generator of the
+    final iterates and (``keep``) the fields, and a generator of the
     recorded fields in :data:`_Block` s of whole segments, about 2^15 values per
     field. From a gap or energy that is not finite on, no block is yielded, and
     the error raises after the last step. Closing it joins the noise helper."""
-    from . import lyapunov  # late import: lyapunov consumes records
-
     if K < 1 or M < 1:
         raise ValueError("K and M must be >= 1")
     if algorithm not in ("sgdm", "sgd", "acsa"):
@@ -304,8 +286,9 @@ def _ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm", x0=None
     if acsa and (k_start != 1 or x_prev0 is not None):
         raise ValueError("acsa runs start at k_start = 1 with x_0 = x_1 (no x_prev0)")
     record = set(record)
-    if k_start != 1 and record & {"x", "g", "grad"}:
-        raise ValueError("full-path recording needs k_start = 1")
+    if not record <= set(RECORDS):
+        raise ValueError(f"unknown record name(s) {sorted(record - set(RECORDS))}; "
+                         f"accepted: {', '.join(RECORDS)}")
     if rngs is None:  # a noiseless ensemble draws nothing and builds none
         rngs = rngs_for(master_seed, M) if noise.scale != 0.0 else []
     elif len(rngs) != M:
@@ -315,34 +298,33 @@ def _ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm", x0=None
 
     ks = np.arange(k_start - 1, k_start + K)
     eta = np.atleast_1d(np.asarray(schedule_eval(schedule, ks), dtype=float))
-    trace = EnsembleTrace(K=K, M=M, eta=eta, algorithm=algorithm,
-                          schedule=schedule, fstar=obj.fstar)
-    evaluated = bool(record & {"f_gap", "energy"})
+    trace = EnsembleTrace(K=K, M=M, eta=eta, algorithm=algorithm, schedule=schedule)
+    if "descent" in record:  # the bound needs the noise terms
+        record.add("theta")
+    theta = "theta" in record
+    evaluated = bool(record)
     fused = "f_gap" in record and obj.value_and_grad is not None and not acsa
-    # steps per segment: a block of iterates that f_gap or energy is
-    # evaluated on at once, else a few whose rows only carry the recursion
-    size = _BLOCK_ELEMENTS if "energy" in record or (evaluated and not fused) else _CARRY_ELEMENTS
+    # steps per segment: a block of iterates that the fields are evaluated
+    # on at once, else a few whose rows only carry the recursion
+    size = _BLOCK_ELEMENTS if record - {"f_gap"} or (evaluated and not fused) else _CARRY_ELEMENTS
     seg = max(1, min(chunk, K, size // (M * d)))
-    # the iterates, path row r holding x_{k_start-1+r}: the whole path, or
-    # one segment's rows at a time
-    if "x" in record:
-        trace.x = path = np.empty((K + 2, M, d))
-    else:
-        path = np.empty((seg + 2, M, d))
+    # one segment's iterates, row r holding x_{k-1} of its first step k plus r
+    path = np.empty((seg + 2, M, d))
     path[1] = np.ones(d) if x0 is None else x0
     path[0] = path[1] if x_prev0 is None else x_prev0
-    if "g" in record:
-        trace.g = np.empty((K, M, d))
-    if "grad" in record:
-        trace.grad = np.empty((K, M, d))
-    # buffer row i holds block row off + i, and theta the step of that row;
-    # the first block also holds row 0, x_{k_start-1}, which no step reaches
+    # and its exact and realized gradients, row j that of its step j
+    grad_seg = np.empty((seg, M, d)) if theta else None
+    g_seg = grad_seg if grad_seg is None or noise.scale == 0.0 else np.empty((seg, M, d))
+    # buffer row i holds block row off + i; the first block also holds row
+    # 0, x_{k_start-1}, which no step reaches and whose step fields are unset
     cap = K + 1 if keep else min(max(seg, _BLOCK_VALUES // M), K) + 1
-    f_gap, energy, theta_sq, theta_tau = (np.empty((cap, M)) if name in record else None
-                                          for name in ("f_gap", "energy", "theta", "theta"))
-    if keep:  # the trace's own fields; row 0 of theta is no step's
+    f_gap, energy, theta_sq, theta_tau, grad_sq, descent_rhs = (
+        np.empty((cap, M)) if name in record else None
+        for name in ("f_gap", "energy", "theta", "theta", "descent", "descent"))
+    if keep:  # the trace's own fields; row 0 of a step field is no step's
         trace.f_gap, trace.energy = f_gap, energy
-        trace.theta_sq, trace.theta_tau = (t if t is None else t[1:] for t in (theta_sq, theta_tau))
+        trace.theta_sq, trace.theta_tau, trace.grad_sq, trace.descent_rhs = (
+            t if t is None else t[1:] for t in (theta_sq, theta_tau, grad_sq, descent_rhs))
 
     # per-step coefficients, indexed by s = k - k_start (eta[s + 1] = eta_k);
     # for ACSA ``momentum`` is alpha_k and ``gain`` gamma_k
@@ -356,20 +338,18 @@ def _ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm", x0=None
     else:
         momentum, gain = None, (sgd_scale / np.sqrt(k_steps)).tolist()
 
-    g_rec, grad_rec = trace.g, trace.grad
     dx = np.empty((M, d))  # x_k - x_{k-1}, then the momentum point
     g_buf = np.empty((M, d))  # the realized gradient, then the step taken along it
     if acsa:  # z_k, and the query point y_k, then alpha_k z_{k+1}
         z, y = path[1].copy(), np.empty((M, d))
 
-    def advance(xw, first, n, xi, r):
+    def advance(first, n, xi, r):
         """Take steps s = first .. first+n-1 (k = k_start + s) with noise
-        xi[s - first], recording into buffer rows r ... ``xw[j]`` holds
-        x_{k-1} of step j, and the step writes x_{k+1} into ``xw[j + 2]``."""
-        x_prev, x_cur = xw[0], xw[1]
+        xi[s - first], recording the gap into buffer rows r ... ``path[j]``
+        holds x_{k-1} of step j, and the step writes x_{k+1} into ``path[j + 2]``."""
+        x_prev, x_cur = path[0], path[1]
         for j in range(n):
             s = first + j
-            k = k_start + s
             if fused:
                 f_gap[r + j], grad = obj.gap_and_grad(x_cur)
             elif acsa:  # y_k = (1 - alpha_k) x_k + alpha_k z_k
@@ -377,54 +357,58 @@ def _ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm", x0=None
                 grad = obj.grad(np.add(y, np.multiply(z, momentum[s], out=dx), out=y))
             else:
                 grad = obj.grad(x_cur)
-            g = grad if xi is None else np.add(grad, xi[j], out=g_buf)
-            if grad_rec is not None:
-                grad_rec[s] = grad
-            if g_rec is not None:
-                g_rec[s] = g  # a copy, also where g aliases grad
-            np.subtract(x_cur, x_prev, out=dx)
-            if theta_sq is not None:
-                noise_s = grad - g
-                tau = k * dx + (x_cur - xstar)
-                theta_sq[r + j] = np.sum(noise_s * noise_s, axis=1)
-                theta_tau[r + j] = np.sum(noise_s * tau, axis=1)
+            if grad_seg is not None:
+                grad_seg[j] = grad
+            g = grad if xi is None else np.add(grad, xi[j],
+                                               out=g_buf if g_seg is None else g_seg[j])
             np.multiply(g, gain[s], out=g_buf)
             if sgdm:
+                np.subtract(x_cur, x_prev, out=dx)
                 np.multiply(dx, momentum[s], out=dx)
                 np.add(x_cur, dx, out=dx)
-                x_next = np.subtract(dx, g_buf, out=xw[j + 2])
+                x_next = np.subtract(dx, g_buf, out=path[j + 2])
             elif acsa:  # x_{k+1} = (1 - alpha_k) x_k + alpha_k z_{k+1}
                 np.subtract(z, g_buf, out=z)
-                np.multiply(x_cur, 1.0 - momentum[s], out=xw[j + 2])
-                x_next = np.add(xw[j + 2], np.multiply(z, momentum[s], out=y), out=xw[j + 2])
+                np.multiply(x_cur, 1.0 - momentum[s], out=path[j + 2])
+                x_next = np.add(path[j + 2], np.multiply(z, momentum[s], out=y), out=path[j + 2])
             else:
-                x_next = np.subtract(x_cur, g_buf, out=xw[j + 2])
+                x_next = np.subtract(x_cur, g_buf, out=path[j + 2])
             x_prev, x_cur = x_cur, x_next
 
     late = None  # (k, message) of the first gap or energy that is not finite
 
-    def evaluate(xw, first, r, lo, hi):
-        """f_gap and energy at rows lo..hi-1 of a segment's iterates ``xw``
-        (path rows first+lo .., block rows r+lo ..)."""
+    def evaluate(first, r, lo, n):
+        """The recorded fields of a segment's n steps s = first .. (rows lo..n
+        of ``path``, block rows r+lo ..r+n; step fields from row r+1)."""
         nonlocal late
-        rows = slice(r + lo, r + hi)
-        k = k_start - 1 + first + lo  # x_k is row lo
+        rows = slice(r + lo, r + n + 1)
+        k = k_start - 1 + first  # x_k is path row 0
         if fused:
             fb = f_gap[rows]
         else:
-            fb = obj.f_gap(xw[lo:hi])
+            fb = obj.f_gap(path[lo : n + 1])
             if f_gap is not None:
                 f_gap[rows] = fb
-        hits = [_nonfinite(fb, k, lambda k: f"f(x_{k}) - f*")]
+        hits = [_nonfinite(fb, k + lo, lambda k: f"f(x_{k}) - f*")]
         if energy is not None:
-            energy[rows] = lyapunov.energy_along(xw[lo : hi + 1], eta[first + lo : first + hi],
-                                                 fb, xstar, k)
-            hits.append(_nonfinite(energy[rows], k, lambda k: f"energy E({k})"))
+            energy[rows] = lyapunov.energy_along(path[lo : n + 2], eta[first + lo : first + n + 1],
+                                                 fb, xstar, k + lo)
+            hits.append(_nonfinite(energy[rows], k + lo, lambda k: f"energy E({k})"))
         if late is None:
             late = min(filter(None, hits), key=lambda hit: hit[0], default=None)
+        if theta:
+            steps = slice(r + 1, r + n + 1)
+            g, grad = g_seg[:n], grad_seg[:n]
+            theta_sq[steps], theta_tau[steps] = lyapunov.noise_terms(path[: n + 1], g, grad,
+                                                                     xstar, k)
+        if descent_rhs is not None:
+            np.sum(grad * grad, axis=-1, out=grad_sq[steps])
+            descent_rhs[steps] = lyapunov.descent_rhs_along(
+                np.sum(g * g, axis=-1), grad_sq[steps], theta_tau[steps], fb[1 - lo :],
+                eta[first + 1 : first + n + 1], obj.lipschitz, k)
 
     def blocks():
-        xw, xi, m = path, None, 0
+        xi, m = None, 0
         if fused:  # the gap at x_{k_start-1}, which no step evaluates
             f_gap[0] = obj.f_gap(path[0])
         # noise buffers (steps, runs, dim); a second one and the helper
@@ -448,17 +432,15 @@ def _ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm", x0=None
                             if K - s0 > chunk:
                                 fill = _NoiseFill(noise, rngs, bufs[(c + 1) % 2][
                                     : min(chunk, K - s0 - chunk)], helper=True)
-                        if trace.x is None and s0:  # carry x_{k-1}, x_k of its first step
+                        if s0:  # carry x_{k-1}, x_k of its first step
                             path[:2] = path[m : m + 2]
                         m = min(seg, chunk - a, K - s0)
-                        if trace.x is not None:
-                            xw = path[s0 : s0 + m + 2]
-                        advance(xw, s0, m, None if xi is None else xi[a : a + m], s0 + 1 - off)
-                        if not np.isfinite(xw[m + 1]).all():
+                        advance(s0, m, None if xi is None else xi[a : a + m], s0 + 1 - off)
+                        if not np.isfinite(path[m + 1]).all():
                             raise FloatingPointError(_nonfinite(
-                                xw[2 : m + 2], k_start + s0, lambda k: f"iterate x_{k + 1}")[1])
+                                path[2 : m + 2], k_start + s0, lambda k: f"iterate x_{k + 1}")[1])
                         if evaluated:
-                            evaluate(xw, s0, s0 - off, 1 if s0 else 0, m + 1)
+                            evaluate(s0, s0 - off, 1 if s0 else 0, m)
                         s0 += m
                         if s0 + 1 - off + seg > cap:
                             break
@@ -467,7 +449,8 @@ def _ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm", x0=None
                     steps = slice(max(lo, 1) - off, s0 + 1 - off)  # row 0 is no step's
                     yield _Block(lo, s0 + 1,
                                  *(None if f is None else f[rows] for f in (f_gap, energy)),
-                                 *(None if f is None else f[steps] for f in (theta_sq, theta_tau)))
+                                 *(None if f is None else f[steps]
+                                   for f in (theta_sq, theta_tau, grad_sq, descent_rhs)))
                 lo = s0 + 1
                 off = 0 if keep else lo
             # a diverging iterate is reported first, even where its gap
@@ -477,7 +460,7 @@ def _ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm", x0=None
         finally:
             if fill is not None:
                 fill.cancel()
-        trace.x_prev_final, trace.x_cur_final = xw[m], xw[m + 1]
+        trace.x_prev_final, trace.x_cur_final = path[m], path[m + 1]
 
     return trace, blocks()
 

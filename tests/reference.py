@@ -7,10 +7,11 @@ the vectorized forms in :mod:`sgdmlab.lyapunov`.
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from sgdmlab.optimizers import StepSchedule, TrajectoryRecord, schedule_eval
+from sgdmlab.optimizers import StepSchedule, schedule_eval
 from sgdmlab.seeding import rng_for
 
 
@@ -125,7 +126,10 @@ def reference_ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm"
     is run ``first_run + i``, seeded by ``rng_for(master_seed, first_run + i)``.
     ACSA (cold start only) takes its gradients at y_k = (1 - a) x_k + a z_k,
     a = 2/(k+1), and steps z with gamma_k = 1/(2L/k + sqrt(k)), in the order
-    of Lan's three-sequence scheme: y, z_{k+1}, then x_{k+1}."""
+    of Lan's three-sequence scheme: y, z_{k+1}, then x_{k+1}. Besides the
+    engine's record names, ``record`` takes the path: ``"x"`` (x_0 ..
+    x_{K+1}), and ``"g"`` and ``"grad"``, the realized and exact gradients
+    of steps 1..K."""
     d = obj.dim
     x0 = np.ones(d) if x0 is None else np.asarray(x0, dtype=float)
     x_cur = np.broadcast_to(x0, (M, d)).copy()
@@ -134,7 +138,7 @@ def reference_ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm"
     xi_all = np.stack([noise.sample(rng_for(master_seed, first_run + i), K)
                        for i in range(M)], axis=1)
     out = {"x": [x_prev, x_cur], "g": [], "grad": [], "f_gap": [obj.f_gap(x_prev)],
-           "theta_sq": [], "theta_tau": []}
+           "theta_sq": [], "theta_tau": [], "grad_sq": [], "descent_rhs": []}
     v = x_cur + float(k_start) * (x_cur - x_prev) - obj.xstar
     out["energy"] = [np.sum(v * v, axis=1)
                      + 4.0 * np.sqrt(k_start * eta[0]) * obj.f_gap(x_prev)]
@@ -151,6 +155,11 @@ def reference_ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm"
         g = grad if noise.scale == 0.0 else grad + xi_all[s]
         xi = grad - g
         tau = k * (x_cur - x_prev) + (x_cur - obj.xstar)
+        theta_tau = np.sum(xi * tau, axis=1)
+        grad_sq = np.sum(grad * grad, axis=1)
+        r = np.sqrt(eta[s + 1] / k)
+        rhs = (4.0 * eta[s + 1] / k * np.sum(g * g, axis=1) - (2.0 / obj.lipschitz) * r * grad_sq
+               - 2.0 * r * fg + 4.0 * r * theta_tau)
         if algorithm == "sgdm":
             x_next = (x_cur + (k / (k + 2.0)) * (x_cur - x_prev)
                       - (2.0 * np.sqrt(eta[s + 1]) / ((k + 2.0) * np.sqrt(k))) * g)
@@ -161,26 +170,39 @@ def reference_ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm"
             x_next = x_cur - (sgd_scale / np.sqrt(k)) * g
         w = x_next + (k + 1.0) * (x_next - x_cur) - obj.xstar
         for name, val in (("f_gap", fg), ("grad", grad), ("g", g), ("x", x_next),
-                          ("theta_sq", np.sum(xi * xi, axis=1)),
-                          ("theta_tau", np.sum(xi * tau, axis=1)),
+                          ("theta_sq", np.sum(xi * xi, axis=1)), ("theta_tau", theta_tau),
+                          ("grad_sq", grad_sq), ("descent_rhs", rhs),
                           ("energy", np.sum(w * w, axis=1)
                            + 4.0 * np.sqrt((k + 1.0) * eta[s + 1]) * fg)):
             out[name].append(val)
         x_prev, x_cur = x_cur, x_next
     fields = {"f_gap": ["f_gap"], "energy": ["energy"], "theta": ["theta_sq", "theta_tau"],
+              "descent": ["theta_sq", "theta_tau", "grad_sq", "descent_rhs"],
               "x": ["x"], "g": ["g"], "grad": ["grad"]}
     kept = {f: np.array(out[f]) for r in record for f in fields[r]}
     return kept, x_prev, x_cur
 
 
-def reference_record(obj, noise, schedule, K, master_seed, run=0, algorithm="sgdm"):
-    """The per-step record of run ``run`` of the reference loop."""
+def reference_record(obj, noise, schedule, K, master_seed, run=0):
+    """The per-step record of momentum-SGD run ``run`` of the reference
+    loop, from the term-by-term oracles over its path: ``f_gap``, ``eta``
+    and ``energy`` at k = 0..K; ``descent_lhs``, ``descent_rhs``,
+    ``residuals`` (lhs - rhs), ``grad_norm`` and ``noise_norm`` at steps
+    k = 1..K."""
     path = ("x", "g", "grad", "f_gap")
-    ref, _, _ = reference_ensemble(obj, noise, schedule, K, 1, master_seed, algorithm=algorithm,
-                                   record=path, first_run=run)
+    ref, _, _ = reference_ensemble(obj, noise, schedule, K, 1, master_seed, record=path,
+                                   first_run=run)
+    x, g, grad, f_gap = (ref[name][:, 0] for name in path)
     eta = np.asarray(schedule_eval(schedule, np.arange(K + 1)), dtype=float)
-    return TrajectoryRecord.from_path(obj, algorithm, schedule,
-                                      *(ref[name][:, 0] for name in path), eta)
+    energy = np.array([discrete_energy(x[k + 1], x[k], k, eta[k], f_gap[k], obj.xstar)
+                       for k in range(K + 1)])
+    rhs = np.array([descent_rhs(x[k], x[k - 1], g[k - 1], grad[k - 1], f_gap[k], k, eta[k],
+                                obj.lipschitz, obj.xstar) for k in range(1, K + 1)])
+    lhs = np.diff(energy)
+    return SimpleNamespace(K=K, f_gap=f_gap, eta=eta, energy=energy, descent_lhs=lhs,
+                           descent_rhs=rhs, residuals=lhs - rhs,
+                           grad_norm=np.linalg.norm(grad, axis=1),
+                           noise_norm=np.linalg.norm(grad - g, axis=1))
 
 
 def first_nonfinite_step(obj, noise, sched, K, M, seed):

@@ -21,9 +21,8 @@ from sgdmlab.concentration import (
 )
 from sgdmlab.continuous import OdeParams, l2_limit_estimate, ode_integrate, ode_rate_check
 from sgdmlab.lyapunov import check_descent
-from sgdmlab.optimizers import StepSchedule, run_trajectory
+from sgdmlab.optimizers import _ensemble, StepSchedule
 from sgdmlab.problems import NoiseModel, logreg_new, quadratic_new, synthetic_blobs
-from sgdmlab.seeding import seed_split
 from sgdmlab.stats import (
     expectation_rate_check,
     smoothness_comparison,
@@ -48,12 +47,12 @@ def test_01_pathwise_descent():
     for obj in (quad, logreg):
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
         for var in (0.0, 100.0):
-            noise = NoiseModel.gaussian(10, var)
-            for seed in range(50):
-                rec = run_trajectory(obj, noise, "sgdm", sched, 1000, seed_split(7, seed))
-                rep = check_descent(rec, obj.lipschitz, obj.xstar, obj.fstar, tol=1e-10)
-                worst = max(worst, rep.max_residual)
-                ok = ok and rep.passed
+            # runs 0..49 of one batch: run i draws from the stream of seed_split(7, i)
+            stream = _ensemble(obj, NoiseModel.gaussian(10, var), sched, 1000, 50, 7,
+                               record=("energy", "descent"))
+            rep = check_descent(*stream, tol=1e-10)
+            worst = max(worst, rep.max_residual)
+            ok = ok and rep.passed
     report(1, "pathwise descent inequality", ok, time.time() - t0, 60.0,
            f"max residual {worst:.2e}")
 

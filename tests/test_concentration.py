@@ -440,6 +440,21 @@ class TestSupermartingale:
             supermartingale_trace(obj, noise, sched, K=10, M=5, master_seed=0,
                                   k_trunc=10_000)
 
+    @pytest.mark.parametrize("excess, refused", [(1e-7, True), (-1e-7, False)])
+    def test_drift_hypothesis_is_checked_relative_to_one_over_l_squared(self, excess, refused):
+        """At L = 10^3, a_1 L^2 = 1 + 1e-7 is 1e-13 above 1/L^2 in absolute
+        terms, below an absolute slack of 1e-12; it is refused all the same."""
+        L = 1e3
+        obj = quadratic_new(np.array([[L]]))
+        sched = anytime_schedule(L=L, scale=(1.0 + excess) * math.log(3.0) ** 2)
+        assert a_sequence(sched, 1) * L**2 == pytest.approx(1.0 + excess, abs=1e-12)
+        args = (obj, NoiseModel.gaussian(1, 0.01), sched, 10, 5, 0)
+        if refused:
+            with pytest.raises(ValueError, match="16 L"):
+                supermartingale_trace(*args, k_trunc=10_000)
+        else:
+            assert supermartingale_trace(*args, k_trunc=10_000)["pathwise_ok"]
+
 
 class TestStreamLifetime:
     """The ensembles of the Monte-Carlo checks stream their blocks; the

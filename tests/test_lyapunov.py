@@ -10,12 +10,13 @@ from sgdmlab.lyapunov import (
     continuous_energy,
     descent_rhs_along,
     energy_along,
+    noise_terms,
 )
-from sgdmlab.optimizers import StepSchedule, run_ensemble, run_trajectory, schedule_eval
+from sgdmlab.optimizers import _ensemble, StepSchedule, run_ensemble, run_trajectory
 from sgdmlab.problems import NoiseModel, quadratic_new
-from sgdmlab.seeding import seed_split
+from sgdmlab.seeding import rng_for, seed_split
 
-from reference import descent_rhs, discrete_energy
+from reference import descent_rhs, discrete_energy, reference_ensemble
 from test_problems import random_spd
 
 
@@ -48,10 +49,11 @@ class TestDiscreteEnergy:
     def test_energy_along_matches_scalar_version(self):
         obj = quadratic_new(random_spd(3, 0))
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
-        rec = run_trajectory(obj, NoiseModel.gaussian(3, 1.0), "sgdm", sched, 20, 0)
+        noise = NoiseModel.gaussian(3, 1.0)
+        rec = run_trajectory(obj, noise, "sgdm", sched, 20, seed_split(0, 0))
+        x = reference_ensemble(obj, noise, sched, 20, 1, 0, record=("x",))[0]["x"][:, 0]
         for k in (0, 1, 7, 20):
-            expect = discrete_energy(rec.x[k + 1], rec.x[k], k, rec.eta[k],
-                                     rec.f_gap[k], obj.xstar)
+            expect = discrete_energy(x[k + 1], x[k], k, rec.eta[k], rec.f_gap[k], obj.xstar)
             assert rec.energy[k] == pytest.approx(expect, rel=1e-12)
 
     def test_initial_energy_with_duplicated_start(self):
@@ -59,7 +61,7 @@ class TestDiscreteEnergy:
         obj = quadratic_new(np.eye(2))
         sched = StepSchedule(kind="anytime_log2", L=1.0)
         rec = run_trajectory(obj, NoiseModel.noiseless(2), "sgdm", sched, 3, 0)
-        x0 = rec.x[0]
+        x0 = np.ones(2)
         expect = float(x0 @ x0) + 4.0 * math.sqrt(rec.eta[0]) * obj.f_gap(x0)
         assert rec.energy[0] == pytest.approx(expect, rel=1e-12)
 
@@ -126,13 +128,16 @@ class TestDescentRhs:
     def test_run_axis_matches_single_runs(self):
         obj = quadratic_new(random_spd(3, 6))
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
-        recs = [run_trajectory(obj, NoiseModel.gaussian(3, 1.0), "sgdm", sched, 20, s)
-                for s in range(3)]
-        x, g, grad, f_gap = (np.stack([getattr(r, n) for r in recs], axis=1)
-                             for n in ("x", "g", "grad", "f_gap"))
+        noise = NoiseModel.gaussian(3, 1.0)
+        path = ("x", "g", "grad", "f_gap")
+        ref, _, _ = reference_ensemble(obj, noise, sched, 20, 3, 0, record=path)
+        x, g, grad, f_gap = (ref[name] for name in path)
+        recs = [run_trajectory(obj, noise, "sgdm", sched, 20, seed_split(0, i)) for i in range(3)]
         eta = recs[0].eta
         energy = energy_along(x, eta, f_gap, obj.xstar)
-        rhs = descent_rhs_along(x, g, grad, f_gap, eta, obj.lipschitz, obj.xstar)
+        theta_tau = noise_terms(x[:-1], g, grad, obj.xstar)[1]
+        rhs = descent_rhs_along(np.sum(g * g, axis=-1), np.sum(grad * grad, axis=-1), theta_tau,
+                                f_gap[1:], eta[1:], obj.lipschitz)
         for i, rec in enumerate(recs):
             np.testing.assert_allclose(energy[:, i], rec.energy, rtol=1e-14)
             np.testing.assert_allclose(rhs[:, i], rec.descent_rhs, rtol=1e-12, atol=1e-15)
@@ -140,13 +145,23 @@ class TestDescentRhs:
     def test_vectorized_matches_scalar(self):
         obj = quadratic_new(random_spd(3, 1))
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
-        rec = run_trajectory(obj, NoiseModel.gaussian(3, 2.0), "sgdm", sched, 15, 3)
-        vec = descent_rhs_along(rec.x, rec.g, rec.grad, rec.f_gap, rec.eta,
-                                obj.lipschitz, obj.xstar)
-        for k in (1, 8, 15):
-            scalar = descent_rhs(rec.x[k], rec.x[k - 1], rec.g[k - 1], rec.grad[k - 1],
-                                 rec.f_gap[k], k, rec.eta[k], obj.lipschitz, obj.xstar)
-            assert vec[k - 1] == pytest.approx(scalar, rel=1e-12)
+        path = ("x", "g", "grad", "f_gap")
+        ref, _, _ = reference_ensemble(obj, NoiseModel.gaussian(3, 2.0), sched, 15, 1, 3,
+                                       record=path)
+        x, g, grad, f_gap = (ref[name][:, 0] for name in path)
+        eta = np.asarray(sched(np.arange(16)))
+        # a segment of the path, steps k = 8..15, as the engine passes it
+        theta_sq, theta_tau = noise_terms(x[7:16], g[7:], grad[7:], obj.xstar, k0=7)
+        vec = descent_rhs_along(np.sum(g[7:] ** 2, axis=1), np.sum(grad[7:] ** 2, axis=1),
+                                theta_tau, f_gap[8:], eta[8:], obj.lipschitz, k0=7)
+        for k in (8, 11, 15):
+            scalar = descent_rhs(x[k], x[k - 1], g[k - 1], grad[k - 1],
+                                 f_gap[k], k, eta[k], obj.lipschitz, obj.xstar)
+            assert vec[k - 8] == pytest.approx(scalar, rel=1e-12)
+            theta = grad[k - 1] - g[k - 1]
+            tau = k * (x[k] - x[k - 1]) + (x[k] - obj.xstar)
+            assert theta_sq[k - 8] == pytest.approx(theta @ theta, rel=1e-12)
+            assert theta_tau[k - 8] == pytest.approx(theta @ tau, rel=1e-12)
 
     def test_rejects_k_below_one(self):
         z = np.zeros(2)
@@ -154,12 +169,16 @@ class TestDescentRhs:
             descent_rhs(z, z, z, z, 0.0, 0, 0.1, 1.0, z)
 
 
+def descent_stream(obj, noise, sched, K, M, seed, **kw):
+    """The (trace, blocks) pair check_descent folds."""
+    return _ensemble(obj, noise, sched, K, M, seed, record=("energy", "descent"), **kw)
+
+
 class TestCheckDescent:
     def test_holds_pathwise_with_noise(self):
         obj = quadratic_new(random_spd(5, 0))
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
-        rec = run_trajectory(obj, NoiseModel.gaussian(5, 4.0), "sgdm", sched, 500, 1)
-        rep = check_descent(rec, obj.lipschitz, obj.xstar, obj.fstar)
+        rep = check_descent(*descent_stream(obj, NoiseModel.gaussian(5, 4.0), sched, 500, 4, 1))
         assert rep.passed
         assert rep.n_violations == 0
         assert rep.max_residual <= 1e-10
@@ -167,73 +186,100 @@ class TestCheckDescent:
     def test_refuses_non_monotone_schedule(self):
         obj = quadratic_new(np.eye(2))
         sched = StepSchedule(kind="custom", fn=lambda k: 0.01 * (1.0 + 0.0 * k))
-        rec = run_trajectory(obj, NoiseModel.noiseless(2), "sgdm", sched, 5, 0)
+        trace, blocks = descent_stream(obj, NoiseModel.noiseless(2), sched, 5, 1, 0)
         with pytest.raises(ValueError, match="monotone"):
-            check_descent(rec, obj.lipschitz, obj.xstar, obj.fstar)
+            check_descent(trace, blocks)
+        assert next(blocks).hi == 6  # refused before a step was taken
 
     def test_warns_for_other_algorithms(self):
         obj = quadratic_new(np.eye(2))
         sched = StepSchedule(kind="sqrt_k", scale=0.1)
-        rec = run_trajectory(obj, NoiseModel.noiseless(2), "sgd", sched, 5, 0)
+        stream = descent_stream(obj, NoiseModel.noiseless(2), sched, 5, 1, 0, algorithm="sgd")
         with pytest.warns(UserWarning, match="momentum"):
-            check_descent(rec, obj.lipschitz, obj.xstar, obj.fstar)
-
-    def test_re_references_external_fstar(self):
-        """Passing a worse f* shifts every gap by the same constant; the
-        report must use the caller's reference, not the recorded one."""
-        obj = quadratic_new(random_spd(3, 2))
-        sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
-        rec = run_trajectory(obj, NoiseModel.noiseless(3), "sgdm", sched, 50, 0)
-        shifted = check_descent(rec, obj.lipschitz, obj.xstar, obj.fstar - 0.1)
-        baseline = check_descent(rec, obj.lipschitz, obj.xstar, obj.fstar)
-        assert shifted.max_residual != pytest.approx(baseline.max_residual)
+            check_descent(*stream)
 
     def test_report_flags_injected_violation(self):
-        residuals = np.array([-1.0, 5e-11, 2e-3, -0.5])
-        energy = np.array([10.0, 9.0, 8.0, 7.0, 6.0])
-        rep = DescentReport(residuals, energy, tol=1e-10)
+        residuals = np.array([[-1.0], [5e-11], [2e-3], [-0.5]])
+        energy = np.array([[10.0], [9.0], [8.0], [7.0], [6.0]])
+        rep = DescentReport(tol=1e-10)
+        rep.add(residuals, energy[1:])
         assert not rep.passed
         assert rep.n_violations == 1
         assert rep.argmax_k == 3
-        assert rep.summary()["max_residual"] == pytest.approx(2e-3)
+        assert rep.max_residual == pytest.approx(2e-3)
 
     def test_report_locates_worst_run_and_step(self):
         residuals = np.full((4, 3), -1.0)
         residuals[2, 1] = 3e-3  # k = 3, run 1
         residuals[0, 2] = 1e-3
         energy = np.full((5, 3), 10.0)
-        rep = DescentReport(residuals, energy, tol=1e-10)
+        rep = DescentReport(tol=1e-10)
+        rep.add(residuals, energy[1:])
         assert (rep.argmax_k, rep.run) == (3, 1)
         assert rep.max_residual == pytest.approx(3e-3)
         assert rep.n_violations == 2
-        assert rep.summary()["run"] == 1
+
+    def test_report_folds_blocks_as_one_array(self):
+        """Folding step blocks gives the report of all steps at once: the
+        first maximum wins, and a NaN is the maximum."""
+        residuals = np.full((6, 2), -1.0)
+        residuals[1, 0] = residuals[4, 1] = 2e-3  # a tie: k = 2 comes first
+        energy = np.full((6, 2), 10.0)
+        whole, folded = DescentReport(tol=1e-10), DescentReport(tol=1e-10)
+        whole.add(residuals, energy)
+        for lo, hi in ((0, 3), (3, 6)):
+            folded.add(residuals[lo:hi], energy[lo:hi], k0=lo + 1)
+        assert vars(folded) == vars(whole) == {
+            "tol": 1e-10, "max_residual": 2e-3, "argmax_k": 2, "run": 0, "n_violations": 2}
+        residuals[3, 1] = np.nan
+        folded = DescentReport(tol=1e-10)
+        for lo, hi in ((0, 3), (3, 6)):
+            folded.add(residuals[lo:hi], energy[lo:hi], k0=lo + 1)
+        assert math.isnan(folded.max_residual) and (folded.argmax_k, folded.run) == (4, 1)
 
     def test_batch_check_matches_per_run_checks(self):
         obj = quadratic_new(random_spd(4, 3))
         noise = NoiseModel.gaussian(4, 9.0)
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
-        tr = run_ensemble(obj, noise, sched, K=80, M=4, master_seed=3,
-                          record=("x", "g", "grad", "f_gap"))
-        batch = check_descent(tr, obj.lipschitz, obj.xstar, obj.fstar)
-        assert batch.residuals.shape == (80, 4)
-        for i in range(4):
-            rec = run_trajectory(obj, noise, "sgdm", sched, 80, seed_split(3, i))
-            one = check_descent(rec, obj.lipschitz, obj.xstar, obj.fstar)
-            np.testing.assert_allclose(batch.residuals[:, i], one.residuals,
-                                       rtol=1e-8, atol=1e-12)
+        batch = check_descent(*descent_stream(obj, noise, sched, 80, 4, 3))
+        ones = [check_descent(*descent_stream(obj, noise, sched, 80, 1, None,
+                                              rngs=[rng_for(3, i)])) for i in range(4)]
+        worst = int(np.argmax([one.max_residual for one in ones]))
+        assert batch.max_residual == ones[worst].max_residual
+        assert (batch.run, batch.argmax_k) == (worst, ones[worst].argmax_k)
+        assert batch.n_violations == sum(one.n_violations for one in ones)
 
-    def test_batch_check_needs_the_path(self):
+    def test_stream_check_equals_the_whole_array_check(self):
+        """E(k-1) is carried across the blocks of a stream: its fold equals
+        the residuals of the whole recorded trace folded at once."""
+        obj = quadratic_new(random_spd(3, 5))
+        noise = NoiseModel.gaussian(3, 9.0)
+        sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
+        trace, blocks = descent_stream(obj, noise, sched, 100, 1000, 2)
+        seen = []
+
+        def counted(blocks):
+            for b in blocks:
+                seen.append(b.lo)
+                yield b
+
+        rep = check_descent(trace, counted(blocks), tol=-1.0)
+        assert len(seen) > 2
+        tr = run_ensemble(obj, noise, sched, 100, 1000, 2, record=("energy", "descent"))
+        whole = DescentReport(tol=-1.0)
+        whole.add(np.diff(tr.energy, axis=0) - tr.descent_rhs, tr.energy[1:])
+        assert vars(rep) == vars(whole)
+
+    def test_check_needs_energy_and_descent(self):
         obj = quadratic_new(np.eye(2))
         sched = StepSchedule(kind="anytime_log2", L=1.0)
-        tr = run_ensemble(obj, NoiseModel.noiseless(2), sched, K=5, M=2, master_seed=0)
-        with pytest.raises(ValueError, match="x, g, grad"):
-            check_descent(tr, obj.lipschitz, obj.xstar, obj.fstar)
+        with pytest.raises(ValueError, match="energy and descent"):
+            check_descent(*_ensemble(obj, NoiseModel.noiseless(2), sched, 5, 2, 0))
 
     def test_report_tolerance_scales_with_energy(self):
         # a residual of 5e-10 is acceptable when |E(k)| ~ 10
-        residuals = np.array([5e-10])
-        energy = np.array([20.0, 10.0])
-        rep = DescentReport(residuals, energy, tol=1e-10)
+        rep = DescentReport(tol=1e-10)
+        rep.add(np.array([[5e-10]]), np.array([[10.0]]))
         assert rep.passed
 
 

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdmlab.optimizers import (
+    _ensemble,
     _sgdm_coefficients,
+    RECORDS,
     StepSchedule,
     TrajectoryRecord,
     run_ensemble,
@@ -23,6 +25,7 @@ from sgdmlab.seeding import rng_for, rngs_for, seed_split
 from reference import (
     SgdmState,
     descent_rhs,
+    discrete_energy,
     first_nonfinite_step,
     reference_ensemble,
     sgd_step,
@@ -101,9 +104,10 @@ class TestSgdmStep:
         eta = 0.02
         sched = StepSchedule(kind="constant", scale=eta)
 
-        # xs[k] = x_k, x_0 = x_1, as the kernel records the path
-        xs = run_ensemble(obj, NoiseModel.noiseless(3), sched, K=40, M=1, master_seed=0,
-                          x0=np.ones(3), record=("x",)).x[:, 0]
+        # xs[k] = x_k, x_0 = x_1, from the reference loop the kernel is
+        # checked against bit for bit
+        xs = reference_ensemble(obj, NoiseModel.noiseless(3), sched, 40, 1, 0,
+                                record=("x",))[0]["x"][:, 0]
 
         # velocity form: x_k = x_{k-1} + eta v_{k-1}, then the implicit
         # velocity update consumes the gradient at the new point x_k
@@ -181,10 +185,14 @@ class TestSgdAndAcsa:
 
 class TestRunTrajectory:
     def test_initialization_duplicates_first_iterate(self):
+        # x_0 = x_1, so the first step has no momentum term
         obj = quadratic_new(random_spd(3, 0))
-        rec = run_trajectory(obj, NoiseModel.noiseless(3), "sgdm",
-                             StepSchedule(kind="anytime_log2", L=obj.lipschitz), 5, 0)
-        np.testing.assert_array_equal(rec.x[0], rec.x[1])
+        sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
+        tr = run_ensemble(obj, NoiseModel.noiseless(3), sched, K=1, M=1, master_seed=0)
+        np.testing.assert_array_equal(tr.x_prev_final[0], np.ones(3))
+        gain = 2.0 * math.sqrt(schedule_eval(sched, 1)) / 3.0
+        np.testing.assert_allclose(tr.x_cur_final[0], np.ones(3) - gain * obj.grad(np.ones(3)),
+                                   rtol=1e-14)
 
     def test_deterministic_given_seed(self):
         obj = quadratic_new(random_spd(3, 0))
@@ -192,27 +200,31 @@ class TestRunTrajectory:
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
         r1 = run_trajectory(obj, noise, "sgdm", sched, 50, 42)
         r2 = run_trajectory(obj, noise, "sgdm", sched, 50, 42)
-        np.testing.assert_array_equal(r1.x, r2.x)
+        for name in ("f_gap", "energy", "descent_rhs", "grad_norm", "noise_norm"):
+            np.testing.assert_array_equal(getattr(r1, name), getattr(r2, name))
         r3 = run_trajectory(obj, noise, "sgdm", sched, 50, 43)
-        assert not np.array_equal(r1.x, r3.x)
+        assert not np.array_equal(r1.energy, r3.energy)
 
     def test_record_internal_consistency(self):
         obj = quadratic_new(random_spd(4, 7))
         noise = NoiseModel.gaussian(4, 0.5)
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
-        rec = run_trajectory(obj, noise, "sgdm", sched, 30, 0)
-        np.testing.assert_allclose(rec.descent_lhs, np.diff(rec.energy), rtol=1e-12)
-        np.testing.assert_allclose(rec.theta, rec.grad - rec.g)
-        np.testing.assert_allclose(rec.f_gap, obj.f_gap(rec.x[:31]))
+        rec = run_trajectory(obj, noise, "sgdm", sched, 30, seed_split(0, 0))
+        path = ("x", "g", "grad")
+        ref, _, _ = reference_ensemble(obj, noise, sched, 30, 1, 0, record=path)
+        x, g, grad = (ref[name][:, 0] for name in path)
+        np.testing.assert_allclose(rec.f_gap, obj.f_gap(x[:31]))
         np.testing.assert_allclose(rec.eta, schedule_eval(sched, np.arange(31)))
+        np.testing.assert_allclose(rec.grad_norm, np.linalg.norm(grad, axis=1))
+        np.testing.assert_allclose(rec.noise_norm, np.linalg.norm(grad - g, axis=1))
         # the noise term of descent_rhs is 4 sqrt(eta_k/k) <theta_k, tau_k>
         # with tau_k = k (x_k - x_{k-1}) + (x_k - x*)
         for k in (1, 10, 30):
-            tau = k * (rec.x[k] - rec.x[k - 1]) + (rec.x[k] - obj.xstar)
+            tau = k * (x[k] - x[k - 1]) + (x[k] - obj.xstar)
             r = math.sqrt(rec.eta[k] / k)
-            expect = (4.0 * rec.eta[k] / k * (rec.g[k - 1] @ rec.g[k - 1])
-                      - 2.0 / obj.lipschitz * r * (rec.grad[k - 1] @ rec.grad[k - 1])
-                      - 2.0 * r * rec.f_gap[k] + 4.0 * r * (rec.theta[k - 1] @ tau))
+            expect = (4.0 * rec.eta[k] / k * (g[k - 1] @ g[k - 1])
+                      - 2.0 / obj.lipschitz * r * (grad[k - 1] @ grad[k - 1])
+                      - 2.0 * r * rec.f_gap[k] + 4.0 * r * ((grad[k - 1] - g[k - 1]) @ tau))
             np.testing.assert_allclose(rec.descent_rhs[k - 1], expect)
 
     def test_divergent_run_aborts_with_diagnostic(self):
@@ -228,14 +240,17 @@ class TestRunTrajectory:
     @pytest.mark.parametrize("algorithm", ["sgdm", "sgd", "acsa"])
     @pytest.mark.parametrize("problem", ["quadratic", "logreg"])
     def test_is_the_reference_column_bit_for_bit(self, problem, algorithm, noise):
-        obj, path = problem_of(problem), ("x", "g", "grad", "f_gap")
+        obj = problem_of(problem)
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
         rec = run_trajectory(obj, _NOISES[noise], algorithm, sched, 200, seed_split(3, 0),
                              sgd_scale=0.3)
         ref, _, _ = reference_ensemble(obj, _NOISES[noise], sched, 200, 1, 3,
-                                       algorithm=algorithm, sgd_scale=0.3, record=path)
-        for name in path:
-            np.testing.assert_array_equal(getattr(rec, name), ref[name][:, 0], err_msg=name)
+                                       algorithm=algorithm, sgd_scale=0.3,
+                                       record=TrajectoryRecord.RECORD)
+        want = {"f_gap": ref["f_gap"], "energy": ref["energy"], "descent_rhs": ref["descent_rhs"],
+                "grad_norm": np.sqrt(ref["grad_sq"]), "noise_norm": np.sqrt(ref["theta_sq"])}
+        for name, column in want.items():
+            np.testing.assert_array_equal(getattr(rec, name), column[:, 0], err_msg=name)
 
     def test_csv_row_count(self, tmp_path):
         obj = quadratic_new(np.eye(2))
@@ -327,60 +342,62 @@ class TestRunEnsemble:
         assert tr.x_cur_final[0, 0] == pytest.approx(x, rel=1e-14)
 
     @pytest.mark.parametrize("var", [0.0, 1.0])
-    def test_full_path_matches_single_runs(self, var):
-        """Recorded x, g and grad columns reproduce run-at-a-time records,
-        in the same k indexing."""
+    def test_step_fields_match_single_runs(self, var):
+        """Recorded step fields reproduce run-at-a-time references, in the
+        same k indexing."""
         obj = quadratic_new(random_spd(3, 4))
         noise = NoiseModel.gaussian(3, var)
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
         tr = run_ensemble(obj, noise, sched, K=25, M=3, master_seed=2,
-                          record=("x", "g", "grad", "f_gap"), chunk=10)
-        assert tr.x.shape == (27, 3, 3) and tr.g.shape == tr.grad.shape == (25, 3, 3)
+                          record=("f_gap", "descent"), chunk=10)
+        assert tr.f_gap.shape == (26, 3) and tr.descent_rhs.shape == tr.grad_sq.shape == (25, 3)
         for i in range(3):
             ref, _, _ = reference_ensemble(obj, noise, sched, 25, 1, 2,
-                                           record=("x", "g", "grad", "f_gap"), first_run=i)
-            for name in ("x", "g", "grad", "f_gap"):
-                np.testing.assert_allclose(getattr(tr, name)[:, i], ref[name][:, 0],
+                                           record=("f_gap", "descent"), first_run=i)
+            for name, want in ref.items():
+                np.testing.assert_allclose(getattr(tr, name)[:, i], want[:, 0],
                                            rtol=1e-10, atol=1e-13, err_msg=name)
 
-    def test_noiseless_g_is_not_a_view_of_grad(self):
+    def test_noiseless_noise_terms_vanish(self):
         obj = quadratic_new(np.eye(2))
         sched = StepSchedule(kind="anytime_log2", L=1.0)
         tr = run_ensemble(obj, NoiseModel.noiseless(2), sched, K=5, M=2, master_seed=0,
-                          record=("g", "grad"))
-        np.testing.assert_array_equal(tr.g, tr.grad)
-        assert not np.shares_memory(tr.g, tr.grad)
+                          record=("descent",))
+        assert not tr.theta_sq.any() and not tr.theta_tau.any()
+        assert tr.grad_sq.all()
 
-    def test_path_fields_only_when_requested(self):
+    def test_step_fields_only_when_requested(self):
         obj = quadratic_new(np.eye(2))
         sched = StepSchedule(kind="anytime_log2", L=1.0)
         tr = run_ensemble(obj, NoiseModel.gaussian(2, 1.0), sched, K=5, M=2, master_seed=0)
-        assert tr.x is None and tr.g is None and tr.grad is None
+        assert tr.theta_sq is None and tr.grad_sq is None and tr.descent_rhs is None
         assert tr.f_gap.shape == (6, 2)
+        tr = run_ensemble(obj, NoiseModel.gaussian(2, 1.0), sched, K=5, M=2, master_seed=0,
+                          record=("theta",))
+        assert tr.theta_sq.shape == (5, 2) and tr.descent_rhs is None
 
-    def test_record_from_column_equals_run_trajectory(self):
+    def test_record_is_run_zero_of_a_batch(self):
         obj = quadratic_new(random_spd(3, 5))
         noise = NoiseModel.gaussian(3, 2.0)
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
-        tr = run_ensemble(obj, noise, sched, K=30, M=2, master_seed=4,
-                          record=("x", "g", "grad", "f_gap"))
-        col = TrajectoryRecord.from_path(obj, "sgdm", sched, tr.x[:, 1], tr.g[:, 1],
-                                         tr.grad[:, 1], tr.f_gap[:, 1], tr.eta)
-        ref, _, _ = reference_ensemble(obj, noise, sched, 30, 1, 4, first_run=1,
-                                       record=("x", "g", "grad", "f_gap", "energy", "theta"))
-        x, g, grad, f_gap = (ref[name][:, 0] for name in ("x", "g", "grad", "f_gap"))
-        energy = ref["energy"][:, 0]
+        trace, blocks = _ensemble(obj, noise, sched, 30, 2, 4, record=TrajectoryRecord.RECORD)
+        col = TrajectoryRecord.of(trace)
+        assert len(list(col.fold(blocks))) == 1
+        one = run_trajectory(obj, noise, "sgdm", sched, 30, seed_split(4, 0))
+        for name in ("eta", "f_gap", "energy", "descent_rhs", "grad_norm", "noise_norm"):
+            np.testing.assert_array_equal(getattr(col, name), getattr(one, name), err_msg=name)
+        ref, _, _ = reference_ensemble(obj, noise, sched, 30, 1, 4, record=("x", "g", "grad"))
+        x, g, grad = (ref[name][:, 0] for name in ("x", "g", "grad"))
         # the per-step quantities, one step at a time from the scalar formulas
-        rhs = [descent_rhs(x[k], x[k - 1], g[k - 1], grad[k - 1], f_gap[k], k, tr.eta[k],
+        energy = [discrete_energy(x[k + 1], x[k], k, col.eta[k], col.f_gap[k], obj.xstar)
+                  for k in range(31)]
+        rhs = [descent_rhs(x[k], x[k - 1], g[k - 1], grad[k - 1], col.f_gap[k], k, col.eta[k],
                            obj.lipschitz, obj.xstar) for k in range(1, 31)]
-        tau = [k * (x[k] - x[k - 1]) + (x[k] - obj.xstar) for k in range(1, 31)]
-        want = {"energy": energy, "descent_lhs": np.diff(energy), "descent_rhs": rhs,
-                "theta": grad - g}
-        for name in ("energy", "descent_lhs", "descent_rhs", "theta"):
-            np.testing.assert_allclose(getattr(col, name), want[name],
+        want = {"energy": energy, "descent_rhs": rhs,
+                "noise_norm": np.linalg.norm(grad - g, axis=1)}
+        for name, value in want.items():
+            np.testing.assert_allclose(getattr(col, name), value,
                                        rtol=1e-9, atol=1e-12, err_msg=name)
-        np.testing.assert_allclose(np.sum(col.theta * np.array(tau), axis=1),
-                                   ref["theta_tau"][:, 0], rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("problem", ["quadratic", "logreg"])
     def test_objective_without_fused_oracle_gives_the_same_trace(self, problem):
@@ -391,19 +408,20 @@ class TestRunEnsemble:
         plain = replace(obj, value_and_grad=None)
         noise = NoiseModel.gaussian(3, 0.3)
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
-        fields = ("x", "g", "grad", "f_gap", "energy", "theta")
-        a, b = (run_ensemble(o, noise, sched, K=60, M=4, master_seed=9, record=fields)
+        a, b = (run_ensemble(o, noise, sched, K=60, M=4, master_seed=9, record=RECORDS)
                 for o in (obj, plain))
-        for name in ("x", "g", "grad", "f_gap", "energy", "theta_sq", "theta_tau"):
+        for name in ("f_gap", "energy", "theta_sq", "theta_tau", "grad_sq", "descent_rhs",
+                     "x_prev_final", "x_cur_final"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_recorded_gap_is_the_gap_of_the_recorded_iterate(self):
         obj = logreg_new(*synthetic_blobs(40, 3, seed=6), refine_tol=None)
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
-        tr = run_ensemble(obj, NoiseModel.gaussian(3, 0.5), sched, K=30, M=3,
-                          master_seed=2, record=("x", "f_gap"))
+        tr = run_ensemble(obj, NoiseModel.gaussian(3, 0.5), sched, K=30, M=3, master_seed=2)
+        x = reference_ensemble(obj, NoiseModel.gaussian(3, 0.5), sched, 30, 3, 2,
+                               record=("x",))[0]["x"]
         for k in range(tr.K + 1):
-            np.testing.assert_allclose(tr.f_gap[k], obj.f_gap(tr.x[k]), rtol=1e-12)
+            np.testing.assert_allclose(tr.f_gap[k], obj.f_gap(x[k]), rtol=1e-12)
 
     def test_validation(self):
         obj = quadratic_new(np.eye(2))
@@ -411,9 +429,10 @@ class TestRunEnsemble:
         sched = StepSchedule(kind="constant", scale=0.1)
         with pytest.raises(ValueError):
             run_ensemble(obj, noise, sched, K=0, M=1, master_seed=0)
-        with pytest.raises(ValueError, match="k_start"):
-            run_ensemble(obj, noise, sched, K=1, M=1, master_seed=0, k_start=3,
-                         record=("x",))
+        # a misspelt or retired field name is refused, not silently unrecorded
+        for record in (("energi", "thetta"), ("f_gap", "x"), ("g", "grad")):
+            with pytest.raises(ValueError, match="accepted: f_gap, energy, theta, descent"):
+                run_ensemble(obj, noise, sched, K=1, M=1, master_seed=0, record=record)
         with pytest.raises(ValueError, match="unknown algorithm 'adam'"):
             run_ensemble(obj, noise, sched, K=1, M=1, master_seed=0, algorithm="adam")
         # ACSA has no z_k to carry into a warm-started segment
@@ -427,16 +446,15 @@ class TestRunEnsemble:
 
 _PIPELINE_CASES = {
     # name: (noise, run_ensemble keyword arguments)
-    "every-field": (NoiseModel.gaussian(3, 0.5),
-                    dict(M=4, record=("f_gap", "energy", "theta", "x", "g", "grad"))),
+    "every-field": (NoiseModel.gaussian(3, 0.5), dict(M=4, record=RECORDS)),
     "sgd": (NoiseModel.gaussian(3, 0.5),
-            dict(M=3, algorithm="sgd", sgd_scale=0.3, record=("f_gap", "x", "g", "grad"))),
+            dict(M=3, algorithm="sgd", sgd_scale=0.3, record=("f_gap", "descent"))),
     "warm-start": (NoiseModel.gaussian(3, 0.5),
                    dict(M=3, k_start=40, x0=np.full(3, 0.5), x_prev0=np.full(3, 0.6),
-                        record=("f_gap", "energy", "theta"))),
-    "one-run": (NoiseModel.gaussian(3, 0.5), dict(M=1, record=("f_gap", "x", "g"))),
+                        record=RECORDS)),
+    "one-run": (NoiseModel.gaussian(3, 0.5), dict(M=1, record=("f_gap", "descent"))),
     "bounded": (NoiseModel.bounded_uniform(3, 0.8), dict(M=3, record=("f_gap", "theta"))),
-    "noiseless": (NoiseModel.noiseless(3), dict(M=2, record=("f_gap", "energy", "g"))),
+    "noiseless": (NoiseModel.noiseless(3), dict(M=2, record=("f_gap", "energy", "descent"))),
     "x-only-state": (NoiseModel.gaussian(3, 0.5), dict(M=3, record=())),
 }
 
@@ -516,7 +534,6 @@ class TestPipeline:
 
 _NOISES = {"gaussian": NoiseModel.gaussian(3, 0.5), "bounded": NoiseModel.bounded_uniform(3, 0.8),
            "none": NoiseModel.noiseless(3)}
-_EVERY_FIELD = ("f_gap", "energy", "theta", "x", "g", "grad")
 
 
 def problem_of(name):
@@ -547,12 +564,9 @@ class TestTraceMatrix:
     @pytest.mark.parametrize("noise", sorted(_NOISES))
     @pytest.mark.parametrize("problem", ["quadratic", "logreg"])
     def test_every_field_for_chunk_1_7_512(self, problem, noise, algorithm, start):
-        kw = dict(M=4, algorithm=algorithm, sgd_scale=0.3)
+        kw = dict(M=4, algorithm=algorithm, sgd_scale=0.3, record=RECORDS)
         if start == "warm":
-            kw.update(k_start=40, x0=np.full(3, 0.5), x_prev0=np.full(3, 0.6),
-                      record=("f_gap", "energy", "theta"))
-        else:
-            kw.update(record=_EVERY_FIELD)
+            kw.update(k_start=40, x0=np.full(3, 0.5), x_prev0=np.full(3, 0.6))
         assert_trace_equals_reference(problem_of(problem), _NOISES[noise], 600, (1, 7, 512),
                                       **kw)
 
@@ -561,9 +575,10 @@ class TestTraceMatrix:
     def test_acsa_every_field_for_chunk_1_7_512(self, problem, noise):
         # ACSA runs from a cold start only
         assert_trace_equals_reference(problem_of(problem), _NOISES[noise], 600, (1, 7, 512),
-                                      M=4, algorithm="acsa", record=_EVERY_FIELD)
+                                      M=4, algorithm="acsa", record=RECORDS)
 
-    @pytest.mark.parametrize("record", [("energy",), ("f_gap",), ("theta",), _EVERY_FIELD])
+    @pytest.mark.parametrize("record", [("energy",), ("f_gap",), ("theta",), ("descent",),
+                                        RECORDS])
     @pytest.mark.parametrize("problem", ["quadratic", "logreg"])
     def test_many_runs_take_several_segments_per_chunk(self, problem, record):
         # 1000 runs x 3 coordinates: a few steps per block of stored iterates,
@@ -624,8 +639,7 @@ class TestDivergence:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError):
-                run_ensemble(obj, NoiseModel.noiseless(2), sched, 2000, 2, 0,
-                             record=("f_gap", "energy", "theta", "x", "g", "grad"))
+                run_ensemble(obj, NoiseModel.noiseless(2), sched, 2000, 2, 0, record=RECORDS)
 
 
 def test_kernel_coefficients_are_the_noise_multiplier_bit_for_bit():
