@@ -177,8 +177,8 @@ def ode_integrate(
         a_next.dot(work, out=nxt)
         work2[...] = nxt
         if j + 1 - checked >= FINITE_CHECK_BLOCK:
-            checked = _check_finite(path, t_grid, checked, j + 2)
-    _check_finite(path, t_grid, checked, n_steps + 1)
+            checked = _check_finite(t_grid, checked, j + 2, path)
+    _check_finite(t_grid, checked, n_steps + 1, path)
 
     X = path[:, 0].reshape((n_steps + 1,) + shape)
     V = path[:, 1].reshape((n_steps + 1,) + shape)
@@ -187,13 +187,14 @@ def ode_integrate(
     return OdeSolution(t=t_grid, X=X, V=V, energy=energy, params=params)
 
 
-def _check_finite(path: np.ndarray, t_grid: np.ndarray, lo: int, hi: int) -> int:
-    """Raise if a state among ``path[lo:hi]`` is not finite, naming the
-    first such grid time; returns ``hi``."""
-    ok = np.isfinite(path[lo:hi]).all(axis=(1, 2))
+def _check_finite(t_grid: np.ndarray, lo: int, hi: int, *paths: np.ndarray,
+                  what: str = "ODE") -> int:
+    """Raise if a state among ``path[lo:hi]`` of the 3-D ``paths`` is not
+    finite, naming the first such grid time; returns ``hi``."""
+    ok = np.logical_and.reduce([np.isfinite(p[lo:hi]).all(axis=(1, 2)) for p in paths])
     if not ok.all():
         t = t_grid[lo + int(np.argmin(ok))]
-        raise FloatingPointError(f"ODE state became non-finite at t={t:.6g}")
+        raise FloatingPointError(f"{what} state became non-finite at t={t:.6g}")
     return hi
 
 
@@ -230,15 +231,6 @@ def ode_rate_check(
     return report
 
 
-def _grid_indices(eta: float, T0: float, T: float) -> tuple[int, int]:
-    # integer-part convention for T0/eta and T/eta
-    k0 = int(np.floor(T0 / eta + 1e-9))
-    kT = int(np.floor(T / eta + 1e-9))
-    if k0 < 1:
-        raise ValueError("T0/eta must be at least 1")
-    return k0, kT
-
-
 # SDE steps whose noise each path draws in one generator call
 SDE_NOISE_BLOCK = 32
 
@@ -269,7 +261,9 @@ def sde_sample_paths(
     generators are built in one pass by ``rngs_for``, and none are built
     when ``noise_scale`` is 0.
     Raises ``ValueError`` unless ``T0`` and ``T`` both lie on the grid
-    t_k = k eta, so the paths cover exactly [T0, T]."""
+    t_k = k eta, so the paths cover exactly [T0, T], and
+    ``FloatingPointError`` naming the first grid time whose X or V is not
+    finite."""
     k0 = _exact_steps(T0, eta, f"eta={eta:g} does not divide T0={T0:g}")
     kT = _exact_steps(T, eta, f"eta={eta:g} does not divide T={T:g}")
     if k0 < 1:
@@ -290,6 +284,7 @@ def sde_sample_paths(
     c_w = [2.0 * sq / tk**1.5 for tk in t_steps]
     dw_block = np.empty((SDE_NOISE_BLOCK, n_paths, d))
     tmp = np.empty((n_paths, d))
+    checked = 0  # grid rows [0, checked) are known to be finite
     for j in range(n):
         xk, vk, x_next, v_next = X[j], V[j], X[j + 1], V[j + 1]
         # in the docstring's order: X' = x + eta v,
@@ -311,6 +306,9 @@ def sde_sample_paths(
                 dw_block[:nb] *= noise_scale
             np.multiply(dw_block[b], c_w[j], out=tmp)
             v_next -= tmp
+        if j + 1 - checked >= FINITE_CHECK_BLOCK:
+            checked = _check_finite(t_grid, checked, j + 2, X, V, what="SDE")
+    _check_finite(t_grid, checked, n + 1, X, V, what="SDE")
     return t_grid, X, V
 
 
@@ -353,51 +351,6 @@ def _integrate_starts(obj: Objective, starts) -> list[tuple[OdeSolution, int]]:
     return out
 
 
-def _l2_starts(obj: Objective, eta_list, T0: float, T: float, M: int, x0: np.ndarray,
-               dt: float):
-    """Per eta: the discrete window and warm start (k0, kT, x_{k0-1}, x_{k0}),
-    and the ODE start (params on [k0 eta, kT eta], x_{k0}, v_{k0}) that the
-    L2 table of M runs per eta measures against."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    runs, odes = [], []
-    for eta in eta_list:
-        k0, kT = _grid_indices(eta, T0, T)
-        if kT - k0 < 10:
-            raise ValueError(
-                f"eta={eta:g} too large: only {kT - k0} discrete steps in [{T0:g}, {T:g}]"
-            )
-        _exact_steps(T - T0, eta, f"eta={eta:g} does not divide T - T0 = {T - T0:g}")
-        x_prev, x_cur, v = sgdm_warm_start(obj, eta, k0, x0)
-        runs.append((k0, kT, x_prev, x_cur))
-        odes.append((OdeParams(p=1.0, alpha=1.5, T0=k0 * eta, T=kT * eta, dt=dt), x_cur, v))
-    return runs, odes
-
-
-def _l2_rows(obj: Objective, eta_list, runs, XT, M: int, seed: int, noisy: bool) -> list[dict]:
-    """The L2 table: per eta, M noisy continuations of its warm start to
-    T/eta and their squared distances to the ODE state ``XT[j]``."""
-    noise = NoiseModel.gaussian(obj.dim, 1.0 if noisy else 0.0)
-    rows = []
-    for j, (eta, (k0, kT, x_prev, x_cur)) in enumerate(zip(eta_list, runs)):
-        sched = StepSchedule(kind="constant", scale=eta)
-        sub_seed = int(np.random.SeedSequence(entropy=(int(seed), j)).generate_state(1)[0])
-        tr = run_ensemble(
-            obj, noise, sched, K=kT - k0, M=M, master_seed=sub_seed,
-            x0=x_cur, x_prev0=x_prev, k_start=k0, record=(),
-        )
-        sq = np.sum((tr.x_cur_final - XT[j]) ** 2, axis=1)
-        rows.append(
-            {
-                "eta": float(eta),
-                "mean_sq_dist": float(np.mean(sq)),
-                "stderr": float(np.std(sq, ddof=1) / np.sqrt(M)) if M > 1 else 0.0,
-                "runs": M,
-            }
-        )
-    return rows
-
-
 def l2_limit_estimate(
     obj: Objective,
     eta_list,
@@ -405,10 +358,10 @@ def l2_limit_estimate(
     T: float,
     M: int,
     seed: int,
-    noisy: bool = True,
     dt: float = 1e-3,
 ) -> list[dict]:
-    """Monte-Carlo table of E||x_{T/eta} - X(T)||^2 across a stepsize grid.
+    """Monte-Carlo table of E||x_{T/eta} - X(T)||^2 across a stepsize grid:
+    the table of :func:`ode_compare` on [T0, T] with RK4 step ``dt``.
 
     For each eta: a deterministic warm-up run from x_0 = (1, ..., 1)
     supplies the shared initial condition (X(T0), V(T0)) =
@@ -417,9 +370,7 @@ def l2_limit_estimate(
     unit Gaussian gradient noise run to T/eta. Rows carry the mean squared
     distance with its standard error.
     """
-    runs, odes = _l2_starts(obj, eta_list, T0, T, M, np.ones(obj.dim), dt)
-    XT = [sol.X[-1, b] for sol, b in _integrate_starts(obj, odes)]
-    return _l2_rows(obj, eta_list, runs, XT, M, seed, noisy)
+    return ode_compare(obj, OdeParams(p=1.0, alpha=1.5, T0=T0, T=T, dt=dt), eta_list, M, seed)[1]
 
 
 def ode_compare(
@@ -444,10 +395,36 @@ def ode_compare(
     _require_rate_hypotheses(params)
     if len(eta_list) == 0:
         raise ValueError("the L2 table needs at least one eta")
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    T0, T = params.T0, params.T
     x0 = np.ones(obj.dim)
-    runs, odes = _l2_starts(obj, eta_list, params.T0, params.T, M, x0, params.step)
-    (sol, b), *table = _integrate_starts(obj, [(params, x0, np.zeros(obj.dim))] + odes)
-    XT = [s.X[-1, c] for s, c in table]
+    runs, starts = [], [(params, x0, np.zeros(obj.dim))]
+    for eta in eta_list:
+        # integer-part convention for T0/eta and T/eta
+        k0, kT = int(np.floor(T0 / eta + 1e-9)), int(np.floor(T / eta + 1e-9))
+        if k0 < 1:
+            raise ValueError("T0/eta must be at least 1")
+        if kT - k0 < 10:
+            raise ValueError(f"eta={eta:g} too large: only {kT - k0} discrete steps "
+                             f"in [{T0:g}, {T:g}]")
+        _exact_steps(T - T0, eta, f"eta={eta:g} does not divide T - T0 = {T - T0:g}")
+        x_prev, x_cur, v = sgdm_warm_start(obj, eta, k0, x0)
+        runs.append((k0, kT, x_prev, x_cur))
+        starts.append((OdeParams(p=1.0, alpha=1.5, T0=k0 * eta, T=kT * eta, dt=params.step),
+                       x_cur, v))
+    (sol, b), *table = _integrate_starts(obj, starts)
     column = OdeSolution(t=sol.t, X=sol.X[:, b], V=sol.V[:, b], energy=sol.energy[:, b],
                          params=params)
-    return column, _l2_rows(obj, eta_list, runs, XT, M, seed, noisy=True)
+    noise = NoiseModel.gaussian(obj.dim, 1.0)
+    rows = []
+    for j, (eta, (k0, kT, x_prev, x_cur), (s, c)) in enumerate(zip(eta_list, runs, table)):
+        sub_seed = int(np.random.SeedSequence(entropy=(int(seed), j)).generate_state(1)[0])
+        tr = run_ensemble(obj, noise, StepSchedule(kind="constant", scale=eta), K=kT - k0,
+                          M=M, master_seed=sub_seed, x0=x_cur, x_prev0=x_prev, k_start=k0,
+                          record=())
+        sq = np.sum((tr.x_cur_final - s.X[-1, c]) ** 2, axis=1)
+        stderr = float(np.std(sq, ddof=1) / np.sqrt(M)) if M > 1 else 0.0
+        rows.append({"eta": float(eta), "mean_sq_dist": float(np.mean(sq)), "stderr": stderr,
+                     "runs": M})
+    return column, rows

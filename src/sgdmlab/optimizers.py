@@ -50,6 +50,7 @@ _SCHEDULE_KINDS = (
     "custom",
 )
 _MONOTONE_KINDS = ("anytime_log2", "expectation_log2", "epsilon_log", "sqrt_k", "constant")
+_L_SCALED_KINDS = ("anytime_log2", "expectation_log2", "epsilon_log")  # eta_k ~ 1/L^2
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,11 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in _SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.scale <= 0:
+        if not self.scale > 0:
             raise ValueError("schedule scale must be positive")
+        if self.kind in _L_SCALED_KINDS and not 0.0 < self.L < np.inf:
+            raise ValueError(f"the {self.kind} schedule needs a finite positive L "
+                             f"(got L={self.L:g})")
         if self.kind == "epsilon_log" and not (0.0 < self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in (0, 1]")
         if self.kind == "custom" and self.fn is None:

@@ -93,7 +93,7 @@ class NoiseModel:
         most 2 such units, and the result is stepped 8 ulps up, each at
         least one unit.
         """
-        if per_coord_var < 0:
+        if not per_coord_var >= 0:
             raise ValueError("per_coord_var must be >= 0")
         s2 = float(per_coord_var)
         hp = 0.0
@@ -110,7 +110,7 @@ class NoiseModel:
         ||xi||^2 <= dim * a^2 deterministically, so hp_sigma2 = dim * a^2
         satisfies the exponential-moment condition with equality at the corner.
         """
-        if half_width < 0:
+        if not half_width >= 0:
             raise ValueError("half_width must be >= 0")
         a = float(half_width)
         return NoiseModel("bounded_uniform", dim, a, dim * a * a / 3.0, dim * a * a)

@@ -225,6 +225,28 @@ class TestSde:
 
         assert (digest(X), digest(V)) == (digest(Xr), digest(Vr))
 
+    @pytest.mark.parametrize("lam,past_first_block", [(1e8, False), (3e4, True)])
+    def test_nonfinite_abort_names_time(self, lam, past_first_block):
+        """A stiff quadratic overflows within the first finiteness block
+        (lam = 1e8) and past it (lam = 3e4); the noise does not move the
+        first non-finite grid time of the noiseless hand loop."""
+        obj = quadratic_new(np.diag([lam] * 3))
+        eta, T0, T = 0.5, 1.0, 300.0
+        x, v, t_ref = np.ones(3), np.zeros(3), None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for tk in eta * np.arange(2, 600):  # the step from t_k to t_k + eta
+                x, v = x + eta * v, v - (2 * eta / tk) * v - (2 * eta / tk**1.5) * obj.grad(x)
+                if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+                    t_ref = tk + eta
+                    break
+            assert t_ref is not None
+            for noise_scale in (0.0, 1.0):
+                with pytest.raises(FloatingPointError) as err:
+                    sde_sample_paths(obj, eta, T0, T, 2, 0, np.ones(3), np.zeros(3),
+                                     noise_scale=noise_scale)
+                assert str(err.value) == f"SDE state became non-finite at t={t_ref:.6g}"
+        assert ((t_ref - T0) / eta > FINITE_CHECK_BLOCK) == past_first_block
+
     def test_zero_noise_is_deterministic(self):
         obj = quadratic_new(np.eye(2))
         a = sde_sample_paths(obj, 0.1, 1.0, 2.0, 1, 0, np.ones(2), np.zeros(2), noise_scale=0.0)
@@ -371,12 +393,6 @@ class TestL2Limit:
             assert rows[j]["mean_sq_dist"] == pytest.approx(np.mean(sq), rel=1e-12)
             assert rows[j]["stderr"] == pytest.approx(np.std(sq, ddof=1) / math.sqrt(M),
                                                       rel=1e-12)
-
-    def test_noiseless_distance_is_pure_discretization(self):
-        obj = quadratic_new(random_spd(2, 1))
-        rows = l2_limit_estimate(obj, [0.1, 0.05], 1.0, 4.0, 3, 0, noisy=False)
-        assert all(r["stderr"] == 0.0 for r in rows)
-        assert rows[1]["mean_sq_dist"] < rows[0]["mean_sq_dist"]
 
 
 def count_ode_calls(monkeypatch) -> list[int]:

@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdmlab import concentration, problems
+from sgdmlab import cli, concentration, problems
 from sgdmlab._csv import write_csv
 from sgdmlab.cli import (ConfigError, _check, default_quadratic, load_config, main,
                          write_verdict)
+from sgdmlab.lyapunov import DescentReport
 from sgdmlab.optimizers import StepSchedule, run_ensemble
 from sgdmlab.problems import NoiseModel, logreg_new, synthetic_blobs
 from sgdmlab.seeding import rng_for, seed_split
@@ -148,6 +149,25 @@ class TestCliSubcommands:
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["checks"][0]["name"] == "max_descent_residual"
         assert verdict["checks"][0]["value"] <= 1e-10
+
+    @pytest.mark.parametrize("residual,passed", [(5e-10, True), (2e-9, False)])
+    def test_verify_descent_tolerance_scales_with_energy(self, tmp_path, monkeypatch,
+                                                         residual, passed):
+        """The verdict is the report's: at |E(k)| = 10 the tolerance 1e-10
+        allows residuals up to 1.1e-9, as in DescentReport.passed."""
+        def stub(trace, blocks, tol):
+            for _ in blocks:  # run 0's record is folded as the check reads
+                pass
+            rep = DescentReport(tol)
+            rep.add(np.array([[residual]]), np.array([[10.0]]))
+            return rep
+
+        monkeypatch.setattr(cli, "check_descent", stub)
+        out = tmp_path / "o"
+        assert main(["verify-descent", "--out", str(out), "--steps", "5"]) == (0 if passed else 1)
+        check = strict_json(out / "verdict.json")["checks"][0]
+        assert (check["passed"], check["n_violations"]) == (passed, 0 if passed else 1)
+        assert (check["value"], check["threshold"]) == (residual, 1e-10)
 
     def test_verify_expectation(self, tmp_path):
         out = tmp_path / "o"
@@ -308,6 +328,7 @@ def assert_one_line_config_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    return err
 
 
 class TestFailureSemantics:
@@ -498,6 +519,41 @@ class TestFailureSemantics:
         assert capsys.readouterr().err == ("diverged: iterate x_26 became non-finite at step "
                                            "k=25 in run(s) [0, 1, 2, 3, 4] and 1 more\n")
         assert not [t for t in threading.enumerate() if t.name == "sgdmlab-noise"]
+
+    @pytest.mark.parametrize("lines,key", [
+        (("noise = bounded", "noise_var = -1"), "noise_var"),
+        (("noise = bounded", "noise_var = nan"), "noise_var"),
+        (("noise = gaussian", "noise_var = inf"), "noise_var"),
+        (("scale = nan",), "scale"),
+        (("scale = inf",), "scale"),
+        (("eta_grid = 0.05,inf",), "eta_grid"),
+    ])
+    def test_invalid_float_value_is_a_one_line_config_error(self, tmp_path, capsys, lines,
+                                                            key):
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(self._ini(tmp_path, *lines)), "--runs", "2",
+                         "--steps", "20", "--out", str(out)])
+        assert code == 2 and caught == []
+        assert assert_one_line_config_error(capsys).startswith(f"config error: {key} must be")
+        assert not (out / "verdict.json").exists()
+
+    @pytest.mark.parametrize("sub", ["verify-expectation", "verify-anytime", "run",
+                                     "constants"])
+    def test_schedule_scaled_by_a_zero_lipschitz_constant_is_a_config_error(
+            self, tmp_path, capsys, sub):
+        # all-zero features: the logistic loss is flat, L = 0 and 1/L^2 is infinite
+        data = tmp_path / "flat.csv"
+        data.write_text("y,x1,x2\n1,0,0\n0,0,0\n1,0,0\n0,0,0\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([sub, "--config", str(self._ini(tmp_path, f"problem = csv:{data}")),
+                         "--runs", "2", "--steps", "20", "--out", str(out)])
+        assert code == 2 and caught == []
+        assert "finite positive L" in assert_one_line_config_error(capsys)
+        assert not (out / "verdict.json").exists()
 
     def test_stale_verdict_removed_on_config_error(self, tmp_path):
         out = tmp_path / "o"

@@ -74,6 +74,11 @@ class TestStepSchedule:
             StepSchedule(kind="constant", scale=0.0)
         with pytest.raises(ValueError, match="epsilon"):
             StepSchedule(kind="epsilon_log", epsilon=1.5)
+        for kind in ("anytime_log2", "expectation_log2", "epsilon_log"):  # eta ~ 1/L^2
+            for L in (0.0, -1.0, np.inf, np.nan):
+                with pytest.raises(ValueError, match="finite positive L"):
+                    StepSchedule(kind=kind, L=L)
+        assert StepSchedule(kind="constant", L=0.0)(3) == 1.0
         with pytest.raises(ValueError, match="fn"):
             StepSchedule(kind="custom")
         with pytest.raises(ValueError):

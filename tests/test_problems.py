@@ -380,6 +380,10 @@ class TestNoiseModel:
             NoiseModel.gaussian(2, -1.0)
         with pytest.raises(ValueError):
             NoiseModel.bounded_uniform(2, -0.1)
+        with pytest.raises(ValueError, match="per_coord_var"):
+            NoiseModel.gaussian(2, np.nan)
+        with pytest.raises(ValueError, match="half_width"):
+            NoiseModel.bounded_uniform(2, np.nan)
 
     def test_sample_gradient_is_grad_plus_noise(self):
         obj = quadratic_new(np.eye(2))
