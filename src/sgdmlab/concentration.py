@@ -289,8 +289,6 @@ def supermartingale_trace(
     M: int,
     master_seed: int,
     x0: np.ndarray | None = None,
-    t: float | None = None,
-    k_trunc: int = 1_000_000,
 ) -> dict:
     """Monte-Carlo trace of the exponential supermartingale
 
@@ -299,8 +297,8 @@ def supermartingale_trace(
     where M(k) = E(k) - S(k), S(k) = sum_{l<=k} a_l ||theta_l||^2 subtracts
     the accumulated noise energy, theta_l is the gradient-noise vector, and
     P(k) = prod_{l>k} (1 + a_l sigma^2) is the remaining product. Valid for
-    t <= 1/gamma2, which is certified only up to 1/gamma2_upper; that
-    endpoint is the default and the largest t accepted. Also checks
+    t <= 1/gamma2, which is certified only up to 1/gamma2_upper, the t used
+    here, with gamma2 bracketed at k_trunc = 10^6. Also checks
     the pathwise drift inequality M(k) - M(k-1) <= sqrt(a_k) <theta_k, tau_k>
     on every run (to 1e-10 of 1 + |M(k)|), which requires
     eta_k <= k / (16 L^2).
@@ -317,11 +315,8 @@ def supermartingale_trace(
         raise ValueError("M must be >= 2: a standard error needs at least two runs")
     x0 = np.ones(obj.dim) if x0 is None else np.asarray(x0, dtype=float)
     sigma2 = noise.hp_sigma2
-    br = gamma_constants(schedule, sigma2, k_trunc)
-    g2 = br.gamma2_upper
-    t = 1.0 / g2 if t is None else float(t)
-    if t > 1.0 / g2:
-        raise ValueError(f"t must not exceed 1/gamma2_upper = {1.0 / g2:.17g}")
+    g2 = gamma_constants(schedule, sigma2).gamma2_upper
+    t = 1.0 / g2
     ks = np.arange(1, K + 1, dtype=float)
     a = a_sequence(schedule, ks)
     # a_k L^2 <= 1, exactly for the float a_k and L: the largest a_k decides
@@ -441,7 +436,6 @@ def mgf_lemma_check(
 
 def tail_lemma_check(
     omegas,
-    n_terms: int = 20,
     n_samples: int = 100_000,
     seed: int = 0,
 ) -> list[dict]:
@@ -451,7 +445,7 @@ def tail_lemma_check(
 
         Pr( sum c_l Phi_l^2 >= (1 + Omega) sum c_l sigma_l^2 ) <= exp(-Omega).
 
-    Uses Gaussian Phi_l with heterogeneous scales and weights c_l = 1/l. A
+    Uses 20 Gaussian Phi_l with heterogeneous scales and weights c_l = 1/l. A
     row's ``threshold`` is the level plus :data:`LEMMA_STDERRS` standard
     errors. An empty ``omegas`` or ``n_samples < 1`` raises ``ValueError``.
     """
@@ -460,12 +454,12 @@ def tail_lemma_check(
     if n_samples < 1:
         raise ValueError("the tail check needs n_samples >= 1")
     rng = rng_for(seed, 0)
-    ls = np.arange(1, n_terms + 1, dtype=float)
+    ls = np.arange(1, 21, dtype=float)
     c = 1.0 / ls
     scales = 1.0 + 0.5 * np.sin(ls)  # heterogeneous but fixed standard deviations
     # certified scalar MGF constants 2 s_l^2/(1 - e^-2), rounded upward as at dim = 1
     sigma2 = np.array([NoiseModel.gaussian(1, s2).hp_sigma2 for s2 in scales**2])
-    phi = rng.standard_normal((n_samples, n_terms)) * scales
+    phi = rng.standard_normal((n_samples, len(ls))) * scales
     stat = phi**2 @ c
     budget = float(c @ sigma2)
     rows = []

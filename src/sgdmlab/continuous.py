@@ -46,19 +46,15 @@ class OdeParams:
     alpha: float = 1.5
     T0: float = 1.0
     T: float = 10.0
-    dt: float | None = None  # default 1e-3 * T0
+    dt: float = 1e-3
 
     def __post_init__(self):
         if self.T0 <= 0:
             raise ValueError("T0 must be positive (the system is singular at t=0)")
         if self.T <= self.T0:
             raise ValueError("T must exceed T0")
-        if self.dt is not None and self.dt <= 0:
+        if self.dt <= 0:
             raise ValueError("dt must be positive")
-
-    @property
-    def step(self) -> float:
-        return self.dt if self.dt is not None else 1e-3 * self.T0
 
     def rate_hypotheses_hold(self) -> bool:
         return self.alpha <= 2.0 and self.p + self.alpha >= 2.0
@@ -139,7 +135,7 @@ def ode_integrate(
     finite.
     """
     p, alpha = params.p, params.alpha
-    dt = params.step
+    dt = params.dt
     n_steps = _exact_steps(
         params.T - params.T0, dt,
         f"dt={dt:g} does not divide the window [{params.T0:g}, {params.T:g}]",
@@ -260,10 +256,12 @@ def sde_sample_paths(
     of ``SDE_NOISE_BLOCK`` steps, the same stream as one draw per step; the
     generators are built in one pass by ``rngs_for``, and none are built
     when ``noise_scale`` is 0.
-    Raises ``ValueError`` unless ``T0`` and ``T`` both lie on the grid
-    t_k = k eta, so the paths cover exactly [T0, T], and
+    Raises ``ValueError`` unless eta is positive and ``T0`` and ``T`` both
+    lie on the grid t_k = k eta, so the paths cover exactly [T0, T], and
     ``FloatingPointError`` naming the first grid time whose X or V is not
     finite."""
+    if not eta > 0:
+        raise ValueError(f"eta must be positive (got eta={eta:g})")
     k0 = _exact_steps(T0, eta, f"eta={eta:g} does not divide T0={T0:g}")
     kT = _exact_steps(T, eta, f"eta={eta:g} does not divide T={T:g}")
     if k0 < 1:
@@ -339,7 +337,7 @@ def _integrate_starts(obj: Objective, starts) -> list[tuple[OdeSolution, int]]:
     Returns, per start, the solution of its batch and its column there."""
     groups: dict[tuple, list[int]] = {}
     for j, (params, _, _) in enumerate(starts):
-        key = (params.p, params.alpha, params.T0, params.T, params.step)
+        key = (params.p, params.alpha, params.T0, params.T, params.dt)
         groups.setdefault(key, []).append(j)
     out = [None] * len(starts)
     for members in groups.values():
@@ -358,10 +356,9 @@ def l2_limit_estimate(
     T: float,
     M: int,
     seed: int,
-    dt: float = 1e-3,
 ) -> list[dict]:
     """Monte-Carlo table of E||x_{T/eta} - X(T)||^2 across a stepsize grid:
-    the table of :func:`ode_compare` on [T0, T] with RK4 step ``dt``.
+    the table of :func:`ode_compare` on [T0, T] with RK4 step 1e-3.
 
     For each eta: a deterministic warm-up run from x_0 = (1, ..., 1)
     supplies the shared initial condition (X(T0), V(T0)) =
@@ -370,7 +367,7 @@ def l2_limit_estimate(
     unit Gaussian gradient noise run to T/eta. Rows carry the mean squared
     distance with its standard error.
     """
-    return ode_compare(obj, OdeParams(p=1.0, alpha=1.5, T0=T0, T=T, dt=dt), eta_list, M, seed)[1]
+    return ode_compare(obj, OdeParams(p=1.0, alpha=1.5, T0=T0, T=T), eta_list, M, seed)[1]
 
 
 def ode_compare(
@@ -401,6 +398,8 @@ def ode_compare(
     x0 = np.ones(obj.dim)
     runs, starts = [], [(params, x0, np.zeros(obj.dim))]
     for eta in eta_list:
+        if not eta > 0:
+            raise ValueError(f"eta must be positive (got eta={eta:g})")
         # integer-part convention for T0/eta and T/eta
         k0, kT = int(np.floor(T0 / eta + 1e-9)), int(np.floor(T / eta + 1e-9))
         if k0 < 1:
@@ -411,7 +410,7 @@ def ode_compare(
         _exact_steps(T - T0, eta, f"eta={eta:g} does not divide T - T0 = {T - T0:g}")
         x_prev, x_cur, v = sgdm_warm_start(obj, eta, k0, x0)
         runs.append((k0, kT, x_prev, x_cur))
-        starts.append((OdeParams(p=1.0, alpha=1.5, T0=k0 * eta, T=kT * eta, dt=params.step),
+        starts.append((OdeParams(p=1.0, alpha=1.5, T0=k0 * eta, T=kT * eta, dt=params.dt),
                        x_cur, v))
     (sol, b), *table = _integrate_starts(obj, starts)
     column = OdeSolution(t=sol.t, X=sol.X[:, b], V=sol.V[:, b], energy=sol.energy[:, b],

@@ -81,9 +81,6 @@ class StepSchedule:
         """Non-increasing in k by construction (required by the descent lemma)."""
         return self.kind in _MONOTONE_KINDS
 
-    def __call__(self, k) -> np.ndarray:
-        return schedule_eval(self, k)
-
 
 def schedule_eval(s: StepSchedule, k) -> np.ndarray:
     """Evaluate eta_k (natural log throughout); accepts scalars or arrays, k >= 0."""
@@ -252,8 +249,8 @@ def run_ensemble(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: i
     :func:`~sgdmlab.lyapunov.noise_terms` and ``descent_rhs_along``, for the
     realized and exact gradients at the step's query point: x_k, or y_k for
     ACSA. Each step calls the gradient alone, or the fused
-    :meth:`Objective.gap_and_grad` when the objective has a ``value_and_grad``,
-    ``f_gap`` is recorded and the query point is x_k (not for ACSA). Steps
+    ``value_and_grad`` when the objective has one, ``f_gap`` is recorded and
+    the query point is x_k (not for ACSA). Steps
     run in short segments whose iterates (and gradients, for the step
     fields) are kept; after each segment the fields are evaluated on all of
     them at once.
@@ -355,7 +352,8 @@ def _ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm", x0=None
         for j in range(n):
             s = first + j
             if fused:
-                f_gap[r + j], grad = obj.gap_and_grad(x_cur)
+                f, grad = obj.value_and_grad(x_cur)
+                f_gap[r + j] = f - obj.fstar
             elif acsa:  # y_k = (1 - alpha_k) x_k + alpha_k z_k
                 np.multiply(x_cur, 1.0 - momentum[s], out=y)
                 grad = obj.grad(np.add(y, np.multiply(z, momentum[s], out=dx), out=y))

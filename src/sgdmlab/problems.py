@@ -53,14 +53,6 @@ class Objective:
         """f(x) - f*, batched like ``eval``."""
         return self.eval(x) - self.fstar
 
-    def gap_and_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(f(x) - f*, grad f(x)) from the fused oracle, or from ``eval`` and
-        ``grad`` when the objective has none."""
-        if self.value_and_grad is None:
-            return self.f_gap(x), self.grad(x)
-        f, g = self.value_and_grad(x)
-        return f - self.fstar, g
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -323,6 +315,8 @@ def load_csv_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     y = data[:, 0]
     X = data[:, 1:]
+    if len(X) and X.shape[1] == 0:  # without rows, loadtxt cannot count columns
+        raise ValueError(f"dataset {path} has no feature column after the label column")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels column must contain only 0 or 1")
     return X, y

@@ -114,21 +114,20 @@ def expectation_rate_check(
     }
 
 
-def subsequence_rate_check(obj: Objective, K: int, checkpoints=(100,)) -> dict:
+def subsequence_rate_check(obj: Objective, K: int) -> dict:
     """Noiseless decay of the weighted running minimum
 
         m(K) = min_{k <= K} sqrt(k) log(log(k+2)) (f(x_k) - f*),
 
     which the theory sends to zero along a subsequence, for the run from
     x_0 = x_1 = (1, ..., 1) with eta_k = 1 / (4 L^2 log^2(k+2)). Reports m
-    at the requested checkpoints and at K so callers can verify strict
-    decrease."""
+    at k = 100 and at K so callers can verify strict decrease."""
     schedule = StepSchedule(kind="expectation_log2", L=obj.lipschitz, scale=0.25)
     tr = run_ensemble(obj, NoiseModel.noiseless(obj.dim), schedule, K, 1, 0)
     ks = np.arange(1, K + 1, dtype=float)
     weighted = np.sqrt(ks) * np.log(np.log(ks + 2.0)) * tr.f_gap[1:, 0]
     running_min = np.minimum.accumulate(weighted)
-    at = {int(cp): float(running_min[cp - 1]) for cp in checkpoints if cp <= K}
+    at = {100: float(running_min[99])} if K >= 100 else {}
     at[int(K)] = float(running_min[-1])
     return {"running_min": running_min, "at": at, "m_final": float(running_min[-1])}
 
@@ -139,13 +138,10 @@ def _quarter_start(K: int) -> int:
     return max(1, (3 * K) // 4)
 
 
-def _increment_variances(f_gap: np.ndarray, start: int | None = None) -> np.ndarray:
-    """Per-run variance of successive suboptimality increments over rows
-    ``start``.. of ``f_gap`` (rows, M). By default f_gap holds k = 0..K and
-    the rows are the last quarter's, k = _quarter_start(K) .. K."""
-    if start is None:
-        start = _quarter_start(f_gap.shape[0] - 1)
-    inc = np.diff(f_gap[start:], axis=0)
+def _increment_variances(f_gap: np.ndarray) -> np.ndarray:
+    """Per-run variance of successive suboptimality increments over the rows
+    of ``f_gap`` (rows, M)."""
+    inc = np.diff(f_gap, axis=0)
     return np.var(inc, axis=0, ddof=1)
 
 
@@ -186,25 +182,25 @@ def smoothness_comparison(
     Only the last quarter's gaps are evaluated: each ensemble runs its
     earlier steps on gradients alone and continues them, on the same
     generators, over the quarter with ``f_gap`` recorded. The medians are
-    bitwise those of recording ``f_gap`` over the whole horizon.
+    bitwise those of recording ``f_gap`` over the whole horizon. K < 5 or a
+    noiseless model raises ``ValueError``.
     """
     if K < 5:
         raise ValueError("smoothness needs K >= 5, so that the last quarter "
                          "holds two increments")
     if noise.sigma2 == 0.0:
-        return {"skipped": True,
-                "reason": "noiseless runs have zero increment variance for both methods"}
+        raise ValueError("smoothness needs a stochastic noise model: noiseless runs "
+                         "have zero increment variance for both methods")
     if schedule is None:
         schedule = StepSchedule(kind="expectation_log2", L=obj.lipschitz, scale=0.25)
     var_m = _increment_variances(
-        _late_gaps(obj, noise, schedule, K, M, master_seed, algorithm="sgdm"), 0)
+        _late_gaps(obj, noise, schedule, K, M, master_seed, algorithm="sgdm"))
     var_s = _increment_variances(
         _late_gaps(obj, noise, schedule, K, M, master_seed + 1, algorithm="sgd",
-                   sgd_scale=sgd_scale), 0)
+                   sgd_scale=sgd_scale))
     med_m, med_s = float(np.median(var_m)), float(np.median(var_s))
     mult_ratio = float(sgdm_noise_multiplier(schedule, K) / (sgd_scale / np.sqrt(K)))
     out = {
-        "skipped": False,
         "median_var_sgdm": med_m,
         "median_var_sgd": med_s,
         "noise_multiplier_ratio": mult_ratio,

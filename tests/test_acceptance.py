@@ -127,7 +127,7 @@ def test_06_supermartingale():
 def test_07_concentration_lemmas():
     t0 = time.time()
     mgf = mgf_lemma_check([0.25, 0.5, 1.0, 1.33], n_samples=1_000_000, seed=7)
-    tail = tail_lemma_check([0.5, 1.0, 2.0, 3.0], n_terms=20, n_samples=100_000, seed=7)
+    tail = tail_lemma_check([0.5, 1.0, 2.0, 3.0], n_samples=100_000, seed=7)
     ok = all(r["passed"] for r in mgf) and all(r["passed"] for r in tail)
     report(7, "scalar concentration lemmas", ok, time.time() - t0, 120.0,
            f"max mgf mean {max(r['mean'] for r in mgf):.4f}")
@@ -150,7 +150,7 @@ def test_09_smoothness_comparison():
     sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
     rep = smoothness_comparison(obj, noise, K=2000, M=10, master_seed=9,
                                 schedule=sched, sgd_scale=1.0)
-    ok = not rep.get("skipped") and rep["passed"]
+    ok = rep["passed"]
     report(9, "momentum trajectories are smoother than SGD", ok, time.time() - t0,
            60.0, f"medians {rep['median_var_sgdm']:.3g} < {rep['median_var_sgd']:.3g}")
 
@@ -158,7 +158,7 @@ def test_09_smoothness_comparison():
 def test_10_subsequence_decay():
     t0 = time.time()
     obj = default_quadratic(10, 0)
-    rep = subsequence_rate_check(obj, K=10_000, checkpoints=(100,))
+    rep = subsequence_rate_check(obj, K=10_000)
     ok = rep["at"][10_000] < rep["at"][100]
     report(10, "weighted running-minimum decay", ok, time.time() - t0, 30.0,
            f"m(1e4)={rep['at'][10_000]:.3g} < m(1e2)={rep['at'][100]:.3g}")

@@ -84,13 +84,12 @@ def reference_gamma_endpoints(schedule, sigma2, K):
             c._up(math.exp(c._up(log_head + log_err + log_tail_hi))))
 
 
-def reference_supermartingale(obj, noise, schedule, K, M, master_seed, x0=None,
-                              k_trunc=1_000_000):
+def reference_supermartingale(obj, noise, schedule, K, M, master_seed, x0=None):
     """supermartingale_trace's mean, stderr, overflow flag and drift residual
     from full (K+1, M) arrays: S, M(k), the drift, the penalty, log N and N."""
     x0 = np.ones(obj.dim) if x0 is None else np.asarray(x0, dtype=float)
     sigma2 = noise.hp_sigma2
-    g2 = gamma_constants(schedule, sigma2, k_trunc).gamma2_upper
+    g2 = gamma_constants(schedule, sigma2, 1_000_000).gamma2_upper
     t = 1.0 / g2
     a = a_sequence(schedule, np.arange(1, K + 1, dtype=float))
     tr = run_ensemble(obj, noise, schedule, K=K, M=M, master_seed=master_seed,
@@ -353,7 +352,7 @@ class TestSupermartingale:
         obj = quadratic_new(np.array([[1.0]]))
         noise = NoiseModel.gaussian(1, 0.01)
         rep = supermartingale_trace(obj, noise, anytime_schedule(), K=60, M=2000,
-                                    master_seed=0, k_trunc=100_000)
+                                    master_seed=0)
         assert rep["pathwise_ok"], rep["pathwise_max_residual"]
         assert not rep["overflow_clamped"]
         m, se = rep["mean"], rep["stderr"]
@@ -369,8 +368,8 @@ class TestSupermartingale:
         or all of them (small M); the result is that of the full arrays."""
         obj = quadratic_new(np.array([[1.0]]))
         args = (obj, NoiseModel.gaussian(1, 0.01), anytime_schedule(), K, M, 3)
-        rep = supermartingale_trace(*args, k_trunc=100_000)
-        ref = reference_supermartingale(*args, k_trunc=100_000)
+        rep = supermartingale_trace(*args)
+        ref = reference_supermartingale(*args)
         np.testing.assert_array_equal(rep["mean"], ref["mean"])
         np.testing.assert_array_equal(rep["stderr"], ref["stderr"])
         assert rep["pathwise_max_residual"] == ref["pathwise_max_residual"]
@@ -386,8 +385,8 @@ class TestSupermartingale:
         x0 = 1e3 * np.ones(2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the library call warns about nothing
-            rep = supermartingale_trace(*args, x0=x0, k_trunc=10_000)
-        ref = reference_supermartingale(*args, x0=x0, k_trunc=10_000)
+            rep = supermartingale_trace(*args, x0=x0)
+        ref = reference_supermartingale(*args, x0=x0)
         assert rep["overflow_clamped"] and ref["overflow_clamped"]
         assert np.isinf(rep["stderr"]).any()
         np.testing.assert_array_equal(rep["mean"], ref["mean"])
@@ -408,37 +407,24 @@ class TestSupermartingale:
         obj = quadratic_new(np.array([[1.0]]))
         with pytest.raises(ValueError, match="two runs"):
             supermartingale_trace(obj, NoiseModel.gaussian(1, 0.01), anytime_schedule(),
-                                  K=10, M=1, master_seed=0, k_trunc=10_000)
+                                  K=10, M=1, master_seed=0)
 
-    def test_rejects_oversized_transform_parameter(self):
+    def test_transform_parameter_is_the_certified_endpoint(self):
+        """t is 1/gamma2_upper at k_trunc = 10^6, the certified end of
+        t <= 1/gamma2, strictly below the uncertified 1/gamma2_lower."""
         obj = quadratic_new(np.array([[1.0]]))
         noise = NoiseModel.gaussian(1, 0.01)
-        with pytest.raises(ValueError, match="1/gamma2"):
-            supermartingale_trace(obj, noise, anytime_schedule(), K=10, M=5,
-                                  master_seed=0, t=10.0, k_trunc=10_000)
-
-    def test_rejects_t_beyond_certified_endpoint(self):
-        """t between 1/gamma2_upper and 1/gamma2_lower is not certified."""
-        obj = quadratic_new(np.array([[1.0]]))
-        noise = NoiseModel.gaussian(1, 0.01)
-        br = gamma_constants(anytime_schedule(), noise.hp_sigma2, 10_000)
-        lo, hi = 1.0 / br.gamma2_upper, 1.0 / br.gamma2_lower
-        t = 0.5 * (lo + hi)
-        assert lo < t < hi
-        with pytest.raises(ValueError, match="1/gamma2_upper"):
-            supermartingale_trace(obj, noise, anytime_schedule(), K=10, M=5,
-                                  master_seed=0, t=t, k_trunc=10_000)
-        rep = supermartingale_trace(obj, noise, anytime_schedule(), K=10, M=5,
-                                    master_seed=0, t=lo, k_trunc=10_000)
-        assert rep["t"] == lo
+        br = gamma_constants(anytime_schedule(), noise.hp_sigma2, 1_000_000)
+        rep = supermartingale_trace(obj, noise, anytime_schedule(), K=10, M=5, master_seed=0)
+        assert rep["t"] == 1.0 / br.gamma2_upper < 1.0 / br.gamma2_lower
+        assert rep["gamma2_upper"] == br.gamma2_upper
 
     def test_rejects_stepsizes_violating_drift_hypothesis(self):
         obj = quadratic_new(np.array([[1.0]]))
         noise = NoiseModel.gaussian(1, 0.01)
         sched = anytime_schedule(scale=40.0)  # eta_k > k/(16 L^2) at small k
         with pytest.raises(ValueError, match="16"):
-            supermartingale_trace(obj, noise, sched, K=10, M=5, master_seed=0,
-                                  k_trunc=10_000)
+            supermartingale_trace(obj, noise, sched, K=10, M=5, master_seed=0)
 
     @pytest.mark.parametrize("excess, refused", [(1e-7, True), (-1e-7, False)])
     def test_drift_hypothesis_is_checked_relative_to_one_over_l_squared(self, excess, refused):
@@ -451,9 +437,9 @@ class TestSupermartingale:
         args = (obj, NoiseModel.gaussian(1, 0.01), sched, 10, 5, 0)
         if refused:
             with pytest.raises(ValueError, match="16 L"):
-                supermartingale_trace(*args, k_trunc=10_000)
+                supermartingale_trace(*args)
         else:
-            assert supermartingale_trace(*args, k_trunc=10_000)["pathwise_ok"]
+            assert supermartingale_trace(*args)["pathwise_ok"]
 
 
 class TestStreamLifetime:
@@ -490,8 +476,7 @@ class TestStreamLifetime:
         obj = quadratic_new(np.array([[1.0]]))
         with pytest.raises(FloatingPointError) as exc:
             supermartingale_trace(obj, NoiseModel.gaussian(1, 0.01), anytime_schedule(),
-                                  K=1500, M=4, master_seed=1, x0=np.array([1e200]),
-                                  k_trunc=10_000)
+                                  K=1500, M=4, master_seed=1, x0=np.array([1e200]))
         assert str(exc.value) == "f(x_0) - f* became non-finite at step k=0 in run(s) [0, 1, 2, 3]"
         assert noise_threads() == []
 
@@ -536,7 +521,7 @@ class TestScalarLemmas:
             tail_lemma_check([1.0], n_samples=0, seed=0)
 
     def test_tail_rows_pass_and_fractions_decrease(self):
-        rows = tail_lemma_check([0.5, 1.0, 2.0], n_terms=20, n_samples=40_000, seed=0)
+        rows = tail_lemma_check([0.5, 1.0, 2.0], n_samples=40_000, seed=0)
         fracs = [r["fraction"] for r in rows]
         assert all(r["passed"] for r in rows)
         assert fracs == sorted(fracs, reverse=True)
@@ -555,9 +540,9 @@ class TestScalarLemmas:
             certified.append(noise.hp_sigma2)
             return noise
 
-        rows = tail_lemma_check([1.0], n_terms=20, n_samples=1_000, seed=0)
+        rows = tail_lemma_check([1.0], n_samples=1_000, seed=0)
         monkeypatch.setattr(NoiseModel, "gaussian", spy)
-        assert tail_lemma_check([1.0], n_terms=20, n_samples=1_000, seed=0) == rows
+        assert tail_lemma_check([1.0], n_samples=1_000, seed=0) == rows
         scales = 1.0 + 0.5 * np.sin(np.arange(1, 21, dtype=float))
         assert len(certified) == 20
         with mp.workdps(50):

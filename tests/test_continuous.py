@@ -58,10 +58,6 @@ class TestOdeParams:
         with pytest.raises(ValueError, match="dt"):
             OdeParams(T0=1.0, T=2.0, dt=-0.1)
 
-    def test_default_step_scales_with_t0(self):
-        assert OdeParams(T0=2.0, T=3.0).step == pytest.approx(2e-3)
-        assert OdeParams(T0=1.0, T=3.0, dt=0.01).step == 0.01
-
     def test_rate_hypotheses(self):
         assert OdeParams(p=1.0, alpha=1.5, T0=1, T=2).rate_hypotheses_hold()
         assert not OdeParams(p=0.5, alpha=1.0, T0=1, T=2).rate_hypotheses_hold()
@@ -269,6 +265,13 @@ class TestSde:
         with pytest.raises(ValueError, match="does not divide T="):
             sde_sample_paths(obj, 0.1, 1.0, 2.05, 2, 0, np.ones(1), np.zeros(1))
 
+    @pytest.mark.parametrize("eta", [0.0, -0.25])
+    def test_rejects_nonpositive_eta(self, eta):
+        """Refused before T0/eta divides by zero (eta = 0) or turns negative."""
+        obj = quadratic_new(np.eye(1))
+        with pytest.raises(ValueError, match=f"eta must be positive \\(got eta={eta:g}\\)"):
+            sde_sample_paths(obj, eta, 1.0, 2.0, 2, 0, np.ones(1), np.zeros(1))
+
     def test_marginal_moments_track_discrete_iterates(self):
         """The SDE grid marginals and the constant-stepsize momentum iterates
         agree to O(eta): with eta = 0.005 the mean and standard deviation at
@@ -351,11 +354,12 @@ class TestL2Limit:
         obj = quadratic_new(np.eye(1))
         # (4 - 1) / 7e-4 = 4285.71 steps: the discrete run would stop short of T
         with pytest.raises(ValueError, match="does not divide"):
-            l2_limit_estimate(obj, [7e-4], 1.0, 4.0, 2, 0, dt=0.01)
+            l2_limit_estimate(obj, [7e-4], 1.0, 4.0, 2, 0)
 
     def test_accepts_etas_dividing_the_window(self):
         obj = quadratic_new(np.eye(1))
-        rows = l2_limit_estimate(obj, [0.1, 0.05, 0.02, 0.01], 1.0, 4.0, 2, 0, dt=0.01)
+        params = OdeParams(T0=1.0, T=4.0, dt=0.01)
+        rows = ode_compare(obj, params, [0.1, 0.05, 0.02, 0.01], 2, 0)[1]
         assert [r["eta"] for r in rows] == [0.1, 0.05, 0.02, 0.01]
 
     def test_rejects_nonpositive_runs(self):
@@ -378,7 +382,7 @@ class TestL2Limit:
         the others share [1, 4]."""
         obj = quadratic_new(random_spd(2, 2))
         etas, T0, T, M, seed = [0.3, 0.1, 0.05], 1.0, 4.0, 5, 3
-        rows = l2_limit_estimate(obj, etas, T0, T, M, seed, dt=1e-2)
+        rows = ode_compare(obj, OdeParams(T0=T0, T=T, dt=1e-2), etas, M, seed)[1]
         for j, eta in enumerate(etas):
             k0, kT = math.floor(T0 / eta + 1e-9), math.floor(T / eta + 1e-9)
             x_prev, x_cur, v0 = sgdm_warm_start(obj, eta, k0, np.ones(2))
@@ -429,10 +433,11 @@ class TestOdeCompare:
                 assert rep[key] == value
 
     def test_rows_match_l2_limit_estimate(self):
+        """At the default step 1e-3, and whatever the checks' (p, alpha)."""
         obj = quadratic_new(random_spd(2, 2))
         etas, M, seed = [0.3, 0.1, 0.05], 5, 3
-        _, rows = ode_compare(obj, self.params, etas, M, seed)
-        ref = l2_limit_estimate(obj, etas, 1.0, 4.0, M, seed, dt=0.01)
+        _, rows = ode_compare(obj, OdeParams(p=2.0, alpha=1.0, T0=1.0, T=4.0), etas, M, seed)
+        ref = l2_limit_estimate(obj, etas, 1.0, 4.0, M, seed)
         assert [r["eta"] for r in rows] == etas and all(r["runs"] == M for r in rows)
         for r, q in zip(rows, ref):
             assert r["mean_sq_dist"] == pytest.approx(q["mean_sq_dist"], rel=1e-12)

@@ -22,7 +22,7 @@ from sgdmlab._csv import write_csv
 from sgdmlab.cli import (ConfigError, _check, default_quadratic, load_config, main,
                          write_verdict)
 from sgdmlab.lyapunov import DescentReport
-from sgdmlab.optimizers import StepSchedule, run_ensemble
+from sgdmlab.optimizers import StepSchedule, run_ensemble, schedule_eval
 from sgdmlab.problems import NoiseModel, logreg_new, synthetic_blobs
 from sgdmlab.seeding import rng_for, seed_split
 
@@ -267,7 +267,7 @@ class TestCliSubcommands:
         main(["concentration", "--config", str(ini), "--out", str(out), "--seed", "5"])
         checks = strict_json(out / "verdict.json")["checks"]
         rows = (concentration.mgf_lemma_check([0.25, 1.0, 2.5], 3000, 5)
-                + concentration.tail_lemma_check([0.1, 1.0, 4.0], 20, 3000, 5))
+                + concentration.tail_lemma_check([0.1, 1.0, 4.0], 3000, 5))
         assert len(checks) == len(rows) == 6
         for check, row in zip(checks, rows):
             assert check["threshold"] == row["threshold"]
@@ -338,7 +338,8 @@ class TestFailureSemantics:
         assert_one_line_config_error(capsys)
         assert not (out / "verdict.json").exists()
 
-    @pytest.mark.parametrize("flag", [["--alpha", "3"], ["--eta-grid", "1.0"], ["--eta-grid", ""]])
+    @pytest.mark.parametrize("flag", [["--alpha", "3"], ["--eta-grid", "1.0"], ["--eta-grid", ""],
+                                      ["--eta-grid", "0"], ["--eta-grid", "-0.1"]])
     def test_library_value_error_exits_2(self, tmp_path, capsys, flag):
         assert main(["ode-compare", "--out", str(tmp_path / "o"), "--runs", "3"] + flag) == 2
         assert_one_line_config_error(capsys)
@@ -387,6 +388,12 @@ class TestFailureSemantics:
         assert main(["smoothness", "--out", str(tmp_path / "o"), "--steps", "4",
                      "--runs", "2"]) == 2
         assert_one_line_config_error(capsys)
+
+    def test_noiseless_smoothness_is_a_config_error(self, tmp_path, capsys):
+        ini = self._ini(tmp_path, "noise = none")
+        assert main(["smoothness", "--config", str(ini), "--out", str(tmp_path / "o"),
+                     "--steps", "40", "--runs", "2"]) == 2
+        assert "stochastic noise model" in assert_one_line_config_error(capsys)
 
     def test_unreachable_logistic_optimum_is_a_config_error(self, tmp_path, capsys,
                                                            monkeypatch):
@@ -444,7 +451,7 @@ class TestFailureSemantics:
         ini = tmp_path / "sgd.ini"
         ini.write_text("[common]\nalgorithm = sgd\nsgd_scale = 1e6\nnoise = none\ndim = 2\n")
         obj = default_quadratic(2, 0)
-        eta = StepSchedule(kind="anytime_log2", L=obj.lipschitz)(np.arange(42))
+        eta = schedule_eval(StepSchedule(kind="anytime_log2", L=obj.lipschitz), np.arange(42))
         xs = [np.ones(2), np.ones(2)]  # x_0 = x_1 .. x_42
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, 42):
@@ -486,6 +493,15 @@ class TestFailureSemantics:
         ini = self._ini(tmp_path, f"problem = csv:{missing}")
         assert main(["run", "--config", str(ini), "--out", str(out)]) == 2
         assert_one_line_config_error(capsys)
+        assert not (out / "verdict.json").exists()
+
+    def test_dataset_without_a_feature_column_is_a_config_error(self, tmp_path, capsys):
+        data = tmp_path / "labels.csv"
+        data.write_text("y\n0\n1\n0\n1\n")
+        out = tmp_path / "o"
+        ini = self._ini(tmp_path, f"problem = csv:{data}")
+        assert main(["run", "--config", str(ini), "--out", str(out)]) == 2
+        assert "no feature column" in assert_one_line_config_error(capsys)
         assert not (out / "verdict.json").exists()
 
     @pytest.mark.parametrize("key,value", [("mgf_samples", "1"), ("lambda_grid", ""),

@@ -12,7 +12,8 @@ from sgdmlab.lyapunov import (
     energy_along,
     noise_terms,
 )
-from sgdmlab.optimizers import _ensemble, StepSchedule, run_ensemble, run_trajectory
+from sgdmlab.optimizers import (_ensemble, StepSchedule, run_ensemble, run_trajectory,
+                                 schedule_eval)
 from sgdmlab.problems import NoiseModel, quadratic_new
 from sgdmlab.seeding import rng_for, seed_split
 
@@ -149,7 +150,7 @@ class TestDescentRhs:
         ref, _, _ = reference_ensemble(obj, NoiseModel.gaussian(3, 2.0), sched, 15, 1, 3,
                                        record=path)
         x, g, grad, f_gap = (ref[name][:, 0] for name in path)
-        eta = np.asarray(sched(np.arange(16)))
+        eta = np.asarray(schedule_eval(sched, np.arange(16)))
         # a segment of the path, steps k = 8..15, as the engine passes it
         theta_sq, theta_tau = noise_terms(x[7:16], g[7:], grad[7:], obj.xstar, k0=7)
         vec = descent_rhs_along(np.sum(g[7:] ** 2, axis=1), np.sum(grad[7:] ** 2, axis=1),

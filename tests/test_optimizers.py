@@ -78,7 +78,7 @@ class TestStepSchedule:
             for L in (0.0, -1.0, np.inf, np.nan):
                 with pytest.raises(ValueError, match="finite positive L"):
                     StepSchedule(kind=kind, L=L)
-        assert StepSchedule(kind="constant", L=0.0)(3) == 1.0
+        assert schedule_eval(StepSchedule(kind="constant", L=0.0), 3) == 1.0
         with pytest.raises(ValueError, match="fn"):
             StepSchedule(kind="custom")
         with pytest.raises(ValueError):

@@ -1,5 +1,4 @@
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -230,17 +229,6 @@ class TestFusedOracle:
             np.testing.assert_allclose(f, obj.eval(x), rtol=1e-15)
             np.testing.assert_allclose(g, obj.grad(x), rtol=1e-15)
         assert np.shape(f) == shape[:-1] and g.shape == shape
-        gap, g2 = obj.gap_and_grad(x)
-        np.testing.assert_allclose(gap, obj.f_gap(x), rtol=1e-15)
-        np.testing.assert_array_equal(g2, g)
-
-    @pytest.mark.parametrize("name", ["quadratic", "logreg"])
-    def test_gap_and_grad_falls_back_to_eval_and_grad(self, name):
-        obj = replace(one_of_each(name), value_and_grad=None)
-        x = np.random.default_rng(4).standard_normal((5, 4))
-        gap, g = obj.gap_and_grad(x)
-        np.testing.assert_array_equal(gap, obj.f_gap(x))
-        np.testing.assert_array_equal(g, obj.grad(x))
 
 
 class TestProductsMatchMatmul:
@@ -265,9 +253,6 @@ class TestProductsMatchMatmul:
             f, g = obj.value_and_grad(x)
             np.testing.assert_array_equal(f, f_ref)
             np.testing.assert_array_equal(g, g_ref)
-        gap, g = obj.gap_and_grad(x)
-        np.testing.assert_array_equal(gap, f_ref - obj.fstar)
-        np.testing.assert_array_equal(g, g_ref)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_quadratic(self, shape):
