@@ -39,8 +39,6 @@ __all__ = [
     "tail_lemma_check",
 ]
 
-_LOG_POWERS = {"anytime_log2": 2.0, "expectation_log2": 2.0}
-
 
 def a_sequence(schedule: StepSchedule, k) -> np.ndarray:
     """Weights a_k = 16 eta_k / k entering both series (k >= 1)."""
@@ -50,11 +48,8 @@ def a_sequence(schedule: StepSchedule, k) -> np.ndarray:
 
 def _series_params(schedule: StepSchedule) -> tuple[float, float]:
     """(A, q) such that a_k = A / (k log^q(k+2)) exactly."""
-    if schedule.kind in _LOG_POWERS:
-        q = _LOG_POWERS[schedule.kind]
-    elif schedule.kind == "epsilon_log":
-        q = 1.0 + schedule.epsilon
-    else:
+    q = schedule.log_power
+    if q is None:
         raise ValueError(
             f"schedule kind '{schedule.kind}' has a divergent weight series; "
             "gamma constants exist only for logarithmic schedules"
@@ -65,7 +60,7 @@ def _series_params(schedule: StepSchedule) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class GammaBrackets:
-    """Certified enclosures for gamma1 and gamma2, with the truncation point.
+    """Certified enclosures for gamma1 and gamma2.
 
     Tail control: for x >= K, 1/(x log^q(x+2)) is sandwiched between
     1/((x+2) log^q(x+2)) and (1+2/K)/((x+2) log^q(x+2)), and the latter
@@ -76,8 +71,6 @@ class GammaBrackets:
     gamma1_upper: float
     gamma2_lower: float
     gamma2_upper: float
-    k_trunc: int
-    sigma2: float
 
     @property
     def gamma1_width(self) -> float:
@@ -152,6 +145,7 @@ def gamma_constants(
     at a time, so the call needs O(sqrt(k_trunc)) memory."""
     if sigma2 < 0:
         raise ValueError("sigma2 must be non-negative")
+    sigma2 = float(sigma2)  # a tail product that overflows is then a quiet inf (or nan)
     A, q = _series_params(schedule)
     K = int(k_trunc)
     if K < 1:
@@ -159,13 +153,14 @@ def gamma_constants(
 
     def terms_of(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a = a_sequence(schedule, ks)
-        return a, np.log1p(a * sigma2)
+        with np.errstate(over="ignore"):  # an infinite term makes gamma2 overflow below
+            return a, np.log1p(a * sigma2)
 
     (s_head, s_err), (log_head, log_err) = _head_sums(terms_of, K)
     shrink, grow = 1.0 - _TERM_ULPS * _EPS, 1.0 + _TERM_ULPS * _EPS
 
     def tail_integral(lo: float) -> float:
-        return 1.0 / ((q - 1.0) * np.log(lo + 2.0) ** (q - 1.0))
+        return 1.0 / ((q - 1.0) * float(np.log(lo + 2.0) ** (q - 1.0)))
 
     tail_lo = shrink * A * tail_integral(K + 1.0)
     tail_hi = grow * A * (1.0 + 2.0 / K) * tail_integral(float(K))
@@ -181,12 +176,14 @@ def gamma_constants(
     try:
         g2_lo = _down(math.exp(_down(log_head - log_err + log_tail_lo)))
         g2_hi = _up(math.exp(_up(log_head + log_err + log_tail_hi)))
+        if g2_hi == math.inf:  # math.exp(inf) does not raise
+            raise OverflowError
     except OverflowError:
         raise ValueError(
             "gamma2 = prod(1 + a_k sigma2) overflows a float: the stepsizes or the "
             "noise scale are too large for a finite bound"
         ) from None
-    return GammaBrackets(g1_lo, g1_hi, g2_lo, g2_hi, K, float(sigma2))
+    return GammaBrackets(g1_lo, g1_hi, g2_lo, g2_hi)
 
 
 @dataclass(frozen=True)
@@ -197,8 +194,6 @@ class AnytimeConstants:
     C2: float
     log_power: float  # exponent on log(k+2) in the bound
     brackets: GammaBrackets
-    L: float
-    E0: float
 
 
 def anytime_constants(
@@ -209,8 +204,7 @@ def anytime_constants(
     cross = L * sigma2 * (1.0 + sigma2 * g1 * g2) * g1
     C1 = L * g2 * E0 + cross
     C2 = L * g2 + cross
-    power = 1.0 if schedule.kind != "epsilon_log" else 0.5 * (1.0 + schedule.epsilon)
-    return AnytimeConstants(float(C1), float(C2), power, br, float(L), float(E0))
+    return AnytimeConstants(float(C1), float(C2), 0.5 * schedule.log_power, br)
 
 
 def anytime_bound(const: AnytimeConstants, k, beta: float) -> np.ndarray:

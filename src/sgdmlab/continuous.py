@@ -66,7 +66,6 @@ class OdeSolution:
     X: np.ndarray  # (n, d), or (n, B, d) for a batch of initial conditions
     V: np.ndarray  # like X
     energy: np.ndarray  # (n,), or (n, B)
-    params: OdeParams
 
     def to_csv(self, path, obj: Objective) -> None:
         cols = np.column_stack([self.t, obj.f_gap(self.X), self.energy])
@@ -180,7 +179,7 @@ def ode_integrate(
     V = path[:, 1].reshape((n_steps + 1,) + shape)
     t_col = t_grid.reshape((n_steps + 1,) + (1,) * (len(shape) - 1))
     energy = continuous_energy(X, V, t_col, p, alpha, obj.f_gap(X), obj.xstar)
-    return OdeSolution(t=t_grid, X=X, V=V, energy=energy, params=params)
+    return OdeSolution(t=t_grid, X=X, V=V, energy=energy)
 
 
 def _check_finite(t_grid: np.ndarray, lo: int, hi: int, *paths: np.ndarray,
@@ -413,8 +412,7 @@ def ode_compare(
         starts.append((OdeParams(p=1.0, alpha=1.5, T0=k0 * eta, T=kT * eta, dt=params.dt),
                        x_cur, v))
     (sol, b), *table = _integrate_starts(obj, starts)
-    column = OdeSolution(t=sol.t, X=sol.X[:, b], V=sol.V[:, b], energy=sol.energy[:, b],
-                         params=params)
+    column = OdeSolution(t=sol.t, X=sol.X[:, b], V=sol.V[:, b], energy=sol.energy[:, b])
     noise = NoiseModel.gaussian(obj.dim, 1.0)
     rows = []
     for j, (eta, (k0, kT, x_prev, x_cur), (s, c)) in enumerate(zip(eta_list, runs, table)):

@@ -49,8 +49,6 @@ _SCHEDULE_KINDS = (
     "constant",
     "custom",
 )
-_MONOTONE_KINDS = ("anytime_log2", "expectation_log2", "epsilon_log", "sqrt_k", "constant")
-_L_SCALED_KINDS = ("anytime_log2", "expectation_log2", "epsilon_log")  # eta_k ~ 1/L^2
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,7 @@ class StepSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not self.scale > 0:
             raise ValueError("schedule scale must be positive")
-        if self.kind in _L_SCALED_KINDS and not 0.0 < self.L < np.inf:
+        if self.log_power is not None and not 0.0 < self.L < np.inf:
             raise ValueError(f"the {self.kind} schedule needs a finite positive L "
                              f"(got L={self.L:g})")
         if self.kind == "epsilon_log" and not (0.0 < self.epsilon <= 1.0):
@@ -79,7 +77,13 @@ class StepSchedule:
     @property
     def monotone(self) -> bool:
         """Non-increasing in k by construction (required by the descent lemma)."""
-        return self.kind in _MONOTONE_KINDS
+        return self.kind != "custom"
+
+    @property
+    def log_power(self) -> float | None:
+        """q of a logarithmic schedule eta_k = c / (w L^2 log^q(k+2)), else None."""
+        powers = {"anytime_log2": 2.0, "expectation_log2": 2.0, "epsilon_log": 1.0 + self.epsilon}
+        return powers.get(self.kind)
 
 
 def schedule_eval(s: StepSchedule, k) -> np.ndarray:
@@ -87,13 +91,10 @@ def schedule_eval(s: StepSchedule, k) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     if np.any(k < 0):
         raise ValueError("iteration index must be >= 0")
-    c, L = s.scale, s.L
-    if s.kind == "anytime_log2":
-        out = c / (16.0 * L * L * np.log(k + 2.0) ** 2)
-    elif s.kind == "expectation_log2":
-        out = c / (L * L * np.log(k + 2.0) ** 2)
-    elif s.kind == "epsilon_log":
-        out = c / (16.0 * L * L * np.log(k + 2.0) ** (1.0 + s.epsilon))
+    c, L, q = s.scale, s.L, s.log_power
+    if q is not None:
+        w = 1.0 if s.kind == "expectation_log2" else 16.0
+        out = c / (w * L * L * np.log(k + 2.0) ** q)
     elif s.kind == "sqrt_k":
         out = c / np.sqrt(np.maximum(k, 1.0))
     elif s.kind == "constant":
@@ -114,7 +115,6 @@ class TrajectoryRecord:
     difference to the realized gradient.
     """
 
-    algorithm: str
     K: int
     eta: np.ndarray
     f_gap: np.ndarray
@@ -129,7 +129,7 @@ class TrajectoryRecord:
     def of(cls, trace: "EnsembleTrace") -> "TrajectoryRecord":
         """The empty record of run 0 of the stream whose trace is ``trace``."""
         rows, steps = np.empty((2, trace.K + 1)), np.empty((3, trace.K))
-        return cls(trace.algorithm, trace.K, trace.eta, *rows, *steps)
+        return cls(trace.K, trace.eta, *rows, *steps)
 
     def fold(self, blocks):
         """Pass the blocks of a stream recorded with :attr:`RECORD` on,

@@ -168,7 +168,7 @@ def smoothness_comparison(
     K: int,
     M: int,
     master_seed: int,
-    schedule: StepSchedule | None = None,
+    schedule: StepSchedule,
     sgd_scale: float = 1.0,
 ) -> dict:
     """Compare late-horizon trajectory roughness of the momentum method
@@ -191,8 +191,6 @@ def smoothness_comparison(
     if noise.sigma2 == 0.0:
         raise ValueError("smoothness needs a stochastic noise model: noiseless runs "
                          "have zero increment variance for both methods")
-    if schedule is None:
-        schedule = StepSchedule(kind="expectation_log2", L=obj.lipschitz, scale=0.25)
     var_m = _increment_variances(
         _late_gaps(obj, noise, schedule, K, M, master_seed, algorithm="sgdm"))
     var_s = _increment_variances(

@@ -264,6 +264,42 @@ class TestAnytimeBound:
         assert initial_energy(obj, s, x0) == pytest.approx(expect, rel=1e-12)
 
 
+def recovered_log_power(schedule, k1, k2):
+    """q of eta_k = C / log^q(k+2) through eta_k1 and eta_k2."""
+    eta1, eta2 = schedule_eval(schedule, k1), schedule_eval(schedule, k2)
+    return math.log(eta1 / eta2) / math.log(math.log(k2 + 2.0) / math.log(k1 + 2.0))
+
+
+@pytest.mark.parametrize("schedule", [
+    StepSchedule(kind="anytime_log2", L=1.3, scale=0.8),
+    StepSchedule(kind="expectation_log2", L=1.3, scale=0.8),
+    StepSchedule(kind="epsilon_log", L=1.3, scale=0.8, epsilon=0.5),
+    StepSchedule(kind="epsilon_log", L=1.3, scale=0.8, epsilon=1.0),
+    StepSchedule(kind="sqrt_k", scale=0.8),
+    StepSchedule(kind="constant", scale=0.8),
+    StepSchedule(kind="custom", fn=lambda k: 1.0 / (k + 1.0)),
+], ids=lambda s: s.kind + (f"-{s.epsilon:g}" if s.kind == "epsilon_log" else ""))
+def test_log_power_is_the_schedules_one_exponent(schedule):
+    """``log_power`` is the q that schedule_eval follows, exactly for the
+    schedules whose weight series converge (q > 1); gamma_constants accepts
+    those schedules only, and the envelope's power is q/2."""
+    q = schedule.log_power
+    qs = [recovered_log_power(schedule, 1.0, 10.0), recovered_log_power(schedule, 100.0, 1e6)]
+    if q is None:
+        # no single exponent q > 1 fits: sqrt_k's and custom's differ, constant's is 0
+        assert not (qs[0] == pytest.approx(qs[1], rel=1e-9) and qs[0] > 1.0)
+        with pytest.raises(ValueError, match="divergent"):
+            gamma_constants(schedule, 0.5, k_trunc=100)
+        return
+    assert qs == pytest.approx([q, q], rel=1e-9)
+    w = 1.0 if schedule.kind == "expectation_log2" else 16.0
+    eta0 = schedule.scale / (w * schedule.L**2 * math.log(2.0) ** q)
+    assert schedule_eval(schedule, 0.0) == pytest.approx(eta0, rel=1e-15)
+    gamma_constants(schedule, 0.5, k_trunc=100)
+    const = anytime_constants(schedule, E0=1.0, L=schedule.L, sigma2=0.5, k_trunc=100)
+    assert const.log_power == 0.5 * q
+
+
 class TestCoverage:
     def test_conservative_bound_never_violated_in_small_run(self):
         obj = quadratic_new(random_spd(5, 0))

@@ -377,12 +377,18 @@ class TestFailureSemantics:
                                    f"at step k={k} in run(s) {runs}\n")
             assert not (out / "verdict.json").exists()
 
-    def test_overflowing_gamma2_is_a_config_error(self, tmp_path, capsys):
-        ini = tmp_path / "big.ini"
-        ini.write_text("[common]\nscale = 1e12\nnoise_var = 1e4\n")
-        assert main(["verify-anytime", "--config", str(ini), "--out", str(tmp_path / "o"),
-                     "--steps", "5", "--runs", "2"]) == 2
-        assert_one_line_config_error(capsys)
+    @pytest.mark.parametrize("sub", ["verify-anytime", "constants"])
+    @pytest.mark.parametrize("lines", [("scale = 1e12", "noise_var = 1e4"),
+                                       ("noise_var = 1e200",),
+                                       ("noise = bounded", "noise_var = 1e300"),
+                                       ("scale = 1e12", "noise_var = 1e300")])
+    def test_overflowing_gamma2_is_a_config_error(self, tmp_path, capsys, sub, lines):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([sub, "--config", str(self._ini(tmp_path, *lines)),
+                         "--out", str(tmp_path / "o"), "--steps", "5", "--runs", "2"])
+        assert code == 2 and caught == []
+        assert "gamma2" in assert_one_line_config_error(capsys)
 
     def test_smoothness_with_too_few_steps_is_a_config_error(self, tmp_path, capsys):
         assert main(["smoothness", "--out", str(tmp_path / "o"), "--steps", "4",
@@ -502,6 +508,27 @@ class TestFailureSemantics:
         ini = self._ini(tmp_path, f"problem = csv:{data}")
         assert main(["run", "--config", str(ini), "--out", str(out)]) == 2
         assert "no feature column" in assert_one_line_config_error(capsys)
+        assert not (out / "verdict.json").exists()
+
+    @pytest.mark.parametrize("rows,message", [
+        ("0,nan\n1,2\n", "not finite"),
+        ("0,inf\n1,2\n", "not finite"),
+        ("0,1e200\n1,-1e200\n", "smoothness constant"),
+        ("", "at least one sample"),
+    ], ids=["nan", "inf", "overflowing", "header-only"])
+    def test_dataset_without_finite_samples_is_a_one_line_config_error(
+            self, tmp_path, capsys, monkeypatch, rows, message):
+        data = tmp_path / "data.csv"
+        data.write_text("y,x1\n" + rows)
+        refined = []
+        monkeypatch.setattr(problems, "fstar_refine", lambda *a, **k: refined.append(a))
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(self._ini(tmp_path, f"problem = csv:{data}")),
+                         "--steps", "10", "--out", str(out)])
+        assert code == 2 and caught == [] and refined == []
+        assert message in assert_one_line_config_error(capsys)
         assert not (out / "verdict.json").exists()
 
     @pytest.mark.parametrize("key,value", [("mgf_samples", "1"), ("lambda_grid", ""),

@@ -197,7 +197,8 @@ class TestSmoothness:
     def test_momentum_is_smoother_than_sgd(self):
         obj = quadratic_new(random_spd(5, 1))
         noise = NoiseModel.gaussian(5, 25.0)
-        rep = smoothness_comparison(obj, noise, K=800, M=8, master_seed=0)
+        sched = StepSchedule(kind="expectation_log2", L=obj.lipschitz, scale=0.25)
+        rep = smoothness_comparison(obj, noise, K=800, M=8, master_seed=0, schedule=sched)
         assert rep["passed"]
         assert rep["median_var_sgdm"] < rep["median_var_sgd"]
         assert rep["noise_multiplier_ratio"] < 1.0
@@ -235,5 +236,7 @@ class TestSmoothness:
 
     def test_noiseless_comparison_is_refused(self):
         obj = quadratic_new(np.eye(2))
+        sched = StepSchedule(kind="expectation_log2", L=obj.lipschitz, scale=0.25)
         with pytest.raises(ValueError, match="stochastic noise model"):
-            smoothness_comparison(obj, NoiseModel.noiseless(2), K=100, M=2, master_seed=0)
+            smoothness_comparison(obj, NoiseModel.noiseless(2), K=100, M=2, master_seed=0,
+                                  schedule=sched)
