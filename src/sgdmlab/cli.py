@@ -19,7 +19,6 @@ import functools
 import json
 import math
 import sys
-from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,7 @@ from . import continuous as cont
 from . import stats
 from ._csv import write_csv
 from .lyapunov import check_descent
-from .optimizers import StepSchedule, TrajectoryRecord, _ensemble, run_trajectory
+from .optimizers import StepSchedule, TrajectoryRecord, run_ensemble, run_trajectory
 from .problems import (
     NoiseModel,
     Objective,
@@ -138,6 +137,8 @@ def load_config(subcommand: str, path: str | None, overrides: dict) -> dict:
         raise ConfigError("beta must lie in (0, 1)")
     if cfg["noise_var"] < 0:  # before build_noise takes its square root
         raise ConfigError("noise_var must be >= 0")
+    if cfg["sgd_scale"] <= 0:  # plain SGD's stepsize sgd_scale / sqrt(k)
+        raise ConfigError(f"sgd_scale must be positive (got {cfg['sgd_scale']:g})")
     return cfg
 
 
@@ -209,9 +210,9 @@ def write_verdict(out: Path, subcommand: str, checks: list[dict]) -> bool:
 def _simulate(cfg: dict, obj: Objective, record):
     """All ``runs`` trajectories of the configured algorithm in one batch, as
     a stream; run i draws from ``rng_for(seed, i)``."""
-    return _ensemble(obj, build_noise(cfg, obj.dim), build_schedule(cfg, obj.lipschitz),
-                     cfg["steps"], cfg["runs"], cfg["seed"], algorithm=cfg["algorithm"],
-                     record=record, sgd_scale=cfg["sgd_scale"])
+    return run_ensemble(obj, build_noise(cfg, obj.dim), build_schedule(cfg, obj.lipschitz),
+                        cfg["steps"], cfg["runs"], cfg["seed"], algorithm=cfg["algorithm"],
+                        record=record, sgd_scale=cfg["sgd_scale"])
 
 
 def cmd_run(cfg: dict, out: Path) -> list[dict]:
@@ -223,9 +224,8 @@ def cmd_run(cfg: dict, out: Path) -> list[dict]:
         rec.to_csv(out / "trajectory.csv")
         final = rec.f_gap[-1]
     else:
-        _, blocks = _simulate(cfg, obj, ("f_gap",))
-        with closing(blocks):
-            summary = stats.ensemble_summary(b.f_gap for b in blocks)
+        with _simulate(cfg, obj, ("f_gap",)) as stream:
+            summary = stats.ensemble_summary(b.f_gap for b in stream)
         stats.save_ensemble_csv(out / "ensemble.csv", summary)
         final = summary["final"][0]
     # a gap that is not finite has raised FloatingPointError (exit 3) instead
@@ -238,10 +238,9 @@ def cmd_verify_descent(cfg: dict, out: Path) -> list[dict]:
         raise ConfigError("verify-descent applies to the sgdm algorithm only")
     obj = build_problem(cfg)
     # one pass feeds both folds: run 0's record and the check over all runs
-    trace, blocks = _simulate(cfg, obj, TrajectoryRecord.RECORD)
-    rec = TrajectoryRecord.of(trace)
-    with closing(blocks):
-        rep = check_descent(trace, rec.fold(blocks), tol=cfg["tol"])
+    with _simulate(cfg, obj, TrajectoryRecord.RECORD) as stream:
+        rec = TrajectoryRecord.of(stream)
+        rep = check_descent(stream, rec.fold(stream), tol=cfg["tol"])
     rec.to_csv(out / "trajectory.csv")
     # passes on the library's per-step tolerance tol * (1 + |E(k)|)
     check = _check("max_descent_residual", rep.passed, rep.max_residual, cfg["tol"])

@@ -15,15 +15,13 @@ bound and a weighted chi-square-type tail bound).
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .lyapunov import energy_along
-from .optimizers import StepSchedule, _ensemble, schedule_eval
-from .optimizers import run_ensemble  # noqa: F401 (perfbench's tracer patches it here)
+from .optimizers import StepSchedule, run_ensemble, schedule_eval
 from .problems import NoiseModel, Objective
 from .seeding import rng_for
 
@@ -247,9 +245,8 @@ def anytime_coverage(
     bound = anytime_bound(const, np.arange(1, K + 1), beta)
     violated = np.zeros(M, dtype=bool)
     margin, first_run, first_k = np.inf, None, None
-    _, blocks = _ensemble(obj, noise, schedule, K, M, master_seed)
-    with closing(blocks):
-        for b in blocks:
+    with run_ensemble(obj, noise, schedule, K, M, master_seed) as stream:
+        for b in stream:
             k0 = max(b.lo, 1)  # rows k = k0..hi-1 are checked, k = 0 is not
             slack = bound[k0 - 1 : b.hi - 1, None] - b.f_gap[k0 - b.lo :]
             above = slack < 0.0  # f_gap > bound, for finite values
@@ -353,10 +350,9 @@ def supermartingale_trace(
             np.std(ln, axis=1, ddof=1, out=sd[b.lo : b.hi])
         carry[:] = S[n], pen[n], mart[n]
 
-    _, blocks = _ensemble(obj, noise, schedule, K, M, master_seed, x0=x0,
-                          record=("energy", "theta"))
-    with closing(blocks):
-        for b in blocks:
+    with run_ensemble(obj, noise, schedule, K, M, master_seed, x0=x0,
+                      record=("energy", "theta")) as stream:
+        for b in stream:
             fold(b)
     max_residual = float(max_residual)
     return {
@@ -415,7 +411,7 @@ def mgf_lemma_check(
             vals = np.exp(float(lam) * gamma / sigma)
             mean = float(np.mean(vals))
             se = float(np.std(vals, ddof=1) / np.sqrt(n_samples))
-            ceiling = float(np.exp(0.75 * float(lam) ** 2))
+            ceiling = float(np.exp(0.75 * np.float64(lam) ** 2))
         threshold = ceiling + LEMMA_STDERRS * se
         rows.append({
             "lambda": float(lam),

@@ -81,7 +81,7 @@ def _exact_steps(span: float, step: float, what: str) -> int:
     an integer to within a relative 1e-9, so a grid always ends on its
     window's right end."""
     n = span / step
-    if abs(n - round(n)) > 1e-9 * max(1.0, n):
+    if not math.isfinite(n) or abs(n - round(n)) > 1e-9 * max(1.0, n):
         raise ValueError(f"{what} ({n:.6g} steps)")
     return int(round(n))
 
@@ -326,6 +326,7 @@ def sgdm_warm_start(
     tr = run_ensemble(obj, NoiseModel.noiseless(obj.dim),
                       StepSchedule(kind="constant", scale=eta), K=k_stop - 1, M=1,
                       master_seed=0, x0=x0, record=())
+    tr.collect()
     x_prev, x_cur = tr.x_prev_final[0], tr.x_cur_final[0]
     return x_prev, x_cur, (x_cur - x_prev) / eta
 
@@ -397,8 +398,8 @@ def ode_compare(
     x0 = np.ones(obj.dim)
     runs, starts = [], [(params, x0, np.zeros(obj.dim))]
     for eta in eta_list:
-        if not eta > 0:
-            raise ValueError(f"eta must be positive (got eta={eta:g})")
+        if not (eta > 0 and math.isfinite(T / eta)):  # T0 < T: T0/eta is finite too
+            raise ValueError(f"eta must be positive with a finite T/eta (got eta={eta:g})")
         # integer-part convention for T0/eta and T/eta
         k0, kT = int(np.floor(T0 / eta + 1e-9)), int(np.floor(T / eta + 1e-9))
         if k0 < 1:
@@ -420,6 +421,7 @@ def ode_compare(
         tr = run_ensemble(obj, noise, StepSchedule(kind="constant", scale=eta), K=kT - k0,
                           M=M, master_seed=sub_seed, x0=x_cur, x_prev0=x_prev, k_start=k0,
                           record=())
+        tr.collect()
         sq = np.sum((tr.x_cur_final - s.X[-1, c]) ** 2, axis=1)
         stderr = float(np.std(sq, ddof=1) / np.sqrt(M)) if M > 1 else 0.0
         rows.append({"eta": float(eta), "mean_sq_dist": float(np.mean(sq)), "stderr": stderr,

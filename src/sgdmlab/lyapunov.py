@@ -132,24 +132,23 @@ class DescentReport:
             self.run = int(worst[1])
 
 
-def check_descent(trace, blocks, tol: float = 1e-10) -> DescentReport:
+def check_descent(stream, blocks, tol: float = 1e-10) -> DescentReport:
     """Verify E(k) - E(k-1) <= descent_rhs pathwise for every step of every
-    run of an ensemble stream, folding its blocks as they arrive.
-
-    ``trace`` and ``blocks`` are the pair :func:`~sgdmlab.optimizers._ensemble`
-    returns, recorded with ``energy`` and ``descent``; E(k-1) is carried
+    run of a :func:`~sgdmlab.optimizers.run_ensemble` stream recorded with
+    ``energy`` and ``descent``, folding ``blocks`` (the stream itself, or its
+    blocks passed on by another fold) as they arrive; E(k-1) is carried
     from block to block. Residuals are measured relative to 1 + |E(k)| so
     the tolerance stays meaningful for large early energies. Non-monotone
     schedules violate the lemma hypothesis and are refused before a step is
     taken; streams from algorithms other than the momentum recursion only
     trigger a warning (the inequality is specific to that update rule).
     """
-    if not trace.schedule.monotone:
+    if not stream.schedule.monotone:
         raise ValueError("descent check requires a monotone non-increasing stepsize schedule")
-    if trace.algorithm != "sgdm":
+    if stream.algorithm != "sgdm":
         warnings.warn(
             f"descent inequality is specific to the momentum recursion; "
-            f"record is from {trace.algorithm!r} and residuals may be positive"
+            f"record is from {stream.algorithm!r} and residuals may be positive"
         )
     report, last = DescentReport(tol), None  # last: E(k-1) of the block's first step k
     for b in blocks:

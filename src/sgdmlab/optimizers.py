@@ -19,10 +19,11 @@ with z_1 = x_1, alpha_k = 2/(k+1) and gamma_k = 1/(2L/k + sqrt(k)).
 from __future__ import annotations
 
 import collections
+import inspect
 import threading
-from contextlib import closing
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -66,11 +67,15 @@ class StepSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not self.scale > 0:
             raise ValueError("schedule scale must be positive")
-        if self.log_power is not None and not 0.0 < self.L < np.inf:
-            raise ValueError(f"the {self.kind} schedule needs a finite positive L "
-                             f"(got L={self.L:g})")
         if self.kind == "epsilon_log" and not (0.0 < self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in (0, 1]")
+        if self.log_power is not None:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                eta0 = schedule_eval(self, 0)  # the largest step
+            if not (0.0 < self.L and 0.0 < eta0 < np.inf):  # w L^2 underflowed or overflowed
+                raise ValueError(f"the {self.kind} schedule needs a finite positive L for which "
+                                 f"eta_0 is finite and positive (got L={self.L:g}, "
+                                 f"scale={self.scale:g})")
         if self.kind == "custom" and self.fn is None:
             raise ValueError("custom schedule requires fn")
 
@@ -179,37 +184,12 @@ def run_trajectory(
     ``FloatingPointError``.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    trace, blocks = _ensemble(obj, noise, schedule, K, 1, None, algorithm,
-                              record=TrajectoryRecord.RECORD, sgd_scale=sgd_scale, rngs=[rng])
-    record = TrajectoryRecord.of(trace)
-    with closing(blocks):
-        collections.deque(record.fold(blocks), maxlen=0)
+    stream = run_ensemble(obj, noise, schedule, K, 1, None, algorithm,
+                          record=TrajectoryRecord.RECORD, sgd_scale=sgd_scale, rngs=[rng])
+    record = TrajectoryRecord.of(stream)
+    with stream:
+        collections.deque(record.fold(stream), maxlen=0)
     return record
-
-
-@dataclass
-class EnsembleTrace:
-    """Vectorized per-step records of M runs (columns are runs).
-
-    Only the requested fields are populated; arrays of K+1 rows are indexed
-    by k = 0..K, those of K rows by the steps k = 1..K, with the run axis
-    after the step axis. ``algorithm`` and ``schedule`` tell
-    :func:`~sgdmlab.lyapunov.check_descent` which lemma a stream may meet.
-    """
-
-    K: int
-    M: int
-    eta: np.ndarray  # (K+1,)
-    algorithm: str = "sgdm"
-    schedule: StepSchedule | None = None
-    f_gap: np.ndarray | None = None  # (K+1, M)
-    energy: np.ndarray | None = None  # (K+1, M)
-    theta_sq: np.ndarray | None = None  # (K, M): ||grad_k - g_k||^2
-    theta_tau: np.ndarray | None = None  # (K, M): <grad_k - g_k, tau_k>
-    grad_sq: np.ndarray | None = None  # (K, M): ||grad_k||^2
-    descent_rhs: np.ndarray | None = None  # (K, M)
-    x_prev_final: np.ndarray | None = None  # (M, d): x_K
-    x_cur_final: np.ndarray | None = None  # (M, d): x_{K+1}
 
 
 # The fields run_ensemble can record: "theta" gives theta_sq and theta_tau,
@@ -223,37 +203,79 @@ _Block = collections.namedtuple(
     "_Block", "lo hi f_gap energy theta_sq theta_tau grad_sq descent_rhs")
 
 
+@dataclass(eq=False)
+class EnsembleTrace(AbstractContextManager):
+    """The stream of M runs that :func:`run_ensemble` returns: iterating it
+    steps the runs and yields the recorded fields in :data:`_Block` s, which
+    the next block overwrites; leaving its ``with`` block joins the noise
+    helper, and once drained it holds the final iterates. ``algorithm`` and
+    ``schedule`` tell :func:`~sgdmlab.lyapunov.check_descent` its lemma."""
+
+    K: int
+    M: int
+    eta: np.ndarray  # (K+1,)
+    algorithm: str
+    schedule: StepSchedule
+    _blocks: Iterator[_Block]
+    x_prev_final: np.ndarray | None = None  # (M, d): x_K
+    x_cur_final: np.ndarray | None = None  # (M, d): x_{K+1}
+
+    def __iter__(self) -> Iterator[_Block]:
+        return self._blocks
+
+    def __exit__(self, *exc) -> None:
+        self._blocks.close()
+
+    def collect(self, *names: str) -> tuple[np.ndarray, ...]:
+        """Run the stream to its end and return the named block fields as full
+        arrays: ``f_gap`` and ``energy`` (K+1, M) by k = 0..K, the step fields
+        (K, M) by steps k = 1..K; with no names, only drain it. A stream
+        iterated before raises ``ValueError``."""
+        if not set(names) <= set(_Block._fields[2:]):
+            raise ValueError(f"unknown field name(s) in {names}")
+        if inspect.getgeneratorstate(self._blocks) != inspect.GEN_CREATED:
+            raise ValueError("collect needs a stream that was not iterated before")
+        out = [np.empty((self.K + (name in ("f_gap", "energy")), self.M)) for name in names]
+        with self:
+            for b in self:
+                for name, full in zip(names, out):
+                    part = getattr(b, name)
+                    if part is None:
+                        raise ValueError(f"{name} is not recorded by this stream")
+                    end = b.hi - (self.K + 1 - len(full))  # a step field has no row 0
+                    full[end - len(part) : end] = part
+        return tuple(out)
+
+
 def run_ensemble(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: int, M: int,
                  master_seed: int, algorithm: str = "sgdm", x0: np.ndarray | None = None,
                  record: Iterable[str] = ("f_gap",), sgd_scale: float = 1.0,
                  k_start: int = 1, x_prev0: np.ndarray | None = None, chunk: int = 512,
                  rngs: list[np.random.Generator] | None = None) -> EnsembleTrace:
-    """Run M independent trajectories of ``algorithm`` (``"sgdm"``,
-    ``"sgd"`` or ``"acsa"``) simultaneously, vectorized across runs.
+    """The stream of M independent trajectories of ``algorithm`` (``"sgdm"``,
+    ``"sgd"`` or ``"acsa"``), vectorized across runs, which steps them as it
+    is iterated; the arguments are checked before any step.
 
-    Each run i draws its noise from the generator seeded by
-    (master_seed, i) (all built in one pass by :func:`rngs_for`, and none
-    for a noiseless ensemble), in the same stream order as a single-run loop, so the realized randomness
-    matches run-at-a-time execution regardless of batching.
+    Run i draws its noise from the generator seeded by (master_seed, i) (all
+    built in one pass by :func:`rngs_for`, none for a noiseless ensemble) in
+    the order of a single-run loop, so batching does not change a run.
     ``k_start``/``x_prev0`` allow warm-started segments (steps
-    k = k_start .. k_start+K-1), used by the continuous-limit comparisons;
-    ACSA has no z_k to carry across segments, so it runs from k = 1 only.
-    ``rngs``, a list of M generators, replaces ``rngs_for(master_seed, M)``
-    and is drawn from in place: a segment that starts at the step after the
-    previous segment's last one (``k_start``), from its ``x_prev_final`` and
-    ``x_cur_final`` (``x_prev0``, ``x0``), with the same ``rngs``, continues
-    it bit for bit as one longer call would.
+    k = k_start .. k_start+K-1); ACSA has no z_k to carry across segments,
+    so it runs from k = 1 only. ``rngs``, a list of M generators, replaces
+    ``rngs_for(master_seed, M)`` and is drawn from in place: a segment that
+    starts at the step after the previous segment's last one (``k_start``),
+    from its ``x_prev_final`` and ``x_cur_final`` (``x_prev0``, ``x0``), with
+    the same ``rngs``, continues it bit for bit as one longer stream would.
 
     ``record`` selects the fields to keep, from :data:`RECORDS` (any other
     name raises ``ValueError``); ``"theta"`` and ``"descent"`` are the rows of
     :func:`~sgdmlab.lyapunov.noise_terms` and ``descent_rhs_along``, for the
     realized and exact gradients at the step's query point: x_k, or y_k for
-    ACSA. Each step calls the gradient alone, or the fused
-    ``value_and_grad`` when the objective has one, ``f_gap`` is recorded and
-    the query point is x_k (not for ACSA). Steps
-    run in short segments whose iterates (and gradients, for the step
-    fields) are kept; after each segment the fields are evaluated on all of
-    them at once.
+    ACSA. Each step calls the gradient alone, or the fused ``value_and_grad``
+    when the objective has one, ``f_gap`` is recorded and the query point is
+    x_k. Steps run in short segments whose iterates (and gradients, for the
+    step fields) are kept; after each segment the fields are evaluated on
+    all of them at once.
 
     Steps run in chunks of ``chunk``. While one chunk is stepped, a helper
     thread draws the next chunk's noise (NumPy releases the interpreter lock
@@ -263,22 +285,9 @@ def run_ensemble(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: i
     on which thread drew a run. An iterate that leaves the finite range
     raises ``FloatingPointError`` naming the first step k whose update made
     x_{k+1} non-finite, and the runs it hit; so does a recorded gap
-    f(x_k) - f* or energy E(k) that is not finite.
+    f(x_k) - f* or energy E(k) that is not finite: from that k on no block
+    is yielded, and the error raises after the last step.
     """
-    trace, blocks = _ensemble(obj, noise, schedule, K, M, master_seed, algorithm, x0, record,
-                              sgd_scale, k_start, x_prev0, chunk, rngs, keep=True)
-    collections.deque(blocks, maxlen=0)  # its blocks are rows of the trace's fields
-    return trace
-
-
-def _ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm", x0=None,
-              record=("f_gap",), sgd_scale=1.0, k_start=1, x_prev0=None, chunk=512, rngs=None,
-              keep=False):
-    """:func:`run_ensemble` as a stream: the trace it fills with ``eta``, the
-    final iterates and (``keep``) the fields, and a generator of the
-    recorded fields in :data:`_Block` s of whole segments, about 2^15 values per
-    field. From a gap or energy that is not finite on, no block is yielded, and
-    the error raises after the last step. Closing it joins the noise helper."""
     if K < 1 or M < 1:
         raise ValueError("K and M must be >= 1")
     if algorithm not in ("sgdm", "sgd", "acsa"):
@@ -299,7 +308,6 @@ def _ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm", x0=None
 
     ks = np.arange(k_start - 1, k_start + K)
     eta = np.atleast_1d(np.asarray(schedule_eval(schedule, ks), dtype=float))
-    trace = EnsembleTrace(K=K, M=M, eta=eta, algorithm=algorithm, schedule=schedule)
     if "descent" in record:  # the bound needs the noise terms
         record.add("theta")
     theta = "theta" in record
@@ -316,16 +324,12 @@ def _ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm", x0=None
     # and its exact and realized gradients, row j that of its step j
     grad_seg = np.empty((seg, M, d)) if theta else None
     g_seg = grad_seg if grad_seg is None or noise.scale == 0.0 else np.empty((seg, M, d))
-    # buffer row i holds block row off + i; the first block also holds row
+    # buffer row i holds block row lo + i; the first block also holds row
     # 0, x_{k_start-1}, which no step reaches and whose step fields are unset
-    cap = K + 1 if keep else min(max(seg, _BLOCK_VALUES // M), K) + 1
+    cap = min(max(seg, _BLOCK_VALUES // M), K) + 1
     f_gap, energy, theta_sq, theta_tau, grad_sq, descent_rhs = (
         np.empty((cap, M)) if name in record else None
         for name in ("f_gap", "energy", "theta", "theta", "descent", "descent"))
-    if keep:  # the trace's own fields; row 0 of a step field is no step's
-        trace.f_gap, trace.energy = f_gap, energy
-        trace.theta_sq, trace.theta_tau, trace.grad_sq, trace.descent_rhs = (
-            t if t is None else t[1:] for t in (theta_sq, theta_tau, grad_sq, descent_rhs))
 
     # per-step coefficients, indexed by s = k - k_start (eta[s + 1] = eta_k);
     # for ACSA ``momentum`` is alpha_k and ``gain`` gamma_k
@@ -421,7 +425,7 @@ def _ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm", x0=None
             if K > chunk:
                 bufs.append(np.empty((chunk, M, d)))
             fill = _NoiseFill(noise, rngs, bufs[0], helper=K > chunk)
-        s0 = lo = off = 0  # the next step; the block's first row; the buffers' row 0
+        s0 = lo = 0  # the next step; the block's first row, the buffers' row 0
         try:
             while s0 < K:
                 # divergence raises below; the error state is restored at each yield
@@ -437,24 +441,23 @@ def _ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm", x0=None
                         if s0:  # carry x_{k-1}, x_k of its first step
                             path[:2] = path[m : m + 2]
                         m = min(seg, chunk - a, K - s0)
-                        advance(s0, m, None if xi is None else xi[a : a + m], s0 + 1 - off)
+                        advance(s0, m, None if xi is None else xi[a : a + m], s0 + 1 - lo)
                         if not np.isfinite(path[m + 1]).all():
                             raise FloatingPointError(_nonfinite(
                                 path[2 : m + 2], k_start + s0, lambda k: f"iterate x_{k + 1}")[1])
                         if evaluated:
-                            evaluate(s0, s0 - off, 1 if s0 else 0, m)
+                            evaluate(s0, s0 - lo, 1 if s0 else 0, m)
                         s0 += m
-                        if s0 + 1 - off + seg > cap:
+                        if s0 + 1 - lo + seg > cap:
                             break
                 if late is None:
-                    rows = slice(lo - off, s0 + 1 - off)
-                    steps = slice(max(lo, 1) - off, s0 + 1 - off)  # row 0 is no step's
+                    rows = slice(0, s0 + 1 - lo)
+                    steps = slice(0 if lo else 1, s0 + 1 - lo)  # row 0 is no step's
                     yield _Block(lo, s0 + 1,
                                  *(None if f is None else f[rows] for f in (f_gap, energy)),
                                  *(None if f is None else f[steps]
                                    for f in (theta_sq, theta_tau, grad_sq, descent_rhs)))
                 lo = s0 + 1
-                off = 0 if keep else lo
             # a diverging iterate is reported first, even where its gap
             # overflowed some steps before
             if late is not None:
@@ -464,7 +467,8 @@ def _ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm", x0=None
                 fill.cancel()
         trace.x_prev_final, trace.x_cur_final = path[m], path[m + 1]
 
-    return trace, blocks()
+    trace = EnsembleTrace(K, M, eta, algorithm, schedule, blocks())
+    return trace
 
 
 # steps x runs x dim elements of the iterates kept per segment: a block to
@@ -473,7 +477,7 @@ def _ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm", x0=None
 # peak RSS of the benchmark's ode workload by about 1 MB
 _BLOCK_ELEMENTS = 1 << 15
 _CARRY_ELEMENTS = 1 << 13
-# steps x runs values per field of an evaluated block that _ensemble yields
+# steps x runs values per field of an evaluated block that a stream yields
 _BLOCK_VALUES = 1 << 15
 
 

@@ -6,13 +6,12 @@ method and plain SGD.
 
 from __future__ import annotations
 
-from contextlib import closing
 from typing import Iterable
 
 import numpy as np
 
 from ._csv import write_csv
-from .optimizers import StepSchedule, _ensemble, run_ensemble, sgdm_noise_multiplier
+from .optimizers import StepSchedule, run_ensemble, sgdm_noise_multiplier
 from .problems import NoiseModel, Objective
 from .seeding import rngs_for
 
@@ -96,9 +95,8 @@ def expectation_rate_check(
     if M < 2:
         raise ValueError("M must be >= 2: a standard error needs at least two runs")
     sched = StepSchedule(kind="expectation_log2", L=obj.lipschitz, scale=c)
-    _, blocks = _ensemble(obj, noise, sched, K, M, master_seed)
-    with closing(blocks):
-        summary = ensemble_summary(b.f_gap for b in blocks)
+    with run_ensemble(obj, noise, sched, K, M, master_seed) as stream:
+        summary = ensemble_summary(b.f_gap for b in stream)
     checkpoints = log_spaced_checkpoints(K)
     mean, se = summary["mean"][checkpoints], summary["stderr"][checkpoints]
     bound = expectation_rate_bound(obj, noise.sigma2, np.ones(obj.dim), checkpoints)
@@ -123,9 +121,9 @@ def subsequence_rate_check(obj: Objective, K: int) -> dict:
     x_0 = x_1 = (1, ..., 1) with eta_k = 1 / (4 L^2 log^2(k+2)). Reports m
     at k = 100 and at K so callers can verify strict decrease."""
     schedule = StepSchedule(kind="expectation_log2", L=obj.lipschitz, scale=0.25)
-    tr = run_ensemble(obj, NoiseModel.noiseless(obj.dim), schedule, K, 1, 0)
+    f_gap = run_ensemble(obj, NoiseModel.noiseless(obj.dim), schedule, K, 1, 0).collect("f_gap")
     ks = np.arange(1, K + 1, dtype=float)
-    weighted = np.sqrt(ks) * np.log(np.log(ks + 2.0)) * tr.f_gap[1:, 0]
+    weighted = np.sqrt(ks) * np.log(np.log(ks + 2.0)) * f_gap[0][1:, 0]
     running_min = np.minimum.accumulate(weighted)
     at = {100: float(running_min[99])} if K >= 100 else {}
     at[int(K)] = float(running_min[-1])
@@ -150,16 +148,17 @@ def _late_gaps(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: int
     """f(x_k) - f* of M runs at k = _quarter_start(K) .. K, shape
     (K - start + 1, M), for K >= 3. Steps before the quarter call the
     gradient alone, and the quarter continues them on the same generators,
-    so the rows equal those of one ``run_ensemble(..., record=("f_gap",))``
-    call over all K steps."""
+    so the rows equal those of one stream recording ``f_gap`` over all K
+    steps."""
     start = _quarter_start(K)
     rngs = rngs_for(master_seed, M)
     head = run_ensemble(obj, noise, schedule, K=start - 1, M=M, master_seed=master_seed,
                         record=(), rngs=rngs, **kw)
+    head.collect()
     tail = run_ensemble(obj, noise, schedule, K=K - start + 1, M=M, master_seed=master_seed,
                         k_start=start, x0=head.x_cur_final, x_prev0=head.x_prev_final,
-                        record=("f_gap",), rngs=rngs, **kw)
-    return tail.f_gap[1:]
+                        rngs=rngs, **kw)
+    return tail.collect("f_gap")[0][1:]
 
 
 def smoothness_comparison(

@@ -21,7 +21,7 @@ from sgdmlab.concentration import (
 )
 from sgdmlab.continuous import OdeParams, l2_limit_estimate, ode_integrate, ode_rate_check
 from sgdmlab.lyapunov import check_descent
-from sgdmlab.optimizers import _ensemble, StepSchedule
+from sgdmlab.optimizers import StepSchedule, run_ensemble
 from sgdmlab.problems import NoiseModel, logreg_new, quadratic_new, synthetic_blobs
 from sgdmlab.stats import (
     expectation_rate_check,
@@ -48,9 +48,9 @@ def test_01_pathwise_descent():
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
         for var in (0.0, 100.0):
             # runs 0..49 of one batch: run i draws from the stream of seed_split(7, i)
-            stream = _ensemble(obj, NoiseModel.gaussian(10, var), sched, 1000, 50, 7,
-                               record=("energy", "descent"))
-            rep = check_descent(*stream, tol=1e-10)
+            stream = run_ensemble(obj, NoiseModel.gaussian(10, var), sched, 1000, 50, 7,
+                                  record=("energy", "descent"))
+            rep = check_descent(stream, stream, tol=1e-10)
             worst = max(worst, rep.max_residual)
             ok = ok and rep.passed
     report(1, "pathwise descent inequality", ok, time.time() - t0, 60.0,

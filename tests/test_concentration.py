@@ -92,12 +92,13 @@ def reference_supermartingale(obj, noise, schedule, K, M, master_seed, x0=None):
     g2 = gamma_constants(schedule, sigma2, 1_000_000).gamma2_upper
     t = 1.0 / g2
     a = a_sequence(schedule, np.arange(1, K + 1, dtype=float))
-    tr = run_ensemble(obj, noise, schedule, K=K, M=M, master_seed=master_seed,
-                      x0=x0, record=("energy", "theta"))
+    energy, theta_sq, theta_tau = run_ensemble(
+        obj, noise, schedule, K=K, M=M, master_seed=master_seed, x0=x0,
+        record=("energy", "theta")).collect("energy", "theta_sq", "theta_tau")
     S = np.zeros((K + 1, M))
-    S[1:] = np.cumsum(a[:, None] * tr.theta_sq, axis=0)
-    mart = tr.energy - S
-    drift = mart[1:] - mart[:-1] - np.sqrt(a)[:, None] * tr.theta_tau
+    S[1:] = np.cumsum(a[:, None] * theta_sq, axis=0)
+    mart = energy - S
+    drift = mart[1:] - mart[:-1] - np.sqrt(a)[:, None] * theta_tau
     max_residual = float(np.max(drift / (1.0 + np.abs(mart[1:]))))
     log_partial = np.concatenate([[0.0], np.cumsum(np.log1p(a * sigma2))])
     tail_prod = np.exp(np.log(g2) - log_partial)
@@ -322,7 +323,7 @@ class TestCoverage:
         sched = anytime_schedule(L=obj.lipschitz)
         K, M = 200, 8
         f_gap = run_ensemble(obj, noise, sched, K=K, M=M, master_seed=4,
-                             x0=np.ones(3)).f_gap[1:]  # rows k = 1..K
+                             x0=np.ones(3)).collect("f_gap")[0][1:]  # rows k = 1..K
         bound = f_gap.max(axis=1) + 1.0
         for k in (50, 120):
             bound[k - 1] = np.median(f_gap[k - 1])
@@ -346,7 +347,8 @@ class TestCoverage:
         noise = NoiseModel.gaussian(3, 1.0)
         sched = anytime_schedule(L=obj.lipschitz)
         K, M = 3000, 40
-        f_gap = run_ensemble(obj, noise, sched, K=K, M=M, master_seed=8).f_gap[1:]
+        f_gap, = run_ensemble(obj, noise, sched, K=K, M=M, master_seed=8).collect("f_gap")
+        f_gap = f_gap[1:]
         order = np.argsort(f_gap, axis=1)  # runs by gap, per row k - 1
         k1 = next(k for k in range(300, 800) if order[k - 1, -1] > 0)
         k2 = next(k for k in range(2500, K + 1) if order[k - 1, -2] < order[k1 - 1, -1])

@@ -284,6 +284,7 @@ class TestSde:
                           StepSchedule(kind="constant", scale=eta),
                           K=kT - k0, M=M, master_seed=1, x0=x_cur, x_prev0=x_prev,
                           k_start=k0, record=())
+        tr.collect()
         xd = tr.x_cur_final[:, 0]
         _, X, _ = sde_sample_paths(obj, eta, 1.0, 2.0, M, 2, x_cur, v0)
         xs = X[-1, :, 0]
@@ -393,6 +394,7 @@ class TestL2Limit:
                               StepSchedule(kind="constant", scale=eta), K=kT - k0, M=M,
                               master_seed=sub_seed, x0=x_cur, x_prev0=x_prev, k_start=k0,
                               record=())
+            tr.collect()
             sq = np.sum((tr.x_cur_final - sol.X[-1]) ** 2, axis=1)
             assert rows[j]["mean_sq_dist"] == pytest.approx(np.mean(sq), rel=1e-12)
             assert rows[j]["stderr"] == pytest.approx(np.std(sq, ddof=1) / math.sqrt(M),

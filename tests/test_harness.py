@@ -155,7 +155,7 @@ class TestCliSubcommands:
                                                          residual, passed):
         """The verdict is the report's: at |E(k)| = 10 the tolerance 1e-10
         allows residuals up to 1.1e-9, as in DescentReport.passed."""
-        def stub(trace, blocks, tol):
+        def stub(stream, blocks, tol):
             for _ in blocks:  # run 0's record is folded as the check reads
                 pass
             rep = DescentReport(tol)
@@ -339,7 +339,9 @@ class TestFailureSemantics:
         assert not (out / "verdict.json").exists()
 
     @pytest.mark.parametrize("flag", [["--alpha", "3"], ["--eta-grid", "1.0"], ["--eta-grid", ""],
-                                      ["--eta-grid", "0"], ["--eta-grid", "-0.1"]])
+                                      ["--eta-grid", "0"], ["--eta-grid", "-0.1"],
+                                      # step counts T/eta and (T - T0)/dt overflow
+                                      ["--eta-grid", "5e-324"], ["--dt", "5e-324"]])
     def test_library_value_error_exits_2(self, tmp_path, capsys, flag):
         assert main(["ode-compare", "--out", str(tmp_path / "o"), "--runs", "3"] + flag) == 2
         assert_one_line_config_error(capsys)
@@ -423,10 +425,11 @@ class TestFailureSemantics:
         ini.write_text("\n".join(["[common]", *lines]) + "\n")
         return ini
 
-    def test_overflowing_mgf_ceiling_prints_no_warning(self, tmp_path):
-        # exp(0.75 * 40^2) overflows: the check fails with a null threshold,
-        # and nothing but the verdict lines is printed
-        ini = self._ini(tmp_path, "lambda_grid = 40", "omega_grid = 1.0",
+    @pytest.mark.parametrize("lam", ["40", "1e+200"])
+    def test_overflowing_mgf_ceiling_prints_no_warning(self, tmp_path, lam):
+        # exp(0.75 * 40^2) overflows, and so does 1e200^2: the check fails
+        # with a null threshold, and nothing but the verdict lines is printed
+        ini = self._ini(tmp_path, f"lambda_grid = {lam}", "omega_grid = 1.0",
                         "mgf_samples = 1000", "tail_samples = 1000")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -437,10 +440,10 @@ class TestFailureSemantics:
         assert proc.returncode == 1
         assert proc.stderr == ""
         mgf = strict_json(out / "verdict.json")["checks"][0]
-        assert mgf["name"] == "mgf_lambda_40"
+        assert mgf["name"] == f"mgf_lambda_{lam}"
         assert mgf["threshold"] is None and mgf["passed"] is False
-        assert proc.stdout.splitlines()[0] == (f"[FAIL] mgf_lambda_40: value={mgf['value']} "
-                                               "threshold=None")
+        assert proc.stdout.splitlines()[0] == (f"[FAIL] mgf_lambda_{lam}: "
+                                               f"value={mgf['value']} threshold=None")
         assert len(proc.stdout.splitlines()) == 2
 
     def test_non_finite_value_is_written_as_null_and_fails(self, tmp_path):
@@ -570,6 +573,8 @@ class TestFailureSemantics:
         (("scale = nan",), "scale"),
         (("scale = inf",), "scale"),
         (("eta_grid = 0.05,inf",), "eta_grid"),
+        (("sgd_scale = 0",), "sgd_scale"),
+        (("sgd_scale = -1",), "sgd_scale"),
     ])
     def test_invalid_float_value_is_a_one_line_config_error(self, tmp_path, capsys, lines,
                                                             key):
@@ -582,13 +587,18 @@ class TestFailureSemantics:
         assert assert_one_line_config_error(capsys).startswith(f"config error: {key} must be")
         assert not (out / "verdict.json").exists()
 
+    @pytest.mark.parametrize("rows", [
+        # all-zero features: the logistic loss is flat, L = 0 and 1/L^2 is infinite
+        "y,x1,x2\n1,0,0\n0,0,0\n1,0,0\n0,0,0\n",
+        # features near 1e-155: L is positive and subnormal, and L^2 underflows to 0
+        "y,x1\n0,1e-155\n1,3e-155\n0,2e-155\n1,-1e-155\n",
+    ], ids=["flat", "subnormal"])
     @pytest.mark.parametrize("sub", ["verify-expectation", "verify-anytime", "run",
                                      "constants"])
     def test_schedule_scaled_by_a_zero_lipschitz_constant_is_a_config_error(
-            self, tmp_path, capsys, sub):
-        # all-zero features: the logistic loss is flat, L = 0 and 1/L^2 is infinite
-        data = tmp_path / "flat.csv"
-        data.write_text("y,x1,x2\n1,0,0\n0,0,0\n1,0,0\n0,0,0\n")
+            self, tmp_path, capsys, sub, rows):
+        data = tmp_path / "data.csv"
+        data.write_text(rows)
         out = tmp_path / "o"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -701,11 +711,11 @@ class TestAcsaRun:
         assert main(["run", "--config", str(ini), "--out", str(out), "--steps", "30",
                      "--runs", str(runs), "--seed", "2"]) == 0
         obj = default_quadratic(10, 0)
-        tr = run_ensemble(obj, NoiseModel.gaussian(10, 1.0),
-                          StepSchedule(kind="anytime_log2", L=obj.lipschitz), 30, runs, 2,
-                          algorithm="acsa")
+        f_gap, = run_ensemble(obj, NoiseModel.gaussian(10, 1.0),
+                              StepSchedule(kind="anytime_log2", L=obj.lipschitz), 30, runs, 2,
+                              algorithm="acsa").collect("f_gap")
         checks = json.loads((out / "verdict.json").read_text())["checks"]
-        assert checks[1]["value"] == tr.f_gap[-1, 0]
+        assert checks[1]["value"] == f_gap[-1, 0]
         assert (out / ("trajectory.csv" if runs == 1 else "ensemble.csv")).exists()
 
     def test_noise_norm_is_the_norm_of_the_noise(self, tmp_path):

@@ -12,8 +12,7 @@ from sgdmlab.lyapunov import (
     energy_along,
     noise_terms,
 )
-from sgdmlab.optimizers import (_ensemble, StepSchedule, run_ensemble, run_trajectory,
-                                 schedule_eval)
+from sgdmlab.optimizers import StepSchedule, run_ensemble, run_trajectory, schedule_eval
 from sgdmlab.problems import NoiseModel, quadratic_new
 from sgdmlab.seeding import rng_for, seed_split
 
@@ -171,15 +170,20 @@ class TestDescentRhs:
 
 
 def descent_stream(obj, noise, sched, K, M, seed, **kw):
-    """The (trace, blocks) pair check_descent folds."""
-    return _ensemble(obj, noise, sched, K, M, seed, record=("energy", "descent"), **kw)
+    """The stream check_descent folds."""
+    return run_ensemble(obj, noise, sched, K, M, seed, record=("energy", "descent"), **kw)
+
+
+def checked(stream):
+    """check_descent of a stream folding its own blocks."""
+    return check_descent(stream, stream)
 
 
 class TestCheckDescent:
     def test_holds_pathwise_with_noise(self):
         obj = quadratic_new(random_spd(5, 0))
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
-        rep = check_descent(*descent_stream(obj, NoiseModel.gaussian(5, 4.0), sched, 500, 4, 1))
+        rep = checked(descent_stream(obj, NoiseModel.gaussian(5, 4.0), sched, 500, 4, 1))
         assert rep.passed
         assert rep.n_violations == 0
         assert rep.max_residual <= 1e-10
@@ -187,17 +191,17 @@ class TestCheckDescent:
     def test_refuses_non_monotone_schedule(self):
         obj = quadratic_new(np.eye(2))
         sched = StepSchedule(kind="custom", fn=lambda k: 0.01 * (1.0 + 0.0 * k))
-        trace, blocks = descent_stream(obj, NoiseModel.noiseless(2), sched, 5, 1, 0)
+        stream = descent_stream(obj, NoiseModel.noiseless(2), sched, 5, 1, 0)
         with pytest.raises(ValueError, match="monotone"):
-            check_descent(trace, blocks)
-        assert next(blocks).hi == 6  # refused before a step was taken
+            check_descent(stream, stream)
+        assert next(iter(stream)).hi == 6  # refused before a step was taken
 
     def test_warns_for_other_algorithms(self):
         obj = quadratic_new(np.eye(2))
         sched = StepSchedule(kind="sqrt_k", scale=0.1)
         stream = descent_stream(obj, NoiseModel.noiseless(2), sched, 5, 1, 0, algorithm="sgd")
         with pytest.warns(UserWarning, match="momentum"):
-            check_descent(*stream)
+            check_descent(stream, stream)
 
     def test_report_flags_injected_violation(self):
         residuals = np.array([[-1.0], [5e-11], [2e-3], [-0.5]])
@@ -242,9 +246,9 @@ class TestCheckDescent:
         obj = quadratic_new(random_spd(4, 3))
         noise = NoiseModel.gaussian(4, 9.0)
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
-        batch = check_descent(*descent_stream(obj, noise, sched, 80, 4, 3))
-        ones = [check_descent(*descent_stream(obj, noise, sched, 80, 1, None,
-                                              rngs=[rng_for(3, i)])) for i in range(4)]
+        batch = checked(descent_stream(obj, noise, sched, 80, 4, 3))
+        ones = [checked(descent_stream(obj, noise, sched, 80, 1, None, rngs=[rng_for(3, i)]))
+                for i in range(4)]
         worst = int(np.argmax([one.max_residual for one in ones]))
         assert batch.max_residual == ones[worst].max_residual
         assert (batch.run, batch.argmax_k) == (worst, ones[worst].argmax_k)
@@ -256,7 +260,7 @@ class TestCheckDescent:
         obj = quadratic_new(random_spd(3, 5))
         noise = NoiseModel.gaussian(3, 9.0)
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
-        trace, blocks = descent_stream(obj, noise, sched, 100, 1000, 2)
+        stream = descent_stream(obj, noise, sched, 100, 1000, 2)
         seen = []
 
         def counted(blocks):
@@ -264,18 +268,19 @@ class TestCheckDescent:
                 seen.append(b.lo)
                 yield b
 
-        rep = check_descent(trace, counted(blocks), tol=-1.0)
+        rep = check_descent(stream, counted(stream), tol=-1.0)
         assert len(seen) > 2
-        tr = run_ensemble(obj, noise, sched, 100, 1000, 2, record=("energy", "descent"))
+        whole_stream = descent_stream(obj, noise, sched, 100, 1000, 2)
+        energy, rhs = whole_stream.collect("energy", "descent_rhs")
         whole = DescentReport(tol=-1.0)
-        whole.add(np.diff(tr.energy, axis=0) - tr.descent_rhs, tr.energy[1:])
+        whole.add(np.diff(energy, axis=0) - rhs, energy[1:])
         assert vars(rep) == vars(whole)
 
     def test_check_needs_energy_and_descent(self):
         obj = quadratic_new(np.eye(2))
         sched = StepSchedule(kind="anytime_log2", L=1.0)
         with pytest.raises(ValueError, match="energy and descent"):
-            check_descent(*_ensemble(obj, NoiseModel.noiseless(2), sched, 5, 2, 0))
+            checked(run_ensemble(obj, NoiseModel.noiseless(2), sched, 5, 2, 0))
 
     def test_report_tolerance_scales_with_energy(self):
         # a residual of 5e-10 is acceptable when |E(k)| ~ 10

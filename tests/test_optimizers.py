@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdmlab.optimizers import (
-    _ensemble,
     _sgdm_coefficients,
     RECORDS,
     StepSchedule,
@@ -72,12 +71,16 @@ class TestStepSchedule:
             StepSchedule(kind="nope")
         with pytest.raises(ValueError, match="scale"):
             StepSchedule(kind="constant", scale=0.0)
-        with pytest.raises(ValueError, match="epsilon"):
-            StepSchedule(kind="epsilon_log", epsilon=1.5)
+        for epsilon in (1.5, np.nan, -2000.0):  # at -2000, log(2)^(1+epsilon) overflows
+            with pytest.raises(ValueError, match="epsilon"):
+                StepSchedule(kind="epsilon_log", epsilon=epsilon)
         for kind in ("anytime_log2", "expectation_log2", "epsilon_log"):  # eta ~ 1/L^2
-            for L in (0.0, -1.0, np.inf, np.nan):
+            # 1e-170 and 1e160: L is finite, but w L^2 is 0 or inf
+            for L in (0.0, -1.0, np.inf, np.nan, 1e-170, 1e160):
                 with pytest.raises(ValueError, match="finite positive L"):
                     StepSchedule(kind=kind, L=L)
+            with pytest.raises(ValueError, match="finite positive L"):  # eta_0 = inf/inf
+                StepSchedule(kind=kind, L=np.inf, scale=np.inf)
         assert schedule_eval(StepSchedule(kind="constant", L=0.0), 3) == 1.0
         with pytest.raises(ValueError, match="fn"):
             StepSchedule(kind="custom")
@@ -169,6 +172,7 @@ class TestSgdAndAcsa:
         L = obj.lipschitz
         tr = run_ensemble(obj, NoiseModel.noiseless(4), StepSchedule(kind="anytime_log2", L=L),
                           K=30, M=1, master_seed=0, algorithm="acsa")
+        tr.collect()
         # independent re-implementation of the three-sequence scheme (gamma = 1)
         x, z = np.ones(4), np.ones(4)
         for k in range(1, 31):
@@ -184,8 +188,9 @@ class TestSgdAndAcsa:
         tr = run_ensemble(obj, NoiseModel.noiseless(5),
                           StepSchedule(kind="anytime_log2", L=obj.lipschitz), K=3000, M=1,
                           master_seed=0, algorithm="acsa")
+        f_gap, = tr.collect("f_gap")
         assert obj.f_gap(tr.x_cur_final[0]) < 1e-3
-        assert tr.f_gap[-1, 0] < 1e-3
+        assert f_gap[-1, 0] < 1e-3
 
 
 class TestRunTrajectory:
@@ -194,6 +199,7 @@ class TestRunTrajectory:
         obj = quadratic_new(random_spd(3, 0))
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
         tr = run_ensemble(obj, NoiseModel.noiseless(3), sched, K=1, M=1, master_seed=0)
+        tr.collect()
         np.testing.assert_array_equal(tr.x_prev_final[0], np.ones(3))
         gain = 2.0 * math.sqrt(schedule_eval(sched, 1)) / 3.0
         np.testing.assert_allclose(tr.x_cur_final[0], np.ones(3) - gain * obj.grad(np.ones(3)),
@@ -283,15 +289,16 @@ class TestRunEnsemble:
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
         fields = ("f_gap", "energy", "theta")
         tr = run_ensemble(obj, noise, sched, K=40, M=4, master_seed=9, record=fields)
+        f_gap, energy, theta_sq = tr.collect("f_gap", "energy", "theta_sq")
         for i in range(4):
             ref, _, ref_cur = reference_ensemble(obj, noise, sched, 40, 1, 9, record=fields,
                                                  first_run=i)
-            np.testing.assert_allclose(tr.f_gap[:, i], ref["f_gap"][:, 0], rtol=1e-10,
+            np.testing.assert_allclose(f_gap[:, i], ref["f_gap"][:, 0], rtol=1e-10,
                                        atol=1e-13)
-            np.testing.assert_allclose(tr.energy[:, i], ref["energy"][:, 0], rtol=1e-10,
+            np.testing.assert_allclose(energy[:, i], ref["energy"][:, 0], rtol=1e-10,
                                        atol=1e-12)
             np.testing.assert_allclose(
-                tr.theta_sq[:, i], ref["theta_sq"][:, 0], rtol=1e-10, atol=1e-13
+                theta_sq[:, i], ref["theta_sq"][:, 0], rtol=1e-10, atol=1e-13
             )
             np.testing.assert_allclose(tr.x_cur_final[i], ref_cur[0], rtol=1e-10)
 
@@ -300,14 +307,16 @@ class TestRunEnsemble:
 
         obj = quadratic_new(random_spd(2, 1))
         sched = StepSchedule(kind="constant", scale=0.05)
-        ref = run_ensemble(obj, NoiseModel.noiseless(2), sched, K=30, M=3, master_seed=4)
+        ref, = run_ensemble(obj, NoiseModel.noiseless(2), sched, K=30, M=3,
+                            master_seed=4).collect("f_gap")
 
         def no_generators(*args):
             raise AssertionError("a noiseless ensemble draws nothing")
 
         monkeypatch.setattr(optimizers, "rngs_for", no_generators)
-        tr = run_ensemble(obj, NoiseModel.noiseless(2), sched, K=30, M=3, master_seed=4)
-        np.testing.assert_array_equal(tr.f_gap, ref.f_gap)
+        got, = run_ensemble(obj, NoiseModel.noiseless(2), sched, K=30, M=3,
+                            master_seed=4).collect("f_gap")
+        np.testing.assert_array_equal(got, ref)
 
     def test_chunked_noise_stream_equals_per_step_draws(self):
         """Drawing an (n, d) block consumes the generator stream exactly like
@@ -322,9 +331,10 @@ class TestRunEnsemble:
         obj = quadratic_new(random_spd(2, 1))
         noise = NoiseModel.gaussian(2, 1.0)
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
-        a = run_ensemble(obj, noise, sched, K=30, M=3, master_seed=0, chunk=7)
-        b = run_ensemble(obj, noise, sched, K=30, M=3, master_seed=0, chunk=512)
-        np.testing.assert_array_equal(a.f_gap, b.f_gap)
+        a, = run_ensemble(obj, noise, sched, K=30, M=3, master_seed=0, chunk=7).collect("f_gap")
+        b, = run_ensemble(obj, noise, sched, K=30, M=3, master_seed=0,
+                          chunk=512).collect("f_gap")
+        np.testing.assert_array_equal(a, b)
 
     def test_warm_start_segment_continues_a_run(self):
         obj = quadratic_new(random_spd(2, 2))
@@ -333,6 +343,7 @@ class TestRunEnsemble:
         full = reference_ensemble(obj, noise, sched, 20, 1, 0, record=("x",))[0]["x"][:, 0]
         seg = run_ensemble(obj, noise, sched, K=10, M=1, master_seed=0,
                            x0=full[10], x_prev0=full[9], k_start=10)
+        seg.collect()
         np.testing.assert_allclose(seg.x_cur_final[0], full[20], rtol=1e-12)
 
     def test_sgd_ensemble_matches_formula(self):
@@ -341,6 +352,7 @@ class TestRunEnsemble:
         sched = StepSchedule(kind="constant", scale=1.0)
         tr = run_ensemble(obj, noise, sched, K=3, M=1, master_seed=0,
                           algorithm="sgd", sgd_scale=0.5, x0=np.array([1.0]))
+        tr.collect()
         x = 1.0
         for k in (1, 2, 3):
             x = x - 0.5 / math.sqrt(k) * x
@@ -355,12 +367,15 @@ class TestRunEnsemble:
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
         tr = run_ensemble(obj, noise, sched, K=25, M=3, master_seed=2,
                           record=("f_gap", "descent"), chunk=10)
-        assert tr.f_gap.shape == (26, 3) and tr.descent_rhs.shape == tr.grad_sq.shape == (25, 3)
+        names = ("f_gap", "theta_sq", "theta_tau", "grad_sq", "descent_rhs")
+        got = dict(zip(names, tr.collect(*names)))
+        assert got["f_gap"].shape == (26, 3)
+        assert got["descent_rhs"].shape == got["grad_sq"].shape == (25, 3)
         for i in range(3):
             ref, _, _ = reference_ensemble(obj, noise, sched, 25, 1, 2,
                                            record=("f_gap", "descent"), first_run=i)
             for name, want in ref.items():
-                np.testing.assert_allclose(getattr(tr, name)[:, i], want[:, 0],
+                np.testing.assert_allclose(got[name][:, i], want[:, 0],
                                            rtol=1e-10, atol=1e-13, err_msg=name)
 
     def test_noiseless_noise_terms_vanish(self):
@@ -368,26 +383,33 @@ class TestRunEnsemble:
         sched = StepSchedule(kind="anytime_log2", L=1.0)
         tr = run_ensemble(obj, NoiseModel.noiseless(2), sched, K=5, M=2, master_seed=0,
                           record=("descent",))
-        assert not tr.theta_sq.any() and not tr.theta_tau.any()
-        assert tr.grad_sq.all()
+        theta_sq, theta_tau, grad_sq = tr.collect("theta_sq", "theta_tau", "grad_sq")
+        assert not theta_sq.any() and not theta_tau.any()
+        assert grad_sq.all()
 
     def test_step_fields_only_when_requested(self):
         obj = quadratic_new(np.eye(2))
         sched = StepSchedule(kind="anytime_log2", L=1.0)
-        tr = run_ensemble(obj, NoiseModel.gaussian(2, 1.0), sched, K=5, M=2, master_seed=0)
-        assert tr.theta_sq is None and tr.grad_sq is None and tr.descent_rhs is None
-        assert tr.f_gap.shape == (6, 2)
-        tr = run_ensemble(obj, NoiseModel.gaussian(2, 1.0), sched, K=5, M=2, master_seed=0,
-                          record=("theta",))
-        assert tr.theta_sq.shape == (5, 2) and tr.descent_rhs is None
+        with run_ensemble(obj, NoiseModel.gaussian(2, 1.0), sched, K=5, M=2,
+                          master_seed=0) as stream:
+            b = next(iter(stream))
+        assert b.theta_sq is None and b.grad_sq is None and b.descent_rhs is None
+        assert b.f_gap.shape == (6, 2)
+        with run_ensemble(obj, NoiseModel.gaussian(2, 1.0), sched, K=5, M=2, master_seed=0,
+                          record=("theta",)) as stream:
+            b = next(iter(stream))
+        assert b.theta_sq.shape == (5, 2) and b.descent_rhs is None
+        with pytest.raises(ValueError, match="descent_rhs is not recorded"):
+            run_ensemble(obj, NoiseModel.gaussian(2, 1.0), sched, K=5, M=2, master_seed=0,
+                         record=("theta",)).collect("theta_sq", "descent_rhs")
 
     def test_record_is_run_zero_of_a_batch(self):
         obj = quadratic_new(random_spd(3, 5))
         noise = NoiseModel.gaussian(3, 2.0)
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
-        trace, blocks = _ensemble(obj, noise, sched, 30, 2, 4, record=TrajectoryRecord.RECORD)
-        col = TrajectoryRecord.of(trace)
-        assert len(list(col.fold(blocks))) == 1
+        stream = run_ensemble(obj, noise, sched, 30, 2, 4, record=TrajectoryRecord.RECORD)
+        col = TrajectoryRecord.of(stream)
+        assert len(list(col.fold(stream))) == 1
         one = run_trajectory(obj, noise, "sgdm", sched, 30, seed_split(4, 0))
         for name in ("eta", "f_gap", "energy", "descent_rhs", "grad_norm", "noise_norm"):
             np.testing.assert_array_equal(getattr(col, name), getattr(one, name), err_msg=name)
@@ -415,18 +437,21 @@ class TestRunEnsemble:
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
         a, b = (run_ensemble(o, noise, sched, K=60, M=4, master_seed=9, record=RECORDS)
                 for o in (obj, plain))
-        for name in ("f_gap", "energy", "theta_sq", "theta_tau", "grad_sq", "descent_rhs",
-                     "x_prev_final", "x_cur_final"):
+        names = ("f_gap", "energy", "theta_sq", "theta_tau", "grad_sq", "descent_rhs")
+        for name, x, y in zip(names, a.collect(*names), b.collect(*names)):
+            np.testing.assert_array_equal(x, y, err_msg=name)
+        for name in ("x_prev_final", "x_cur_final"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_recorded_gap_is_the_gap_of_the_recorded_iterate(self):
         obj = logreg_new(*synthetic_blobs(40, 3, seed=6), refine_tol=None)
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
         tr = run_ensemble(obj, NoiseModel.gaussian(3, 0.5), sched, K=30, M=3, master_seed=2)
+        f_gap, = tr.collect("f_gap")
         x = reference_ensemble(obj, NoiseModel.gaussian(3, 0.5), sched, 30, 3, 2,
                                record=("x",))[0]["x"]
         for k in range(tr.K + 1):
-            np.testing.assert_allclose(tr.f_gap[k], obj.f_gap(x[k]), rtol=1e-12)
+            np.testing.assert_allclose(f_gap[k], obj.f_gap(x[k]), rtol=1e-12)
 
     def test_validation(self):
         obj = quadratic_new(np.eye(2))
@@ -447,6 +472,13 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="x_prev0"):
             run_ensemble(obj, noise, sched, K=1, M=1, master_seed=0, algorithm="acsa",
                          x_prev0=np.zeros(2))
+        # collect takes block field names, from a stream not iterated before
+        stream = run_ensemble(obj, noise, sched, K=3, M=1, master_seed=0)
+        with pytest.raises(ValueError, match="unknown field name"):
+            stream.collect("x_cur_final")
+        stream.collect()
+        with pytest.raises(ValueError, match="not iterated before"):
+            stream.collect("f_gap")
 
 
 _PIPELINE_CASES = {
@@ -480,9 +512,8 @@ class TestPipeline:
                                                     master_seed=6, **kw)
         for chunk in (1, 7, 512):
             tr = run_ensemble(obj, noise, sched, self.K, master_seed=6, chunk=chunk, **kw)
-            for name, want in ref.items():
-                np.testing.assert_array_equal(getattr(tr, name), want,
-                                              err_msg=f"{name}, chunk={chunk}")
+            for name, got in zip(ref, tr.collect(*ref)):
+                np.testing.assert_array_equal(got, ref[name], err_msg=f"{name}, chunk={chunk}")
             np.testing.assert_array_equal(tr.x_prev_final, ref_prev)
             np.testing.assert_array_equal(tr.x_cur_final, ref_cur)
 
@@ -490,7 +521,7 @@ class TestPipeline:
         obj = quadratic_new(np.eye(2))
         sched = StepSchedule(kind="anytime_log2", L=1.0)
         before = threading.active_count()
-        run_ensemble(obj, NoiseModel.gaussian(2, 1.0), sched, 100, 3, 0, chunk=8)
+        run_ensemble(obj, NoiseModel.gaussian(2, 1.0), sched, 100, 3, 0, chunk=8).collect()
         assert threading.active_count() == before
 
     def test_no_helper_thread_outlives_a_divergence(self):
@@ -498,7 +529,7 @@ class TestPipeline:
         sched = StepSchedule(kind="constant", scale=1e12)
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="k="):
-            run_ensemble(obj, NoiseModel.gaussian(2, 1.0), sched, 2000, 3, 0, chunk=64)
+            run_ensemble(obj, NoiseModel.gaussian(2, 1.0), sched, 2000, 3, 0, chunk=64).collect()
         assert threading.active_count() == before
 
     def test_an_error_in_a_helper_draw_is_reraised_in_the_caller(self, monkeypatch):
@@ -522,7 +553,7 @@ class TestPipeline:
         sched = StepSchedule(kind="anytime_log2", L=1.0)
         before = threading.active_count()
         with pytest.raises(DrawError, match="draw failed"):
-            run_ensemble(obj, NoiseModel.gaussian(2, 1.0), sched, 100, 4, 0, chunk=8)
+            run_ensemble(obj, NoiseModel.gaussian(2, 1.0), sched, 100, 4, 0, chunk=8).collect()
         assert threading.active_count() == before
         assert "sgdmlab-noise" in threads
 
@@ -532,8 +563,8 @@ class TestPipeline:
                             lambda self: started.append(self.name))
         obj = quadratic_new(np.eye(2))
         sched = StepSchedule(kind="anytime_log2", L=1.0)
-        run_ensemble(obj, NoiseModel.gaussian(2, 1.0), sched, 512, 3, 0, chunk=512)
-        run_ensemble(obj, NoiseModel.noiseless(2), sched, 600, 3, 0, chunk=7)
+        run_ensemble(obj, NoiseModel.gaussian(2, 1.0), sched, 512, 3, 0, chunk=512).collect()
+        run_ensemble(obj, NoiseModel.noiseless(2), sched, 600, 3, 0, chunk=7).collect()
         assert started == []
 
 
@@ -552,9 +583,8 @@ def assert_trace_equals_reference(obj, noise, K, chunks, **kw):
     ref, ref_prev, ref_cur = reference_ensemble(obj, noise, sched, K, master_seed=6, **kw)
     for chunk in chunks:
         tr = run_ensemble(obj, noise, sched, K, master_seed=6, chunk=chunk, **kw)
-        for name, want in ref.items():
-            np.testing.assert_array_equal(getattr(tr, name), want,
-                                          err_msg=f"{name}, chunk={chunk}")
+        for name, got in zip(ref, tr.collect(*ref)):
+            np.testing.assert_array_equal(got, ref[name], err_msg=f"{name}, chunk={chunk}")
         np.testing.assert_array_equal(tr.x_prev_final, ref_prev)
         np.testing.assert_array_equal(tr.x_cur_final, ref_cur)
 
@@ -604,13 +634,15 @@ class TestContinuation:
         K, M = 60, 5
         kw = dict(M=M, master_seed=9, algorithm=algorithm, sgd_scale=0.3, chunk=7)
         one = run_ensemble(obj, noise, sched, K=K, **kw)
+        one_gap, = one.collect("f_gap")
         rngs = rngs_for(9, M)
         head = run_ensemble(obj, noise, sched, K=split, record=(), rngs=rngs, **kw)
+        assert all(b.f_gap is None for b in head)
         tail = run_ensemble(obj, noise, sched, K=K - split, k_start=split + 1,
                             x0=head.x_cur_final, x_prev0=head.x_prev_final,
                             rngs=rngs, **kw)
-        assert head.f_gap is None
-        np.testing.assert_array_equal(tail.f_gap, one.f_gap[split:])
+        tail_gap, = tail.collect("f_gap")
+        np.testing.assert_array_equal(tail_gap, one_gap[split:])
         np.testing.assert_array_equal(tail.x_prev_final, one.x_prev_final)
         np.testing.assert_array_equal(tail.x_cur_final, one.x_cur_final)
 
@@ -634,7 +666,7 @@ class TestDivergence:
         k, runs = first_nonfinite_step(obj, noise, sched, 3000, 6, 4)
         assert k > 512 and 1 < len(runs) < 6
         with pytest.raises(FloatingPointError) as err:
-            run_ensemble(obj, noise, sched, 3000, 6, 4, chunk=chunk)
+            run_ensemble(obj, noise, sched, 3000, 6, 4, chunk=chunk).collect()
         assert str(err.value) == (f"iterate x_{k + 1} became non-finite at step k={k} "
                                   f"in run(s) {runs}")
 
@@ -644,7 +676,8 @@ class TestDivergence:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError):
-                run_ensemble(obj, NoiseModel.noiseless(2), sched, 2000, 2, 0, record=RECORDS)
+                run_ensemble(obj, NoiseModel.noiseless(2), sched, 2000, 2, 0,
+                             record=RECORDS).collect()
 
 
 def test_kernel_coefficients_are_the_noise_multiplier_bit_for_bit():

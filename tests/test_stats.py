@@ -129,7 +129,7 @@ class TestExpectationRate:
         noise = NoiseModel.gaussian(3, 1.0)
         rep = expectation_rate_check(obj, noise, K=K, M=M, master_seed=2)
         sched = StepSchedule(kind="expectation_log2", L=obj.lipschitz, scale=0.25)
-        f_gap = run_ensemble(obj, noise, sched, K=K, M=M, master_seed=2).f_gap
+        f_gap, = run_ensemble(obj, noise, sched, K=K, M=M, master_seed=2).collect("f_gap")
         ref = ensemble_summary([f_gap])
         assert len(rep["summary"]["mean"]) == K + 1
         for key in ("mean", "stderr", "q10", "q50", "q90", "final"):
@@ -218,9 +218,9 @@ class TestSmoothness:
                                     sgd_scale=0.6)
         medians = []
         for seed, kw in ((11, dict(algorithm="sgdm")), (12, dict(algorithm="sgd", sgd_scale=0.6))):
-            tr = run_ensemble(obj, noise, sched, K=K, M=5, master_seed=seed,
-                              x0=np.ones(3), record=("f_gap",), **kw)
-            quarter = tr.f_gap[max(1, 3 * K // 4):]  # k = 3K/4 .. K
+            f_gap, = run_ensemble(obj, noise, sched, K=K, M=5, master_seed=seed,
+                                  x0=np.ones(3), record=("f_gap",), **kw).collect("f_gap")
+            quarter = f_gap[max(1, 3 * K // 4):]  # k = 3K/4 .. K
             medians.append(float(np.median(_increment_variances(quarter))))
         assert [rep["median_var_sgdm"], rep["median_var_sgd"]] == medians
 
@@ -229,10 +229,10 @@ class TestSmoothness:
         obj = quadratic_new(random_spd(2, 3))
         noise = NoiseModel.bounded_uniform(2, 1.0)
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
-        tr = run_ensemble(obj, noise, sched, K=K, M=3, master_seed=5, record=("f_gap",),
-                          chunk=7)
+        f_gap, = run_ensemble(obj, noise, sched, K=K, M=3, master_seed=5, record=("f_gap",),
+                              chunk=7).collect("f_gap")
         late = _late_gaps(obj, noise, sched, K, 3, 5, chunk=7)
-        np.testing.assert_array_equal(late, tr.f_gap[max(1, 3 * K // 4):])
+        np.testing.assert_array_equal(late, f_gap[max(1, 3 * K // 4):])
 
     def test_noiseless_comparison_is_refused(self):
         obj = quadratic_new(np.eye(2))
