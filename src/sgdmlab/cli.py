@@ -280,7 +280,7 @@ def cmd_ode_compare(cfg: dict, out: Path) -> list[dict]:
                             T=cfg["t"], dt=cfg["dt"])
     # the checks' trajectory and the L2 table's ODE starts share one RK4 pass
     sol, rows = cont.ode_compare(obj, params, cfg["eta_grid"], cfg["runs"], cfg["seed"])
-    sol.to_csv(out / "ode.csv", obj)
+    sol.to_csv(out / "ode.csv")
     rep = cont.ode_rate_check(sol, obj, params)
     checks = [
         _check("energy_monotone", rep["energy_monotone"],

@@ -262,8 +262,6 @@ def anytime_coverage(
         "n_violating": int(np.sum(violated)),
         "first_violating_run": first_run,
         "first_violating_k": first_k,
-        "runs": M,
-        "beta": float(beta),
         "nominal_level": 2.0 * float(beta),
         "C1": const.C1,
         "C2": const.C2,

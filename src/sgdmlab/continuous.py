@@ -64,16 +64,16 @@ class OdeParams:
 class OdeSolution:
     t: np.ndarray  # (n,), strictly increasing from T0 to T
     X: np.ndarray  # (n, d), or (n, B, d) for a batch of initial conditions
-    V: np.ndarray  # like X
-    energy: np.ndarray  # (n,), or (n, B)
+    f_gap: np.ndarray  # f(X) - f*: (n,), or (n, B)
+    energy: np.ndarray  # like f_gap
 
-    def to_csv(self, path, obj: Objective) -> None:
-        cols = np.column_stack([self.t, obj.f_gap(self.X), self.energy])
-        write_csv(path, cols, "t,f_gap,energy")
+    def to_csv(self, path) -> None:
+        write_csv(path, np.column_stack([self.t, self.f_gap, self.energy]), "t,f_gap,energy")
 
 
-# RK4 steps between two finiteness scans of the recorded path
+# RK4 steps between two finiteness scans, and the steps ode_integrate holds at once
 FINITE_CHECK_BLOCK = 256
+RK4_GRID_CAP = 2**26  # values ode_integrate may keep, (n+1) x B x (d + 2): 512 MB
 
 
 def _exact_steps(span: float, step: float, what: str) -> int:
@@ -124,62 +124,63 @@ def ode_integrate(
     obj: Objective, params: OdeParams, X0: np.ndarray, V0: np.ndarray
 ) -> OdeSolution:
     """Classical fixed-step RK4 on the first-order system (X' = V,
-    V' = -(p+1)/t V - (p+1)/t^alpha grad f(X)), with the continuous energy
-    at every grid point.
+    V' = -(p+1)/t V - (p+1)/t^alpha grad f(X)), with f(X) - f* and the
+    continuous energy at every grid point, a block of
+    ``FINITE_CHECK_BLOCK`` steps at a time.
 
     ``X0``/``V0`` are ``(d,)``, or ``(B, d)`` for B independent initial
-    conditions integrated together; ``X``/``V`` are then ``(n+1, B, d)``
-    and ``energy`` is ``(n+1, B)``. ``dt`` must divide ``T - T0``. Raises
-    ``FloatingPointError`` naming the first grid time whose state is not
-    finite.
+    conditions integrated together; ``X`` is then ``(n+1, B, d)`` and
+    ``f_gap`` and ``energy`` are ``(n+1, B)``. ``dt`` must divide
+    ``T - T0``. Raises ``ValueError`` if the result would keep more than
+    ``RK4_GRID_CAP`` values, and ``FloatingPointError`` naming the first
+    grid time whose state is not finite.
     """
-    p, alpha = params.p, params.alpha
-    dt = params.dt
+    p, alpha, dt = params.p, params.alpha, params.dt
     n_steps = _exact_steps(
         params.T - params.T0, dt,
         f"dt={dt:g} does not divide the window [{params.T0:g}, {params.T:g}]",
     )
-    x0 = np.asarray(X0, dtype=float)
-    v0 = np.asarray(V0, dtype=float)
-    shape = np.broadcast_shapes(x0.shape, v0.shape)
+    shape = np.broadcast_shapes(np.shape(X0), np.shape(V0))
     if len(shape) not in (1, 2) or shape[-1] != obj.dim:
         raise ValueError(f"X0/V0 must have shape ({obj.dim},) or (B, {obj.dim}), got {shape}")
+    if (n_steps + 1) * math.prod(shape[:-1]) * (shape[-1] + 2) > RK4_GRID_CAP:
+        raise ValueError(f"{n_steps} RK4 steps would keep more than {RK4_GRID_CAP} values")
     t_grid = params.T0 + dt * np.arange(n_steps + 1)
-    to_x2, to_x3, to_x4, to_next = _rk4_maps(t_grid, dt, p, alpha)
-
-    # path[i] holds (x, v) at t_i; work rows are [x, v, g1, g2, g3, g4]
+    X = np.empty((n_steps + 1,) + shape)
+    f_gap, energy = np.empty((2,) + X.shape[:-1])
+    # block[i] holds (x, v) at t_{lo+i}; work rows are [x, v, g1, g2, g3, g4]
     m = math.prod(shape)
-    path = np.empty((n_steps + 1, 2, m))
+    block = np.empty((FINITE_CHECK_BLOCK + 1, 2, m))
     work = np.empty((6, m))
     rows = [r.reshape(shape) for r in work]
-    rows[0][...], rows[1][...] = x0, v0
-    path[0] = work[:2]
+    rows[0][...], rows[1][...] = X0, V0
     stage = np.empty((1, m))
     x_stage = stage.reshape(shape)
     grad = obj.grad
     work2, work3, work4 = work[:2], work[:3], work[:4]
-    checked = 0  # path rows [0, checked) are known to be finite
-    # ndarray.dot with out= is the matmul without the gufunc's dispatch
-    steps = zip(to_x2, to_x3, to_x4, to_next, path[1:])
-    for j, (a2, a3, a4, a_next, nxt) in enumerate(steps):
-        rows[2][...] = grad(rows[0])
-        a2.dot(work2, out=stage)
-        rows[3][...] = grad(x_stage)
-        a3.dot(work3, out=stage)
-        rows[4][...] = grad(x_stage)
-        a4.dot(work4, out=stage)
-        rows[5][...] = grad(x_stage)
-        a_next.dot(work, out=nxt)
-        work2[...] = nxt
-        if j + 1 - checked >= FINITE_CHECK_BLOCK:
-            checked = _check_finite(t_grid, checked, j + 2, path)
-    _check_finite(t_grid, checked, n_steps + 1, path)
-
-    X = path[:, 0].reshape((n_steps + 1,) + shape)
-    V = path[:, 1].reshape((n_steps + 1,) + shape)
-    t_col = t_grid.reshape((n_steps + 1,) + (1,) * (len(shape) - 1))
-    energy = continuous_energy(X, V, t_col, p, alpha, obj.f_gap(X), obj.xstar)
-    return OdeSolution(t=t_grid, X=X, V=V, energy=energy)
+    for lo in range(0, max(n_steps, 1), FINITE_CHECK_BLOCK):
+        n = min(FINITE_CHECK_BLOCK, n_steps - lo)
+        block[0] = work2
+        # ndarray.dot with out= is the matmul without the gufunc's dispatch
+        maps = _rk4_maps(t_grid[lo : lo + n + 1], dt, p, alpha)
+        for a2, a3, a4, a_next, nxt in zip(*maps, block[1:]):
+            rows[2][...] = grad(rows[0])
+            a2.dot(work2, out=stage)
+            rows[3][...] = grad(x_stage)
+            a3.dot(work3, out=stage)
+            rows[4][...] = grad(x_stage)
+            a4.dot(work4, out=stage)
+            rows[5][...] = grad(x_stage)
+            a_next.dot(work, out=nxt)
+            work2[...] = nxt
+        _check_finite(t_grid[lo:], 0, n + 1, block)
+        s = min(lo, 1)  # row 0 is the previous block's last, except at t_0
+        Xb, Vb = (block[s : n + 1, i].reshape((n + 1 - s,) + shape) for i in (0, 1))
+        t_col = t_grid[lo + s : lo + n + 1].reshape((-1,) + (1,) * (len(shape) - 1))
+        X[lo + s : lo + n + 1] = Xb
+        f_gap[lo + s : lo + n + 1] = gap = obj.f_gap(Xb)
+        energy[lo + s : lo + n + 1] = continuous_energy(Xb, Vb, t_col, p, alpha, gap, obj.xstar)
+    return OdeSolution(t=t_grid, X=X, f_gap=f_gap, energy=energy)
 
 
 def _check_finite(t_grid: np.ndarray, lo: int, hi: int, *paths: np.ndarray,
@@ -206,16 +207,16 @@ def ode_rate_check(
 
         f(X(t)) - f* <= E(T0) / (2 (p+1) t^(2-alpha))
 
-    holds at every grid point. Reports the first violating grid point."""
+    holds at every grid point. Reports the first violating grid point.
+    ``obj`` is unused: ``sol.f_gap`` holds f(X) - f*."""
     _require_rate_hypotheses(params)
     e0 = sol.energy[0]
     increases = np.diff(sol.energy)
     max_increase = float(np.max(increases)) if len(increases) else 0.0
     mono_ok = max_increase <= energy_tol * max(e0, 1e-300)
     bound = e0 / (2.0 * (params.p + 1.0) * sol.t ** (2.0 - params.alpha))
-    f_gap = obj.f_gap(sol.X)
-    viol = np.where(f_gap > bound)[0]
-    report = {
+    viol = np.where(sol.f_gap > bound)[0]
+    return {
         "energy_T0": float(e0),
         "max_energy_increase": max_increase,
         "energy_monotone": bool(mono_ok),
@@ -223,7 +224,6 @@ def ode_rate_check(
         "first_violation_t": float(sol.t[viol[0]]) if len(viol) else None,
         "passed": bool(mono_ok and len(viol) == 0),
     }
-    return report
 
 
 # SDE steps whose noise each path draws in one generator call
@@ -387,7 +387,7 @@ def ode_compare(
     [T0, T], the (x0, 0) start and the table's warm starts are one batch.
     Raises ``ValueError`` before any integration or run if ``params``
     fails the rate hypotheses, ``eta_list`` is empty or M < 1. Returns the
-    (x0, 0) solution, with ``X``/``V`` of shape (n+1, d), and the table rows.
+    (x0, 0) solution, with ``X`` of shape (n+1, d), and the table rows.
     """
     _require_rate_hypotheses(params)
     if len(eta_list) == 0:
@@ -413,7 +413,7 @@ def ode_compare(
         starts.append((OdeParams(p=1.0, alpha=1.5, T0=k0 * eta, T=kT * eta, dt=params.dt),
                        x_cur, v))
     (sol, b), *table = _integrate_starts(obj, starts)
-    column = OdeSolution(t=sol.t, X=sol.X[:, b], V=sol.V[:, b], energy=sol.energy[:, b])
+    column = OdeSolution(t=sol.t, X=sol.X[:, b], f_gap=sol.f_gap[:, b], energy=sol.energy[:, b])
     noise = NoiseModel.gaussian(obj.dim, 1.0)
     rows = []
     for j, (eta, (k0, kT, x_prev, x_cur), (s, c)) in enumerate(zip(eta_list, runs, table)):

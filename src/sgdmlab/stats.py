@@ -138,9 +138,11 @@ def _quarter_start(K: int) -> int:
 
 def _increment_variances(f_gap: np.ndarray) -> np.ndarray:
     """Per-run variance of successive suboptimality increments over the rows
-    of ``f_gap`` (rows, M)."""
+    of ``f_gap`` (rows, M); one that overflows is inf or nan, without a
+    NumPy warning, and the comparison of the medians then fails."""
     inc = np.diff(f_gap, axis=0)
-    return np.var(inc, axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.var(inc, axis=0, ddof=1)
 
 
 def _late_gaps(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: int,

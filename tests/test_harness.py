@@ -341,7 +341,9 @@ class TestFailureSemantics:
     @pytest.mark.parametrize("flag", [["--alpha", "3"], ["--eta-grid", "1.0"], ["--eta-grid", ""],
                                       ["--eta-grid", "0"], ["--eta-grid", "-0.1"],
                                       # step counts T/eta and (T - T0)/dt overflow
-                                      ["--eta-grid", "5e-324"], ["--dt", "5e-324"]])
+                                      ["--eta-grid", "5e-324"], ["--dt", "5e-324"],
+                                      # 3e8 and 1e9 RK4 steps: over the grid cap
+                                      ["--dt", "1e-8"], ["--t", "1e6"]])
     def test_library_value_error_exits_2(self, tmp_path, capsys, flag):
         assert main(["ode-compare", "--out", str(tmp_path / "o"), "--runs", "3"] + flag) == 2
         assert_one_line_config_error(capsys)
@@ -425,26 +427,33 @@ class TestFailureSemantics:
         ini.write_text("\n".join(["[common]", *lines]) + "\n")
         return ini
 
-    @pytest.mark.parametrize("lam", ["40", "1e+200"])
-    def test_overflowing_mgf_ceiling_prints_no_warning(self, tmp_path, lam):
-        # exp(0.75 * 40^2) overflows, and so does 1e200^2: the check fails
-        # with a null threshold, and nothing but the verdict lines is printed
-        ini = self._ini(tmp_path, f"lambda_grid = {lam}", "omega_grid = 1.0",
-                        "mgf_samples = 1000", "tail_samples = 1000")
+    @pytest.mark.parametrize("sub, lines, name, null_value, n_checks", [
+        *(pytest.param("concentration", (f"lambda_grid = {lam}", "omega_grid = 1.0",
+                                         "mgf_samples = 1000", "tail_samples = 1000"),
+                       f"mgf_lambda_{lam}", lam != "40", 2, id=lam) for lam in ("40", "1e+200")),
+        pytest.param("smoothness", ("noise_var = 1e200",), "sgdm_median_below_sgd", True, 1,
+                     id="smoothness")])
+    def test_overflowing_mgf_ceiling_prints_no_warning(self, tmp_path, sub, lines, name,
+                                                       null_value, n_checks):
+        # exp(0.75 * 40^2) overflows, and so does 1e200^2, in the MGF ceiling
+        # and in the variance of smoothness's increments: the first check
+        # fails with a null threshold, and nothing but the verdict lines is printed
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         out = tmp_path / "o"
         proc = subprocess.run(
-            [sys.executable, "-m", "sgdmlab.cli", "concentration", "--config", str(ini),
-             "--out", str(out)], capture_output=True, text=True, env=env, timeout=120)
+            [sys.executable, "-m", "sgdmlab.cli", sub, "--config",
+             str(self._ini(tmp_path, *lines)), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 1
         assert proc.stderr == ""
-        mgf = strict_json(out / "verdict.json")["checks"][0]
-        assert mgf["name"] == f"mgf_lambda_{lam}"
-        assert mgf["threshold"] is None and mgf["passed"] is False
-        assert proc.stdout.splitlines()[0] == (f"[FAIL] mgf_lambda_{lam}: "
-                                               f"value={mgf['value']} threshold=None")
-        assert len(proc.stdout.splitlines()) == 2
+        first = strict_json(out / "verdict.json")["checks"][0]
+        assert first["name"] == name
+        assert first["threshold"] is None and first["passed"] is False
+        assert (first["value"] is None) == null_value
+        assert proc.stdout.splitlines()[0] == (f"[FAIL] {name}: "
+                                               f"value={first['value']} threshold=None")
+        assert len(proc.stdout.splitlines()) == n_checks
 
     def test_non_finite_value_is_written_as_null_and_fails(self, tmp_path):
         checks = [_check("gap", True, float("inf"), None),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sgdmlab import continuous
 from sgdmlab.continuous import OdeParams, ode_integrate
 from sgdmlab.lyapunov import (
     DescentReport,
@@ -82,18 +83,32 @@ class TestContinuousEnergy:
                               1.0, 1.5, np.zeros(2), np.zeros(1))
 
     @pytest.mark.parametrize("p, alpha", [(1.0, 1.5), (2.0, 1.0)])
-    def test_is_the_energy_of_a_batched_ode_solution(self, p, alpha):
+    def test_is_the_energy_of_a_batched_ode_solution(self, p, alpha, monkeypatch):
         """ode_integrate takes its energy from continuous_energy, bit for bit,
-        and each grid point agrees with the formula written out for it."""
+        one block of grid points at a time, and each grid point agrees with
+        the formula written out for it."""
+        calls = []
+
+        def spy(X, V, t, p_, alpha_, f_gap, xstar):
+            energy = continuous_energy(X, V, t, p_, alpha_, f_gap, xstar)
+            calls.append((X.copy(), V.copy(), np.array(t), np.array(f_gap), energy))
+            return energy
+
+        monkeypatch.setattr(continuous, "continuous_energy", spy)
         obj = quadratic_new(random_spd(3, 2))
-        params = OdeParams(p=p, alpha=alpha, T0=1.0, T=1.5, dt=1e-2)
+        params = OdeParams(p=p, alpha=alpha, T0=1.0, T=1.5, dt=1e-3)
         X0 = np.stack([np.ones(3), -0.5 * np.ones(3)])
         sol = ode_integrate(obj, params, X0, np.zeros((2, 3)))
-        t_col = sol.t[:, None]
-        got = continuous_energy(sol.X, sol.V, t_col, p, alpha, obj.f_gap(sol.X), obj.xstar)
+        X, V, t, f_gap, got = (np.concatenate(parts) for parts in zip(*calls))
+        assert len(calls) == 2  # 500 steps: t_0 and the first block, then the rest
+        np.testing.assert_array_equal(X, sol.X)
+        np.testing.assert_array_equal(f_gap, sol.f_gap)
+        np.testing.assert_array_equal(t[:, 0], sol.t)
         np.testing.assert_array_equal(got, sol.energy)
-        for i, b in ((0, 0), (20, 1), (50, 0)):
-            w = p * sol.X[i, b] + sol.t[i] * sol.V[i, b] - p * obj.xstar
+        whole = continuous_energy(X, V, t, p, alpha, f_gap, obj.xstar)
+        np.testing.assert_array_equal(whole, sol.energy)  # blocks change no bit
+        for i, b in ((0, 0), (20, 1), (256, 0), (257, 1), (500, 0)):
+            w = p * sol.X[i, b] + sol.t[i] * V[i, b] - p * obj.xstar
             expect = float(w @ w) + 2.0 * (p + 1.0) * sol.t[i] ** (2.0 - alpha) * float(
                 obj.f_gap(sol.X[i, b]))
             assert got[i, b] == pytest.approx(expect, rel=1e-12)
