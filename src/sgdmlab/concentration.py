@@ -239,13 +239,16 @@ def anytime_coverage(
     not the raw second moment. The lowest-indexed violating run and its
     first violating k are reported (None when no run violates), with the
     smallest margin over all runs, all folded in as the ensemble streams."""
+    # the stream first: run_ensemble refuses an oversized K before the
+    # K-long envelope is built
+    stream = run_ensemble(obj, noise, schedule, K, M, master_seed)
     sigma2 = noise.hp_sigma2
     e0 = initial_energy(obj, schedule, np.ones(obj.dim))
     const = anytime_constants(schedule, e0, obj.lipschitz, sigma2, k_trunc)
     bound = anytime_bound(const, np.arange(1, K + 1), beta)
     violated = np.zeros(M, dtype=bool)
     margin, first_run, first_k = np.inf, None, None
-    with run_ensemble(obj, noise, schedule, K, M, master_seed) as stream:
+    with stream:
         for b in stream:
             k0 = max(b.lo, 1)  # rows k = k0..hi-1 are checked, k = 0 is not
             slack = bound[k0 - 1 : b.hi - 1, None] - b.f_gap[k0 - b.lo :]
@@ -263,8 +266,6 @@ def anytime_coverage(
         "first_violating_run": first_run,
         "first_violating_k": first_k,
         "nominal_level": 2.0 * float(beta),
-        "C1": const.C1,
-        "C2": const.C2,
         "min_margin": float(margin),
         "passed": bool(np.mean(violated) <= 2.0 * beta),
     }
@@ -303,6 +304,10 @@ def supermartingale_trace(
     if M < 2:
         raise ValueError("M must be >= 2: a standard error needs at least two runs")
     x0 = np.ones(obj.dim) if x0 is None else np.asarray(x0, dtype=float)
+    # the stream first: run_ensemble refuses an oversized K before the
+    # K-long coefficient arrays are built
+    stream = run_ensemble(obj, noise, schedule, K, M, master_seed, x0=x0,
+                          record=("energy", "theta"))
     sigma2 = noise.hp_sigma2
     g2 = gamma_constants(schedule, sigma2).gamma2_upper
     t = 1.0 / g2
@@ -348,13 +353,11 @@ def supermartingale_trace(
             np.std(ln, axis=1, ddof=1, out=sd[b.lo : b.hi])
         carry[:] = S[n], pen[n], mart[n]
 
-    with run_ensemble(obj, noise, schedule, K, M, master_seed, x0=x0,
-                      record=("energy", "theta")) as stream:
+    with stream:
         for b in stream:
             fold(b)
     max_residual = float(max_residual)
     return {
-        "k": np.arange(K + 1),
         "mean": mean,
         "stderr": sd / np.sqrt(M),
         "t": t,

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._csv import write_csv
 from .lyapunov import continuous_energy
-from .optimizers import StepSchedule, run_ensemble
+from .optimizers import GRID_CAP, StepSchedule, run_ensemble
 from .problems import NoiseModel, Objective
 from .seeding import rng_for, rngs_for  # noqa: F401 (perfbench's tracer patches rng_for here)
 
@@ -73,16 +73,17 @@ class OdeSolution:
 
 # RK4 steps between two finiteness scans, and the steps ode_integrate holds at once
 FINITE_CHECK_BLOCK = 256
-RK4_GRID_CAP = 2**26  # values ode_integrate may keep, (n+1) x B x (d + 2): 512 MB
 
 
-def _exact_steps(span: float, step: float, what: str) -> int:
+def _exact_steps(span: float, step: float, span_name: str, step_name: str) -> int:
     """The number of steps of size ``step`` in ``span``; raises unless it is
-    an integer to within a relative 1e-9, so a grid always ends on its
-    window's right end."""
+    a positive integer to within a relative 1e-9, so a grid always ends on
+    its window's right end."""
     n = span / step
     if not math.isfinite(n) or abs(n - round(n)) > 1e-9 * max(1.0, n):
-        raise ValueError(f"{what} ({n:.6g} steps)")
+        raise ValueError(f"{step_name} does not divide {span_name} ({n:.6g} steps)")
+    if round(n) < 1:
+        raise ValueError(f"{span_name} is shorter than one step of {step_name} ({n:.6g} steps)")
     return int(round(n))
 
 
@@ -132,19 +133,17 @@ def ode_integrate(
     conditions integrated together; ``X`` is then ``(n+1, B, d)`` and
     ``f_gap`` and ``energy`` are ``(n+1, B)``. ``dt`` must divide
     ``T - T0``. Raises ``ValueError`` if the result would keep more than
-    ``RK4_GRID_CAP`` values, and ``FloatingPointError`` naming the first
+    ``GRID_CAP`` values, and ``FloatingPointError`` naming the first
     grid time whose state is not finite.
     """
     p, alpha, dt = params.p, params.alpha, params.dt
-    n_steps = _exact_steps(
-        params.T - params.T0, dt,
-        f"dt={dt:g} does not divide the window [{params.T0:g}, {params.T:g}]",
-    )
+    n_steps = _exact_steps(params.T - params.T0, dt,
+                           f"the window [{params.T0:g}, {params.T:g}]", f"dt={dt:g}")
     shape = np.broadcast_shapes(np.shape(X0), np.shape(V0))
     if len(shape) not in (1, 2) or shape[-1] != obj.dim:
         raise ValueError(f"X0/V0 must have shape ({obj.dim},) or (B, {obj.dim}), got {shape}")
-    if (n_steps + 1) * math.prod(shape[:-1]) * (shape[-1] + 2) > RK4_GRID_CAP:
-        raise ValueError(f"{n_steps} RK4 steps would keep more than {RK4_GRID_CAP} values")
+    if (n_steps + 1) * math.prod(shape[:-1]) * (shape[-1] + 2) > GRID_CAP:
+        raise ValueError(f"{n_steps} RK4 steps would keep more than {GRID_CAP} values")
     t_grid = params.T0 + dt * np.arange(n_steps + 1)
     X = np.empty((n_steps + 1,) + shape)
     f_gap, energy = np.empty((2,) + X.shape[:-1])
@@ -158,7 +157,7 @@ def ode_integrate(
     x_stage = stage.reshape(shape)
     grad = obj.grad
     work2, work3, work4 = work[:2], work[:3], work[:4]
-    for lo in range(0, max(n_steps, 1), FINITE_CHECK_BLOCK):
+    for lo in range(0, n_steps, FINITE_CHECK_BLOCK):
         n = min(FINITE_CHECK_BLOCK, n_steps - lo)
         block[0] = work2
         # ndarray.dot with out= is the matmul without the gufunc's dispatch
@@ -173,7 +172,7 @@ def ode_integrate(
             rows[5][...] = grad(x_stage)
             a_next.dot(work, out=nxt)
             work2[...] = nxt
-        _check_finite(t_grid[lo:], 0, n + 1, block)
+        _check_finite(t_grid[lo:], block[: n + 1])
         s = min(lo, 1)  # row 0 is the previous block's last, except at t_0
         Xb, Vb = (block[s : n + 1, i].reshape((n + 1 - s,) + shape) for i in (0, 1))
         t_col = t_grid[lo + s : lo + n + 1].reshape((-1,) + (1,) * (len(shape) - 1))
@@ -183,15 +182,13 @@ def ode_integrate(
     return OdeSolution(t=t_grid, X=X, f_gap=f_gap, energy=energy)
 
 
-def _check_finite(t_grid: np.ndarray, lo: int, hi: int, *paths: np.ndarray,
-                  what: str = "ODE") -> int:
-    """Raise if a state among ``path[lo:hi]`` of the 3-D ``paths`` is not
-    finite, naming the first such grid time; returns ``hi``."""
-    ok = np.logical_and.reduce([np.isfinite(p[lo:hi]).all(axis=(1, 2)) for p in paths])
+def _check_finite(t_grid: np.ndarray, *blocks: np.ndarray, what: str = "ODE") -> None:
+    """Raise if a state in the 3-D ``blocks``, whose row i is at
+    ``t_grid[i]``, is not finite, naming the first such grid time."""
+    ok = np.logical_and.reduce([np.isfinite(b).all(axis=(1, 2)) for b in blocks])
     if not ok.all():
-        t = t_grid[lo + int(np.argmin(ok))]
+        t = t_grid[int(np.argmin(ok))]
         raise FloatingPointError(f"{what} state became non-finite at t={t:.6g}")
-    return hi
 
 
 def _require_rate_hypotheses(params: OdeParams) -> None:
@@ -226,8 +223,8 @@ def ode_rate_check(
     }
 
 
-# SDE steps whose noise each path draws in one generator call
-SDE_NOISE_BLOCK = 32
+# SDE steps per block: one noise draw per path and one finiteness scan
+SDE_BLOCK = 32
 
 
 def sde_sample_paths(
@@ -249,64 +246,61 @@ def sde_sample_paths(
         V(t_{k+1}) = V(t_k) - (2 eta / t_k) V(t_k) - (2 eta / t_k^{3/2}) grad f(X(t_k))
                      - (2 sqrt(eta) / t_k^{3/2}) dW_k,   dW_k ~ N(0, eta I).
 
-    Returns (t grid, X, V), X and V of shape (steps + 1, n_paths, d);
-    ``noise_scale`` = 0 gives the deterministic frozen-coefficient recursion.
-    Path i draws its increments from ``rng_for(master_seed, i)`` in blocks
-    of ``SDE_NOISE_BLOCK`` steps, the same stream as one draw per step; the
-    generators are built in one pass by ``rngs_for``, and none are built
-    when ``noise_scale`` is 0.
+    Returns (t grid, X, V(T)), X of shape (steps + 1, n_paths, d) and V(T)
+    of shape (n_paths, d); ``noise_scale`` = 0 gives the deterministic
+    frozen-coefficient recursion. The paths step ``SDE_BLOCK`` steps at a
+    time: path i draws the block's increments as one
+    ``NoiseModel.gaussian(d, eta)`` sample batch from ``rng_for(master_seed,
+    i)``, the same stream as one draw per step; the generators are built in
+    one pass by ``rngs_for``, and none are built when ``noise_scale`` is 0.
     Raises ``ValueError`` unless eta is positive and ``T0`` and ``T`` both
-    lie on the grid t_k = k eta, so the paths cover exactly [T0, T], and
-    ``FloatingPointError`` naming the first grid time whose X or V is not
+    lie on the grid t_k = k eta, k >= 1, so the paths cover exactly
+    [T0, T], and if ``X`` would keep more than ``GRID_CAP`` values;
+    ``FloatingPointError`` names the first grid time whose X or V is not
     finite."""
     if not eta > 0:
         raise ValueError(f"eta must be positive (got eta={eta:g})")
-    k0 = _exact_steps(T0, eta, f"eta={eta:g} does not divide T0={T0:g}")
-    kT = _exact_steps(T, eta, f"eta={eta:g} does not divide T={T:g}")
-    if k0 < 1:
-        raise ValueError("T0/eta must be at least 1")
+    k0 = _exact_steps(T0, eta, f"T0={T0:g}", f"eta={eta:g}")
+    kT = _exact_steps(T, eta, f"T={T:g}", f"eta={eta:g}")
     n = kT - k0
     d = obj.dim
+    if (n + 1) * (n_paths * d + 1) > GRID_CAP:
+        raise ValueError(f"{n} SDE steps of {n_paths} paths would keep more than "
+                         f"{GRID_CAP} values")
     t_grid = eta * np.arange(k0, kT + 1)
     X = np.empty((n + 1, n_paths, d))
-    V = np.empty((n + 1, n_paths, d))
     X[0] = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, d))
+    # V[b] holds V at t_{lo+b} of the current block
+    V = np.empty((SDE_BLOCK + 1, n_paths, d))
     V[0] = np.broadcast_to(np.asarray(v0, dtype=float), (n_paths, d))
     rngs = rngs_for(master_seed, n_paths) if noise_scale != 0.0 else []
+    increment = NoiseModel.gaussian(d, eta)
     sq = math.sqrt(eta)
-    # the frozen coefficients of each step, as Python floats
-    t_steps = t_grid[:-1].tolist()
-    c_v = [2.0 * eta / tk for tk in t_steps]
-    c_g = [2.0 * eta / tk**1.5 for tk in t_steps]
-    c_w = [2.0 * sq / tk**1.5 for tk in t_steps]
-    dw_block = np.empty((SDE_NOISE_BLOCK, n_paths, d))
+    dw = np.empty((SDE_BLOCK, n_paths, d))
     tmp = np.empty((n_paths, d))
-    checked = 0  # grid rows [0, checked) are known to be finite
-    for j in range(n):
-        xk, vk, x_next, v_next = X[j], V[j], X[j + 1], V[j + 1]
-        # in the docstring's order: X' = x + eta v,
-        # V' = ((v - c_v v) - c_g grad f(x)) - c_w dW
-        np.multiply(vk, eta, out=x_next)
-        x_next += xk
-        np.multiply(vk, c_v[j], out=v_next)
-        np.subtract(vk, v_next, out=v_next)
-        np.multiply(obj.grad(xk), c_g[j], out=tmp)
-        v_next -= tmp
-        if noise_scale != 0.0:  # else dW = 0, and v - c_w * 0 is v
-            b = j % SDE_NOISE_BLOCK
-            if b == 0:
-                # each path's next steps from its own stream, in step order
-                nb = min(SDE_NOISE_BLOCK, n - j)
-                for i, rng in enumerate(rngs):
-                    dw_block[:nb, i] = rng.standard_normal((nb, d))
-                dw_block[:nb] *= sq
-                dw_block[:nb] *= noise_scale
-            np.multiply(dw_block[b], c_w[j], out=tmp)
+    for lo in range(0, max(n, 1), SDE_BLOCK):
+        m = min(SDE_BLOCK, n - lo)
+        if noise_scale != 0.0:
+            # each path's increments from its own stream, in step order
+            for i, rng in enumerate(rngs):
+                dw[:m, i] = increment.sample(rng, m)
+            dw[:m] *= noise_scale
+        for b, tk in enumerate(t_grid[lo : lo + m].tolist()):
+            xk, vk, x_next, v_next = X[lo + b], V[b], X[lo + b + 1], V[b + 1]
+            # in the docstring's order, with its coefficients c_v, c_g, c_w at t_k:
+            # X' = x + eta v, V' = ((v - c_v v) - c_g grad f(x)) - c_w dW
+            np.multiply(vk, eta, out=x_next)
+            x_next += xk
+            np.multiply(vk, 2.0 * eta / tk, out=v_next)
+            np.subtract(vk, v_next, out=v_next)
+            np.multiply(obj.grad(xk), 2.0 * eta / tk**1.5, out=tmp)
             v_next -= tmp
-        if j + 1 - checked >= FINITE_CHECK_BLOCK:
-            checked = _check_finite(t_grid, checked, j + 2, X, V, what="SDE")
-    _check_finite(t_grid, checked, n + 1, X, V, what="SDE")
-    return t_grid, X, V
+            if noise_scale != 0.0:  # else dW = 0, and v - c_w * 0 is v
+                np.multiply(dw[b], 2.0 * sq / tk**1.5, out=tmp)
+                v_next -= tmp
+        _check_finite(t_grid[lo:], X[lo : lo + m + 1], V[: m + 1], what="SDE")
+        V[0] = V[m]
+    return t_grid, X, V[0].copy()
 
 
 def sgdm_warm_start(
@@ -407,7 +401,7 @@ def ode_compare(
         if kT - k0 < 10:
             raise ValueError(f"eta={eta:g} too large: only {kT - k0} discrete steps "
                              f"in [{T0:g}, {T:g}]")
-        _exact_steps(T - T0, eta, f"eta={eta:g} does not divide T - T0 = {T - T0:g}")
+        _exact_steps(T - T0, eta, f"T - T0 = {T - T0:g}", f"eta={eta:g}")
         x_prev, x_cur, v = sgdm_warm_start(obj, eta, k0, x0)
         runs.append((k0, kT, x_prev, x_cur))
         starts.append((OdeParams(p=1.0, alpha=1.5, T0=k0 * eta, T=kT * eta, dt=params.dt),

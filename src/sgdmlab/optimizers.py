@@ -196,6 +196,15 @@ def run_trajectory(
 # "descent" those and grad_sq and descent_rhs.
 RECORDS = ("f_gap", "energy", "theta", "descent")
 
+# The most float64-sized values one call may keep for its steps (512 MB):
+# run_ensemble's set-up here, an ODE or SDE grid in continuous; each call
+# counts its own
+GRID_CAP = 2**26
+# The float64-sized values run_ensemble's set-up peaks at per step, before
+# its first step: ks, eta, the step counts and the two coefficient lists of
+# Python floats (104 bytes per step by tracemalloc for sgdm, the largest)
+_SETUP_VALUES = 13
+
 # A block of an ensemble's stream: rows lo..hi-1 (row r at k = k_start-1+r)
 # of f_gap and energy, and the step fields of the steps k of rows
 # max(lo, 1)..hi-1; None where not recorded. The next block overwrites them.
@@ -290,6 +299,8 @@ def run_ensemble(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: i
     """
     if K < 1 or M < 1:
         raise ValueError("K and M must be >= 1")
+    if K * _SETUP_VALUES > GRID_CAP:
+        raise ValueError(f"K={K} steps would keep more than {GRID_CAP} values")
     if algorithm not in ("sgdm", "sgd", "acsa"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     acsa = algorithm == "acsa"

@@ -127,7 +127,7 @@ def subsequence_rate_check(obj: Objective, K: int) -> dict:
     running_min = np.minimum.accumulate(weighted)
     at = {100: float(running_min[99])} if K >= 100 else {}
     at[int(K)] = float(running_min[-1])
-    return {"running_min": running_min, "at": at, "m_final": float(running_min[-1])}
+    return {"running_min": running_min, "at": at}
 
 
 def _quarter_start(K: int) -> int:
@@ -199,13 +199,9 @@ def smoothness_comparison(
                    sgd_scale=sgd_scale))
     med_m, med_s = float(np.median(var_m)), float(np.median(var_s))
     mult_ratio = float(sgdm_noise_multiplier(schedule, K) / (sgd_scale / np.sqrt(K)))
-    out = {
+    return {
         "median_var_sgdm": med_m,
         "median_var_sgd": med_s,
         "noise_multiplier_ratio": mult_ratio,
         "passed": bool(med_m < med_s),
     }
-    if med_m == med_s:
-        out["note"] = ("medians are exactly equal; increase runs or horizon "
-                       "to separate the methods")
-    return out

@@ -518,6 +518,17 @@ class TestStreamLifetime:
         assert str(exc.value) == "f(x_0) - f* became non-finite at step k=0 in run(s) [0, 1, 2, 3]"
         assert noise_threads() == []
 
+    @pytest.mark.parametrize("check", ["anytime_coverage", "supermartingale_trace"])
+    def test_an_oversized_K_is_refused_before_the_K_long_arrays(self, check):
+        """run_ensemble refuses K = 2^40 at the call; a K-long array of the
+        check built first would fail to allocate 8 TB instead."""
+        obj = quadratic_new(np.eye(2))
+        kwargs = {"beta": 0.05} if check == "anytime_coverage" else {}
+        with pytest.raises(ValueError, match=f"K={2**40} steps would keep more than"):
+            getattr(concentration, check)(obj, NoiseModel.gaussian(2, 0.01), anytime_schedule(),
+                                          K=2**40, M=2, master_seed=0, **kwargs)
+        assert noise_threads() == []
+
 
 class TestScalarLemmas:
     def test_mgf_rows_pass_at_moderate_sample_size(self):

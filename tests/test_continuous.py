@@ -10,7 +10,7 @@ from sgdmlab import continuous
 from sgdmlab.cli import default_quadratic
 from sgdmlab.continuous import (
     FINITE_CHECK_BLOCK,
-    SDE_NOISE_BLOCK,
+    SDE_BLOCK,
     OdeParams,
     l2_limit_estimate,
     ode_compare,
@@ -130,6 +130,14 @@ class TestOdeIntegrate:
         sol = ode_integrate(obj, OdeParams(T0=1.0, T=1.0105, dt=0.0015), np.ones(1), np.zeros(1))
         assert sol.t[-1] == pytest.approx(1.0105, rel=1e-12)
 
+    def test_rejects_step_longer_than_window(self):
+        """9e-10 steps of dt = 1e10 in [1, 10] round to none: the grid would
+        be the one point T0 and never reach T."""
+        obj = quadratic_new(np.eye(1))
+        with pytest.raises(ValueError, match=r"\[1, 10\] is shorter than one step of dt=1e\+10 "
+                                             r"\(9e-10 steps\)"):
+            ode_integrate(obj, OdeParams(T0=1.0, T=10.0, dt=1e10), np.ones(1), np.zeros(1))
+
     def test_batched_columns_match_single_calls(self):
         obj = quadratic_new(random_spd(3, 4))
         params = OdeParams(p=2.0, alpha=1.5, T0=1.0, T=2.0, dt=2e-3)
@@ -199,8 +207,8 @@ class TestSde:
     def test_frozen_coefficient_update_matches_hand_loop(self):
         obj = quadratic_new(np.array([[2.0]]))
         eta = 0.05
-        t, X, V = sde_sample_paths(obj, eta, 1.0, 2.0, 1, 0, np.array([1.0]), np.array([0.5]))
-        X, V = X[:, 0], V[:, 0]
+        t, X, VT = sde_sample_paths(obj, eta, 1.0, 2.0, 1, 0, np.array([1.0]), np.array([0.5]))
+        X = X[:, 0]
         rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(0,)))
         x, v = 1.0, 0.5
         for j, tk in enumerate(t[:-1]):
@@ -211,19 +219,21 @@ class TestSde:
                 - (2 * math.sqrt(eta) / tk**1.5) * dw,
             )
             assert X[j + 1, 0] == pytest.approx(x, rel=1e-12)
-            assert V[j + 1, 0] == pytest.approx(v, rel=1e-12)
+        # every earlier v is pinned through the next x
+        assert VT.shape == (1, 1)
+        assert VT[0, 0] == pytest.approx(v, rel=1e-12)
 
     def test_chunked_noise_matches_per_step_draws(self):
         obj = quadratic_new(random_spd(2, 3))
         eta, M, seed = 0.01, 3, 8
-        n = 70  # not a multiple of the noise block
-        assert n % SDE_NOISE_BLOCK != 0
+        n = 70  # not a multiple of the block
+        assert n % SDE_BLOCK != 0
         x0, v0 = np.array([1.0, -0.5]), np.array([0.2, 0.0])
-        t, X, V = sde_sample_paths(obj, eta, 1.0, 1.0 + n * eta, M, seed, x0, v0,
-                                   noise_scale=0.7)
+        t, X, VT = sde_sample_paths(obj, eta, 1.0, 1.0 + n * eta, M, seed, x0, v0,
+                                    noise_scale=0.7)
         assert len(t) == n + 1
         # reference: every path draws one increment per step
-        Xr, Vr = np.empty_like(X), np.empty_like(V)
+        Xr, Vr = np.empty_like(X), np.empty_like(X)
         Xr[0], Vr[0] = x0, v0
         rngs = [rng_for(seed, i) for i in range(M)]
         sq = np.sqrt(eta)
@@ -241,13 +251,13 @@ class TestSde:
         def digest(a):
             return hashlib.sha256(a.tobytes()).hexdigest()
 
-        assert (digest(X), digest(V)) == (digest(Xr), digest(Vr))
+        assert (digest(X), digest(VT)) == (digest(Xr), digest(Vr[-1]))
 
-    @pytest.mark.parametrize("lam,past_first_block", [(1e8, False), (3e4, True)])
+    @pytest.mark.parametrize("lam,past_first_block", [(1e30, False), (3e4, True)])
     def test_nonfinite_abort_names_time(self, lam, past_first_block):
-        """A stiff quadratic overflows within the first finiteness block
-        (lam = 1e8) and past it (lam = 3e4); the noise does not move the
-        first non-finite grid time of the noiseless hand loop."""
+        """A stiff quadratic overflows within the first block (lam = 1e30,
+        21 steps) and past it (lam = 3e4, 468 steps); the noise does not move
+        the first non-finite grid time of the noiseless hand loop."""
         obj = quadratic_new(np.diag([lam] * 3))
         eta, T0, T = 0.5, 1.0, 300.0
         x, v, t_ref = np.ones(3), np.zeros(3), None
@@ -263,7 +273,32 @@ class TestSde:
                     sde_sample_paths(obj, eta, T0, T, 2, 0, np.ones(3), np.zeros(3),
                                      noise_scale=noise_scale)
                 assert str(err.value) == f"SDE state became non-finite at t={t_ref:.6g}"
-        assert ((t_ref - T0) / eta > FINITE_CHECK_BLOCK) == past_first_block
+        assert ((t_ref - T0) / eta > SDE_BLOCK) == past_first_block
+
+    def test_empty_window_scans_its_one_point(self):
+        obj = quadratic_new(np.eye(2))
+        with pytest.raises(FloatingPointError, match="SDE state became non-finite at t=1$"):
+            sde_sample_paths(obj, 0.1, 1.0, 1.0, 2, 0, np.full(2, np.inf), np.zeros(2))
+
+    def test_transient_memory_is_one_block(self):
+        """Beyond the X path it returns, the workload-size call holds about
+        one block of velocities and increments (1.2 MB); keeping the whole
+        velocity path and per-step coefficient lists held 6.0 MB."""
+        obj = default_quadratic(10, 0)
+        tracemalloc.start()
+        try:
+            _, X, VT = sde_sample_paths(obj, 0.01, 1.0, 4.0, 200, 0, np.ones(10), np.zeros(10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert X.shape == (301, 200, 10) and VT.shape == (200, 10)
+        assert peak - X.nbytes < 2e6
+
+    def test_rejects_oversized_grid_before_allocating(self):
+        """10^9 steps of 3 paths would keep 4e9 values; refused at once."""
+        obj = quadratic_new(np.eye(1))
+        with pytest.raises(ValueError, match=f"would keep more than {continuous.GRID_CAP}"):
+            sde_sample_paths(obj, 1e-9, 1.0, 2.0, 3, 0, np.ones(1), np.zeros(1))
 
     def test_zero_noise_is_deterministic(self):
         obj = quadratic_new(np.eye(2))
@@ -274,7 +309,7 @@ class TestSde:
 
     def test_grid_endpoints(self):
         obj = quadratic_new(np.eye(1))
-        t, X, V = sde_sample_paths(obj, 0.25, 1.0, 2.0, 1, 0, np.ones(1), np.zeros(1))
+        t, X, _ = sde_sample_paths(obj, 0.25, 1.0, 2.0, 1, 0, np.ones(1), np.zeros(1))
         np.testing.assert_allclose(t, [1.0, 1.25, 1.5, 1.75, 2.0])
         assert X[:, 0].shape == (5, 1)
 
@@ -286,6 +321,10 @@ class TestSde:
             sde_sample_paths(obj, 0.003, 1.0, 1.0105, 2, 0, np.ones(1), np.zeros(1))
         with pytest.raises(ValueError, match="does not divide T="):
             sde_sample_paths(obj, 0.1, 1.0, 2.05, 2, 0, np.ones(1), np.zeros(1))
+        # eta divides T0 = 0, but the grid would start at the singular t = 0
+        with pytest.raises(ValueError,
+                           match=r"^T0=0 is shorter than one step of eta=0.1 \(0 steps\)$"):
+            sde_sample_paths(obj, 0.1, 0.0, 2.0, 2, 0, np.ones(1), np.zeros(1))
 
     @pytest.mark.parametrize("eta", [0.0, -0.25])
     def test_rejects_nonpositive_eta(self, eta):

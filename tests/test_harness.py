@@ -343,10 +343,19 @@ class TestFailureSemantics:
                                       # step counts T/eta and (T - T0)/dt overflow
                                       ["--eta-grid", "5e-324"], ["--dt", "5e-324"],
                                       # 3e8 and 1e9 RK4 steps: over the grid cap
-                                      ["--dt", "1e-8"], ["--t", "1e6"]])
+                                      ["--dt", "1e-8"], ["--t", "1e6"],
+                                      # 9e-10 RK4 steps: the grid would be T0 alone
+                                      ["--dt", "1e10"]])
     def test_library_value_error_exits_2(self, tmp_path, capsys, flag):
         assert main(["ode-compare", "--out", str(tmp_path / "o"), "--runs", "3"] + flag) == 2
         assert_one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("args", [["run"], ["verify-expectation", "--runs", "2"]])
+    def test_steps_over_the_cap_exit_2(self, tmp_path, capsys, args):
+        out = tmp_path / "o"
+        assert main(args + ["--out", str(out), "--steps", "1000000000"]) == 2
+        assert "steps would keep more than" in assert_one_line_config_error(capsys)
+        assert not (out / "verdict.json").exists()
 
     def test_ode_step_not_dividing_window_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"

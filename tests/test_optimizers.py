@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdmlab.optimizers import (
+    _SETUP_VALUES,
     _sgdm_coefficients,
+    GRID_CAP,
     RECORDS,
     StepSchedule,
     TrajectoryRecord,
@@ -453,12 +456,37 @@ class TestRunEnsemble:
         for k in range(tr.K + 1):
             np.testing.assert_allclose(f_gap[k], obj.f_gap(x[k]), rtol=1e-12)
 
+    def test_setup_keeps_at_most_the_counted_values_per_step(self):
+        """The K cap counts _SETUP_VALUES float64-sized values per step: the
+        set-up's tracemalloc peak for sgdm, whose set-up is the largest
+        (sgd 64, acsa 96 bytes per step), grows by no more than that per
+        step, to within the few KB of fixed allocations that vary from call
+        to call. Both K are above the stream's block buffer rows."""
+        obj = quadratic_new(np.eye(10))
+        sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
+        peaks = []
+        for K in (40_000, 140_000):
+            tracemalloc.start()
+            try:
+                stream = run_ensemble(obj, NoiseModel.gaussian(10, 0.1), sched, K, 1, 0,
+                                      record=RECORDS)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del stream
+        per_step = (peaks[1] - peaks[0]) / 100_000
+        assert per_step < 8 * _SETUP_VALUES + 0.5, per_step
+
     def test_validation(self):
         obj = quadratic_new(np.eye(2))
         noise = NoiseModel.noiseless(2)
         sched = StepSchedule(kind="constant", scale=0.1)
         with pytest.raises(ValueError):
             run_ensemble(obj, noise, sched, K=0, M=1, master_seed=0)
+        # refused at the call, before the K-long step and coefficient arrays
+        K = GRID_CAP // _SETUP_VALUES + 1
+        with pytest.raises(ValueError, match=f"K={K} steps would keep more than {GRID_CAP}"):
+            run_ensemble(obj, noise, sched, K=K, M=1, master_seed=0)
         # a misspelt or retired field name is refused, not silently unrecorded
         for record in (("energi", "thetta"), ("f_gap", "x"), ("g", "grad")):
             with pytest.raises(ValueError, match="accepted: f_gap, energy, theta, descent"):

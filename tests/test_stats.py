@@ -182,7 +182,7 @@ class TestSubsequence:
         rm = rep["running_min"]
         assert np.all(np.diff(rm) <= 0.0)
         assert rep["at"][10_000] < rep["at"][100]
-        assert rep["m_final"] > 0.0
+        assert rep["at"][10_000] > 0.0
 
 
 class TestSmoothness:
