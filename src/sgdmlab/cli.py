@@ -255,7 +255,8 @@ def cmd_verify_expectation(cfg: dict, out: Path) -> list[dict]:
     rep = stats.expectation_rate_check(obj, noise, cfg["steps"], cfg["runs"],
                                        cfg["seed"], c=cfg["c"])
     stats.save_ensemble_csv(out / "ensemble.csv", rep["summary"])
-    excess = np.max((rep["mean"] - rep["bound"]) / np.maximum(rep["stderr"], 1e-300))
+    with np.errstate(over="ignore"):  # a zero stderr may overflow it: written as null
+        excess = np.max((rep["mean"] - rep["bound"]) / np.maximum(rep["stderr"], 1e-300))
     check = _check("max_excess_stderr_units", rep["passed"], excess, stats.EXPECTATION_STDERRS)
     return [dict(check, first_failure_k=rep["first_failure_k"])]
 

@@ -52,6 +52,9 @@ def _series_params(schedule: StepSchedule) -> tuple[float, float]:
             f"schedule kind '{schedule.kind}' has a divergent weight series; "
             "gamma constants exist only for logarithmic schedules"
         )
+    if q == 1.0:  # 1 + epsilon rounded to 1: sum 1/(k log(k+2)) diverges
+        raise ValueError(f"epsilon={schedule.epsilon:g} is too small: the log power "
+                         "1 + epsilon rounds to 1, where the weight series diverges")
     A = 16.0 * schedule_eval(schedule, 1.0) * np.log(3.0) ** q
     return float(A), q
 
@@ -456,7 +459,8 @@ def tail_lemma_check(
     rows = []
     for om in omegas:
         frac = float(np.mean(stat >= (1.0 + float(om)) * budget))
-        level = float(np.exp(-float(om)))
+        with np.errstate(over="ignore"):  # an infinite level is reported as such
+            level = float(np.exp(-float(om)))
         se = float(np.sqrt(max(level * (1.0 - level), frac * (1.0 - frac)) / n_samples))
         threshold = level + LEMMA_STDERRS * se
         rows.append({

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._csv import write_csv
 from .lyapunov import continuous_energy
-from .optimizers import GRID_CAP, StepSchedule, run_ensemble
+from .optimizers import GRID_CAP, StepSchedule, _NoiseFill, _nonfinite, run_ensemble
 from .problems import NoiseModel, Objective
 from .seeding import rng_for, rngs_for  # noqa: F401 (perfbench's tracer patches rng_for here)
 
@@ -134,7 +134,7 @@ def ode_integrate(
     ``f_gap`` and ``energy`` are ``(n+1, B)``. ``dt`` must divide
     ``T - T0``. Raises ``ValueError`` if the result would keep more than
     ``GRID_CAP`` values, and ``FloatingPointError`` naming the first
-    grid time whose state is not finite.
+    grid time whose state is not finite and the batch columns it hit.
     """
     p, alpha, dt = params.p, params.alpha, params.dt
     n_steps = _exact_steps(params.T - params.T0, dt,
@@ -159,36 +159,33 @@ def ode_integrate(
     work2, work3, work4 = work[:2], work[:3], work[:4]
     for lo in range(0, n_steps, FINITE_CHECK_BLOCK):
         n = min(FINITE_CHECK_BLOCK, n_steps - lo)
-        block[0] = work2
-        # ndarray.dot with out= is the matmul without the gufunc's dispatch
-        maps = _rk4_maps(t_grid[lo : lo + n + 1], dt, p, alpha)
-        for a2, a3, a4, a_next, nxt in zip(*maps, block[1:]):
-            rows[2][...] = grad(rows[0])
-            a2.dot(work2, out=stage)
-            rows[3][...] = grad(x_stage)
-            a3.dot(work3, out=stage)
-            rows[4][...] = grad(x_stage)
-            a4.dot(work4, out=stage)
-            rows[5][...] = grad(x_stage)
-            a_next.dot(work, out=nxt)
-            work2[...] = nxt
-        _check_finite(t_grid[lo:], block[: n + 1])
-        s = min(lo, 1)  # row 0 is the previous block's last, except at t_0
-        Xb, Vb = (block[s : n + 1, i].reshape((n + 1 - s,) + shape) for i in (0, 1))
-        t_col = t_grid[lo + s : lo + n + 1].reshape((-1,) + (1,) * (len(shape) - 1))
-        X[lo + s : lo + n + 1] = Xb
-        f_gap[lo + s : lo + n + 1] = gap = obj.f_gap(Xb)
-        energy[lo + s : lo + n + 1] = continuous_energy(Xb, Vb, t_col, p, alpha, gap, obj.xstar)
+        with np.errstate(over="ignore", invalid="ignore"):
+            block[0] = work2
+            # ndarray.dot with out= is the matmul without the gufunc's dispatch
+            maps = _rk4_maps(t_grid[lo : lo + n + 1], dt, p, alpha)
+            for a2, a3, a4, a_next, nxt in zip(*maps, block[1:]):
+                rows[2][...] = grad(rows[0])
+                a2.dot(work2, out=stage)
+                rows[3][...] = grad(x_stage)
+                a3.dot(work3, out=stage)
+                rows[4][...] = grad(x_stage)
+                a4.dot(work4, out=stage)
+                rows[5][...] = grad(x_stage)
+                a_next.dot(work, out=nxt)
+                work2[...] = nxt
+            # the (rows, 2, B d) block as (rows, B, 2, d): a run is a batch column
+            hit = _nonfinite(lo, lambda i: ("ODE state", f"t={t_grid[i]:.6g}"),
+                             block[: n + 1].reshape(n + 1, 2, -1, shape[-1]).swapaxes(1, 2))
+            if hit is not None:
+                raise FloatingPointError(hit[1])
+            s = min(lo, 1)  # row 0 is the previous block's last, except at t_0
+            Xb, Vb = (block[s : n + 1, i].reshape((n + 1 - s,) + shape) for i in (0, 1))
+            new = slice(lo + s, lo + n + 1)
+            t_col = t_grid[new].reshape((-1,) + (1,) * (len(shape) - 1))
+            X[new] = Xb
+            f_gap[new] = gap = obj.f_gap(Xb)
+            energy[new] = continuous_energy(Xb, Vb, t_col, p, alpha, gap, obj.xstar)
     return OdeSolution(t=t_grid, X=X, f_gap=f_gap, energy=energy)
-
-
-def _check_finite(t_grid: np.ndarray, *blocks: np.ndarray, what: str = "ODE") -> None:
-    """Raise if a state in the 3-D ``blocks``, whose row i is at
-    ``t_grid[i]``, is not finite, naming the first such grid time."""
-    ok = np.logical_and.reduce([np.isfinite(b).all(axis=(1, 2)) for b in blocks])
-    if not ok.all():
-        t = t_grid[int(np.argmin(ok))]
-        raise FloatingPointError(f"{what} state became non-finite at t={t:.6g}")
 
 
 def _require_rate_hypotheses(params: OdeParams) -> None:
@@ -253,13 +250,15 @@ def sde_sample_paths(
     ``NoiseModel.gaussian(d, eta)`` sample batch from ``rng_for(master_seed,
     i)``, the same stream as one draw per step; the generators are built in
     one pass by ``rngs_for``, and none are built when ``noise_scale`` is 0.
-    Raises ``ValueError`` unless eta is positive and ``T0`` and ``T`` both
-    lie on the grid t_k = k eta, k >= 1, so the paths cover exactly
-    [T0, T], and if ``X`` would keep more than ``GRID_CAP`` values;
+    Raises ``ValueError`` unless eta is positive, T >= T0 and ``T0`` and
+    ``T`` both lie on the grid t_k = k eta, k >= 1, so the paths cover
+    exactly [T0, T], and if ``X`` would keep more than ``GRID_CAP`` values;
     ``FloatingPointError`` names the first grid time whose X or V is not
-    finite."""
+    finite, and the paths it hit."""
     if not eta > 0:
         raise ValueError(f"eta must be positive (got eta={eta:g})")
+    if T < T0:
+        raise ValueError(f"the window [{T0:g}, {T:g}] ends before it starts (T < T0)")
     k0 = _exact_steps(T0, eta, f"T0={T0:g}", f"eta={eta:g}")
     kT = _exact_steps(T, eta, f"T={T:g}", f"eta={eta:g}")
     n = kT - k0
@@ -280,25 +279,27 @@ def sde_sample_paths(
     tmp = np.empty((n_paths, d))
     for lo in range(0, max(n, 1), SDE_BLOCK):
         m = min(SDE_BLOCK, n - lo)
-        if noise_scale != 0.0:
-            # each path's increments from its own stream, in step order
-            for i, rng in enumerate(rngs):
-                dw[:m, i] = increment.sample(rng, m)
-            dw[:m] *= noise_scale
-        for b, tk in enumerate(t_grid[lo : lo + m].tolist()):
-            xk, vk, x_next, v_next = X[lo + b], V[b], X[lo + b + 1], V[b + 1]
-            # in the docstring's order, with its coefficients c_v, c_g, c_w at t_k:
-            # X' = x + eta v, V' = ((v - c_v v) - c_g grad f(x)) - c_w dW
-            np.multiply(vk, eta, out=x_next)
-            x_next += xk
-            np.multiply(vk, 2.0 * eta / tk, out=v_next)
-            np.subtract(vk, v_next, out=v_next)
-            np.multiply(obj.grad(xk), 2.0 * eta / tk**1.5, out=tmp)
-            v_next -= tmp
-            if noise_scale != 0.0:  # else dW = 0, and v - c_w * 0 is v
-                np.multiply(dw[b], 2.0 * sq / tk**1.5, out=tmp)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if noise_scale != 0.0:  # each path's increments from its own stream, in step order
+                _NoiseFill(increment, rngs, dw[:m], helper=False).wait()
+                dw[:m] *= noise_scale
+            for b, tk in enumerate(t_grid[lo : lo + m].tolist()):
+                xk, vk, x_next, v_next = X[lo + b], V[b], X[lo + b + 1], V[b + 1]
+                # in the docstring's order, with its coefficients c_v, c_g, c_w at t_k:
+                # X' = x + eta v, V' = ((v - c_v v) - c_g grad f(x)) - c_w dW
+                np.multiply(vk, eta, out=x_next)
+                x_next += xk
+                np.multiply(vk, 2.0 * eta / tk, out=v_next)
+                np.subtract(vk, v_next, out=v_next)
+                np.multiply(obj.grad(xk), 2.0 * eta / tk**1.5, out=tmp)
                 v_next -= tmp
-        _check_finite(t_grid[lo:], X[lo : lo + m + 1], V[: m + 1], what="SDE")
+                if noise_scale != 0.0:  # else dW = 0, and v - c_w * 0 is v
+                    np.multiply(dw[b], 2.0 * sq / tk**1.5, out=tmp)
+                    v_next -= tmp
+            hit = _nonfinite(lo, lambda i: ("SDE state", f"t={t_grid[i]:.6g}"),
+                             X[lo : lo + m + 1], V[: m + 1])
+            if hit is not None:
+                raise FloatingPointError(hit[1])
         V[0] = V[m]
     return t_grid, X, V[0].copy()
 

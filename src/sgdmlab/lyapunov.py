@@ -155,6 +155,8 @@ def check_descent(stream, blocks, tol: float = 1e-10) -> DescentReport:
         if b.energy is None or b.descent_rhs is None:
             raise ValueError("descent check needs a stream recorded with energy and descent")
         energy = b.energy if last is None else np.concatenate([last, b.energy])
-        report.add(energy[1:] - energy[:-1] - b.descent_rhs, energy[1:], max(b.lo, 1))
+        # a residual or a tolerance tol (1 + |E(k)|) that overflows is inf, quietly
+        with np.errstate(over="ignore", invalid="ignore"):
+            report.add(energy[1:] - energy[:-1] - b.descent_rhs, energy[1:], max(b.lo, 1))
         last = b.energy[-1:].copy()
     return report

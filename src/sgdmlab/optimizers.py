@@ -196,14 +196,17 @@ def run_trajectory(
 # "descent" those and grad_sq and descent_rhs.
 RECORDS = ("f_gap", "energy", "theta", "descent")
 
-# The most float64-sized values one call may keep for its steps (512 MB):
-# run_ensemble's set-up here, an ODE or SDE grid in continuous; each call
-# counts its own
+# The most float64-sized values one call may keep for its steps or its runs
+# (512 MB): run_ensemble's set-up and its runs' state here, an ODE or SDE
+# grid in continuous; each call counts its own
 GRID_CAP = 2**26
 # The float64-sized values run_ensemble's set-up peaks at per step, before
 # its first step: ks, eta, the step counts and the two coefficient lists of
 # Python floats (104 bytes per step by tracemalloc for sgdm, the largest)
 _SETUP_VALUES = 13
+# The float64-sized values one run's generator peaks at while rngs_for
+# builds it (640 bytes by tracemalloc; it keeps 585)
+_RNG_VALUES = 80
 
 # A block of an ensemble's stream: rows lo..hi-1 (row r at k = k_start-1+r)
 # of f_gap and energy, and the step fields of the steps k of rows
@@ -217,7 +220,8 @@ class EnsembleTrace(AbstractContextManager):
     """The stream of M runs that :func:`run_ensemble` returns: iterating it
     steps the runs and yields the recorded fields in :data:`_Block` s, which
     the next block overwrites; leaving its ``with`` block joins the noise
-    helper, and once drained it holds the final iterates. ``algorithm`` and
+    helper, and once drained it holds the final iterates, and ``rngs`` the
+    runs' generators, to continue them in a next segment. ``algorithm`` and
     ``schedule`` tell :func:`~sgdmlab.lyapunov.check_descent` its lemma."""
 
     K: int
@@ -225,6 +229,7 @@ class EnsembleTrace(AbstractContextManager):
     eta: np.ndarray  # (K+1,)
     algorithm: str
     schedule: StepSchedule
+    rngs: list[np.random.Generator]
     _blocks: Iterator[_Block]
     x_prev_final: np.ndarray | None = None  # (M, d): x_K
     x_cur_final: np.ndarray | None = None  # (M, d): x_{K+1}
@@ -263,7 +268,9 @@ def run_ensemble(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: i
                  rngs: list[np.random.Generator] | None = None) -> EnsembleTrace:
     """The stream of M independent trajectories of ``algorithm`` (``"sgdm"``,
     ``"sgd"`` or ``"acsa"``), vectorized across runs, which steps them as it
-    is iterated; the arguments are checked before any step.
+    is iterated; the arguments are checked before any step, and a K or an M
+    whose steps or runs would keep more than :data:`GRID_CAP` values raises
+    ``ValueError`` before anything is built for them.
 
     Run i draws its noise from the generator seeded by (master_seed, i) (all
     built in one pass by :func:`rngs_for`, none for a noiseless ensemble) in
@@ -310,11 +317,17 @@ def run_ensemble(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: i
     if not record <= set(RECORDS):
         raise ValueError(f"unknown record name(s) {sorted(record - set(RECORDS))}; "
                          f"accepted: {', '.join(RECORDS)}")
+    d = obj.dim
+    noisy = noise.scale != 0.0
+    # a run's generator and noise rows (a second chunk's too), when it draws,
+    # and its working rows: three of a segment's iterates, dx and g_buf
+    per_run = 5 * d + (_RNG_VALUES + min(chunk, K) * d * (1 + (K > chunk)) if noisy else 0)
+    if M * per_run > GRID_CAP:
+        raise ValueError(f"M={M} runs would keep more than {GRID_CAP} values")
     if rngs is None:  # a noiseless ensemble draws nothing and builds none
-        rngs = rngs_for(master_seed, M) if noise.scale != 0.0 else []
+        rngs = rngs_for(master_seed, M) if noisy else []
     elif len(rngs) != M:
         raise ValueError(f"got {len(rngs)} generators for {M} runs")
-    d = obj.dim
     xstar = obj.xstar
 
     ks = np.arange(k_start - 1, k_start + K)
@@ -324,17 +337,15 @@ def run_ensemble(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: i
     theta = "theta" in record
     evaluated = bool(record)
     fused = "f_gap" in record and obj.value_and_grad is not None and not acsa
-    # steps per segment: a block of iterates that the fields are evaluated
-    # on at once, else a few whose rows only carry the recursion
-    size = _BLOCK_ELEMENTS if record - {"f_gap"} or (evaluated and not fused) else _CARRY_ELEMENTS
-    seg = max(1, min(chunk, K, size // (M * d)))
+    # steps per segment, whose iterates the fields are evaluated on at once
+    seg = max(1, min(chunk, K, _BLOCK_ELEMENTS // (M * d)))
     # one segment's iterates, row r holding x_{k-1} of its first step k plus r
     path = np.empty((seg + 2, M, d))
     path[1] = np.ones(d) if x0 is None else x0
     path[0] = path[1] if x_prev0 is None else x_prev0
     # and its exact and realized gradients, row j that of its step j
     grad_seg = np.empty((seg, M, d)) if theta else None
-    g_seg = grad_seg if grad_seg is None or noise.scale == 0.0 else np.empty((seg, M, d))
+    g_seg = grad_seg if grad_seg is None or not noisy else np.empty((seg, M, d))
     # buffer row i holds block row lo + i; the first block also holds row
     # 0, x_{k_start-1}, which no step reaches and whose step fields are unset
     cap = min(max(seg, _BLOCK_VALUES // M), K) + 1
@@ -406,11 +417,12 @@ def run_ensemble(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: i
             fb = obj.f_gap(path[lo : n + 1])
             if f_gap is not None:
                 f_gap[rows] = fb
-        hits = [_nonfinite(fb, k + lo, lambda k: f"f(x_{k}) - f*")]
+        hits = [_nonfinite(k + lo, lambda k: (f"f(x_{k}) - f*", f"step k={k}"), fb)]
         if energy is not None:
             energy[rows] = lyapunov.energy_along(path[lo : n + 2], eta[first + lo : first + n + 1],
                                                  fb, xstar, k + lo)
-            hits.append(_nonfinite(energy[rows], k + lo, lambda k: f"energy E({k})"))
+            hits.append(_nonfinite(k + lo, lambda k: (f"energy E({k})", f"step k={k}"),
+                                   energy[rows]))
         if late is None:
             late = min(filter(None, hits), key=lambda hit: hit[0], default=None)
         if theta:
@@ -431,7 +443,7 @@ def run_ensemble(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: i
         # noise buffers (steps, runs, dim); a second one and the helper
         # thread only when there is a second chunk
         bufs, fill = [], None
-        if noise.scale != 0.0:
+        if noisy:
             bufs.append(np.empty((min(chunk, K), M, d)))
             if K > chunk:
                 bufs.append(np.empty((chunk, M, d)))
@@ -455,7 +467,8 @@ def run_ensemble(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: i
                         advance(s0, m, None if xi is None else xi[a : a + m], s0 + 1 - lo)
                         if not np.isfinite(path[m + 1]).all():
                             raise FloatingPointError(_nonfinite(
-                                path[2 : m + 2], k_start + s0, lambda k: f"iterate x_{k + 1}")[1])
+                                k_start + s0, lambda k: (f"iterate x_{k + 1}", f"step k={k}"),
+                                path[2 : m + 2])[1])
                         if evaluated:
                             evaluate(s0, s0 - lo, 1 if s0 else 0, m)
                         s0 += m
@@ -478,35 +491,33 @@ def run_ensemble(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: i
                 fill.cancel()
         trace.x_prev_final, trace.x_cur_final = path[m], path[m + 1]
 
-    trace = EnsembleTrace(K, M, eta, algorithm, schedule, blocks())
+    trace = EnsembleTrace(K, M, eta, algorithm, schedule, rngs, blocks())
     return trace
 
 
-# steps x runs x dim elements of the iterates kept per segment: a block to
-# evaluate, large enough to amortize the per-segment calls; or only a
-# carry buffer, kept small because a 288 KB one (18 x 200 x 10) raised the
-# peak RSS of the benchmark's ode workload by about 1 MB
+# steps x runs x dim elements of the iterates kept per segment, enough to
+# amortize the per-segment calls
 _BLOCK_ELEMENTS = 1 << 15
-_CARRY_ELEMENTS = 1 << 13
 # steps x runs values per field of an evaluated block that a stream yields
 _BLOCK_VALUES = 1 << 15
 
 
-def _nonfinite(values: np.ndarray, k0: int, what: Callable[[int], str]) -> tuple[int, str] | None:
-    """None if ``values`` (steps, runs[, dim]) is finite; else the step
-    k = k0 + row of its first row holding a non-finite entry and a message
-    naming the quantity ``what(k)``, k and the runs it hit."""
-    ok = np.isfinite(values)
-    if ok.all():
+def _nonfinite(k0: int, what: Callable[[int], tuple[str, str]],
+               *blocks: np.ndarray) -> tuple[int, str] | None:
+    """None if the ``blocks`` (rows, runs, ...) are finite; else the index
+    k = k0 + row of their first row holding a non-finite entry and a message
+    naming the quantity and the place that ``what(k)`` gives, and the runs
+    hit there. A run's entries are those on every axis after the run axis."""
+    oks = [np.isfinite(b) for b in blocks]
+    if all(ok.all() for ok in oks):
         return None
-    if ok.ndim == 3:
-        ok = ok.all(axis=2)
+    ok = np.logical_and.reduce([ok.all(axis=tuple(range(2, ok.ndim))) for ok in oks])
     j = int(np.argmin(ok.all(axis=1)))
     bad = np.flatnonzero(~ok[j])
     more = f" and {bad.size - 5} more" if bad.size > 5 else ""
     k = k0 + j
-    return k, (f"{what(k)} became non-finite at step k={k} "
-               f"in run(s) {bad[:5].tolist()}{more}")
+    name, place = what(k)
+    return k, f"{name} became non-finite at {place} in run(s) {bad[:5].tolist()}{more}"
 
 
 class _NoiseFill(threading.Thread):

@@ -13,7 +13,6 @@ import numpy as np
 from ._csv import write_csv
 from .optimizers import StepSchedule, run_ensemble, sgdm_noise_multiplier
 from .problems import NoiseModel, Objective
-from .seeding import rngs_for
 
 __all__ = [
     "log_spaced_checkpoints",
@@ -37,12 +36,14 @@ def ensemble_summary(blocks: Iterable[np.ndarray]) -> dict:
     (K+1, M) ensemble array, and its ``final`` row, from its row blocks in
     order (``[values]`` for a whole array). The working memory is a block
     and its sorted copy, which ``np.quantile`` partitions in place. The results
-    are those of the NumPy calls over the whole array, ties and non-finite included.
+    are those of the NumPy calls over the whole array, ties and non-finite included;
+    a spread that overflows is inf or nan, without a NumPy warning.
     """
     parts = []
     for block in blocks:
         q = np.quantile(np.sort(block, axis=1), [0.1, 0.5, 0.9], axis=1, overwrite_input=True)
-        parts.append((np.mean(block, axis=1), np.std(block, axis=1, ddof=1), *q))
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts.append((np.mean(block, axis=1), np.std(block, axis=1, ddof=1), *q))
     mean, sd, q10, q50, q90 = (np.concatenate(p) for p in zip(*parts))
     return {
         "k": np.arange(len(mean)),
@@ -153,13 +154,12 @@ def _late_gaps(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: int
     so the rows equal those of one stream recording ``f_gap`` over all K
     steps."""
     start = _quarter_start(K)
-    rngs = rngs_for(master_seed, M)
     head = run_ensemble(obj, noise, schedule, K=start - 1, M=M, master_seed=master_seed,
-                        record=(), rngs=rngs, **kw)
+                        record=(), **kw)
     head.collect()
     tail = run_ensemble(obj, noise, schedule, K=K - start + 1, M=M, master_seed=master_seed,
                         k_start=start, x0=head.x_cur_final, x_prev0=head.x_prev_final,
-                        rngs=rngs, **kw)
+                        rngs=head.rngs, **kw)
     return tail.collect("f_gap")[0][1:]
 
 
@@ -198,7 +198,8 @@ def smoothness_comparison(
         _late_gaps(obj, noise, schedule, K, M, master_seed + 1, algorithm="sgd",
                    sgd_scale=sgd_scale))
     med_m, med_s = float(np.median(var_m)), float(np.median(var_s))
-    mult_ratio = float(sgdm_noise_multiplier(schedule, K) / (sgd_scale / np.sqrt(K)))
+    with np.errstate(divide="ignore", over="ignore"):  # an SGD multiplier may underflow
+        mult_ratio = float(sgdm_noise_multiplier(schedule, K) / (sgd_scale / np.sqrt(K)))
     return {
         "median_var_sgdm": med_m,
         "median_var_sgd": med_s,

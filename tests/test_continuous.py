@@ -1,5 +1,6 @@
 import hashlib
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -116,10 +117,11 @@ class TestOdeIntegrate:
             with np.errstate(over="ignore", invalid="ignore"):
                 t_ref = rk4_first_nonfinite_t(bad.grad, 1.0, alpha, 1.0, 0.1, n,
                                               np.ones(1), np.zeros(1))
-                assert t_ref is not None
-                with pytest.raises(FloatingPointError) as err:
-                    ode_integrate(bad, params, np.ones(1), np.zeros(1))
-            assert str(err.value).endswith(f"t={t_ref:.6g}")
+            assert t_ref is not None
+            # no NumPy warning leaks from the steps that overflow
+            with pytest.raises(FloatingPointError) as err:
+                ode_integrate(bad, params, np.ones(1), np.zeros(1))
+            assert str(err.value) == f"ODE state became non-finite at t={t_ref:.6g} in run(s) [0]"
         assert (t_ref - 1.0) / 0.1 > FINITE_CHECK_BLOCK
 
     def test_rejects_dt_not_dividing_window(self):
@@ -253,6 +255,17 @@ class TestSde:
 
         assert (digest(X), digest(VT)) == (digest(Xr), digest(Vr[-1]))
 
+    def test_draws_on_the_calling_thread(self, monkeypatch):
+        """The increments are drawn by the ensemble's per-run fill, without
+        its helper thread."""
+        def start(self):
+            raise AssertionError("sde_sample_paths started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        obj = quadratic_new(np.eye(2))
+        sde_sample_paths(obj, 0.01, 1.0, 1.0 + 2 * SDE_BLOCK * 0.01, 3, 0, np.ones(2),
+                         np.zeros(2))
+
     @pytest.mark.parametrize("lam,past_first_block", [(1e30, False), (3e4, True)])
     def test_nonfinite_abort_names_time(self, lam, past_first_block):
         """A stiff quadratic overflows within the first block (lam = 1e30,
@@ -267,18 +280,30 @@ class TestSde:
                 if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
                     t_ref = tk + eta
                     break
-            assert t_ref is not None
-            for noise_scale in (0.0, 1.0):
-                with pytest.raises(FloatingPointError) as err:
-                    sde_sample_paths(obj, eta, T0, T, 2, 0, np.ones(3), np.zeros(3),
-                                     noise_scale=noise_scale)
-                assert str(err.value) == f"SDE state became non-finite at t={t_ref:.6g}"
+        assert t_ref is not None
+        # both paths, and no NumPy warning leaks from the steps that overflow
+        for noise_scale in (0.0, 1.0):
+            with pytest.raises(FloatingPointError) as err:
+                sde_sample_paths(obj, eta, T0, T, 2, 0, np.ones(3), np.zeros(3),
+                                 noise_scale=noise_scale)
+            assert str(err.value) == (f"SDE state became non-finite at t={t_ref:.6g} "
+                                      "in run(s) [0, 1]")
         assert ((t_ref - T0) / eta > SDE_BLOCK) == past_first_block
 
     def test_empty_window_scans_its_one_point(self):
         obj = quadratic_new(np.eye(2))
-        with pytest.raises(FloatingPointError, match="SDE state became non-finite at t=1$"):
+        with pytest.raises(FloatingPointError) as err:
             sde_sample_paths(obj, 0.1, 1.0, 1.0, 2, 0, np.full(2, np.inf), np.zeros(2))
+        assert str(err.value) == "SDE state became non-finite at t=1 in run(s) [0, 1]"
+
+    @pytest.mark.parametrize("T", [0.9, 0.5])
+    def test_rejects_a_window_ending_before_it_starts(self, T):
+        """T = 0.9 would leave the grid without a point and T = 0.5 give it a
+        negative length; both are refused before anything is allocated."""
+        obj = quadratic_new(np.eye(1))
+        with pytest.raises(ValueError, match=rf"^the window \[1, {T:g}\] ends before it "
+                                             r"starts \(T < T0\)$"):
+            sde_sample_paths(obj, 0.1, 1.0, T, 2, 0, np.ones(1), np.zeros(1))
 
     def test_transient_memory_is_one_block(self):
         """Beyond the X path it returns, the workload-size call holds about

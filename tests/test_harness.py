@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgdmlab import cli, concentration, problems
@@ -345,7 +345,9 @@ class TestFailureSemantics:
                                       # 3e8 and 1e9 RK4 steps: over the grid cap
                                       ["--dt", "1e-8"], ["--t", "1e6"],
                                       # 9e-10 RK4 steps: the grid would be T0 alone
-                                      ["--dt", "1e10"]])
+                                      ["--dt", "1e10"],
+                                      # a warm start from k0 = floor(1 / 2) = 0
+                                      ["--eta-grid", "2", "--t0", "1", "--t", "30"]])
     def test_library_value_error_exits_2(self, tmp_path, capsys, flag):
         assert main(["ode-compare", "--out", str(tmp_path / "o"), "--runs", "3"] + flag) == 2
         assert_one_line_config_error(capsys)
@@ -355,6 +357,28 @@ class TestFailureSemantics:
         out = tmp_path / "o"
         assert main(args + ["--out", str(out), "--steps", "1000000000"]) == 2
         assert "steps would keep more than" in assert_one_line_config_error(capsys)
+        assert not (out / "verdict.json").exists()
+
+    @pytest.mark.parametrize("sub", ["verify-expectation", "smoothness"])
+    def test_runs_over_the_cap_exit_2(self, tmp_path, capsys, sub):
+        """10^8 runs would keep about 2 * 10^10 values of generators, noise and
+        working rows; refused before the first generator is built."""
+        out = tmp_path / "o"
+        assert main([sub, "--out", str(out), "--runs", "100000000", "--steps", "10"]) == 2
+        assert capsys.readouterr().err == ("config error: M=100000000 runs would keep more "
+                                           "than 67108864 values\n")
+        assert not (out / "verdict.json").exists()
+
+    @pytest.mark.parametrize("sub, line, message", [
+        ("verify-descent", "algorithm = sgd", "verify-descent applies to the sgdm algorithm only"),
+        ("verify-anytime", "noise = none", "verify-anytime requires a stochastic noise model"),
+    ])
+    def test_subcommand_refuses_a_setting_it_does_not_apply_to(self, tmp_path, capsys, sub,
+                                                              line, message):
+        out = tmp_path / "o"
+        assert main([sub, "--config", str(self._ini(tmp_path, line)), "--out", str(out),
+                     "--steps", "5", "--runs", "2"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (out / "verdict.json").exists()
 
     def test_ode_step_not_dividing_window_exits_2(self, tmp_path, capsys):
@@ -593,6 +617,10 @@ class TestFailureSemantics:
         (("eta_grid = 0.05,inf",), "eta_grid"),
         (("sgd_scale = 0",), "sgd_scale"),
         (("sgd_scale = -1",), "sgd_scale"),
+        # and a string outside its choices
+        (("problem = foo",), "problem"),
+        (("algorithm = adam",), "algorithm"),
+        (("noise = cauchy",), "noise"),
     ])
     def test_invalid_float_value_is_a_one_line_config_error(self, tmp_path, capsys, lines,
                                                             key):
@@ -752,6 +780,15 @@ class TestAcsaRun:
 _QUICK_SUBCOMMANDS = ("run", "verify-descent", "verify-expectation", "verify-anytime",
                       "ode-compare", "smoothness")
 
+# signed zeros, the smallest subnormal, tiny, large and huge magnitudes, and
+# negatives, each drawn next to a key's usual values
+_EXTREME_FLOATS = (0.0, -0.0, 5e-324, 1e-300, 1e12, 1e300, -1.0, -1e300)
+
+
+def _floats(*usual):
+    return st.sampled_from(usual + _EXTREME_FLOATS)
+
+
 _INI_VALUES = st.fixed_dictionaries({
     "problem": st.sampled_from(["quadratic", "logreg"]),
     "dim": st.integers(1, 4),
@@ -759,16 +796,22 @@ _INI_VALUES = st.fixed_dictionaries({
     "algorithm": st.sampled_from(["sgdm", "sgd", "acsa"]),
     "schedule": st.sampled_from(["anytime_log2", "expectation_log2", "epsilon_log",
                                  "sqrt_k", "constant"]),
-    "scale": st.sampled_from([1e-3, 1.0, 1e3, 1e12]),
+    "scale": _floats(1e-3, 1.0, 1e3),
+    "epsilon": _floats(0.5, 1.0),
     "noise": st.sampled_from(["gaussian", "bounded", "none"]),
-    "noise_var": st.sampled_from([0.0, 0.01, 1.0, 1e4]),
+    "noise_var": _floats(0.01, 1.0, 1e4),
     "beta": st.sampled_from([0.05, 0.5]),
-    "eta_grid": st.sampled_from(["0.1,0.05", "0.05,0.02", "0.03"]),
-    "alpha": st.sampled_from([1.5, 3.0]),
-    "t": st.sampled_from([1.5, 2.0]),
-    "dt": st.sampled_from([0.01, 0.003]),
+    "eta_grid": st.sampled_from(["0.1,0.05", "0.05,0.02", "0.03", "5e-324", "1e-300,0.1",
+                                 "1e300", "-1e300,0.05"]),
+    "c": _floats(0.25),
+    "tol": _floats(1e-10),
+    "p": _floats(1.0, 2.0),
+    "alpha": _floats(1.5, 3.0),
+    "t0": _floats(1.0),
+    "t": _floats(1.5, 2.0),
+    "dt": _floats(0.01, 0.003),
     "k_trunc": st.sampled_from([1000, 1000000]),
-    "sgd_scale": st.sampled_from([1.0, 1e6]),
+    "sgd_scale": _floats(1.0, 1e6),
 })
 
 
@@ -780,50 +823,78 @@ _SAMPLING_VALUES = st.fixed_dictionaries({
     "n_samples": st.integers(20, 60),
     "schedule": st.sampled_from(["anytime_log2", "expectation_log2", "epsilon_log",
                                  "sqrt_k", "constant"]),
-    "scale": st.sampled_from([1e-3, 1.0, 1e3, 1e12]),
-    "epsilon": st.sampled_from([0.5, 1.0, 2.0]),
+    "scale": _floats(1e-3, 1.0, 1e3),
+    "epsilon": _floats(0.5, 1.0, 2.0),
     "noise": st.sampled_from(["gaussian", "bounded", "none"]),
-    "noise_var": st.sampled_from([0.0, 0.01, 1.0, 1e4]),
-    "lambda_grid": st.sampled_from(["0.25,0.5", "1.33", "0", "-1,40"]),
-    "omega_grid": st.sampled_from(["0.5,1.0", "3.0", "0", "-1,800"]),
+    "noise_var": _floats(0.01, 1.0, 1e4),
+    "lambda_grid": st.sampled_from(["0.25,0.5", "1.33", "0", "-1,40", "5e-324,1e300",
+                                    "-1e300"]),
+    "omega_grid": st.sampled_from(["0.5,1.0", "3.0", "0", "-1,800", "5e-324,1e300",
+                                   "-1e300"]),
     "mgf_samples": st.integers(1, 300),
     "tail_samples": st.integers(1, 300),
     "k_trunc": st.sampled_from([0, 1, 10, 1000]),
-    "width_tol": st.sampled_from([1e-4, 1.0]),
+    "width_tol": _floats(1e-4, 1.0),
 })
 
 
 def assert_cli_contract(sub, values, argv):
-    """Run ``sub`` on an INI of ``values``: a documented exit code, a
-    strict-JSON verdict exactly when checks ran, and no traceback."""
+    """Run ``sub`` on an INI of ``values``: the README's contract. A
+    documented exit code; a strict-JSON verdict and an empty stderr on exit
+    0 or 1; no verdict and exactly one ``config error:`` (exit 2) or
+    ``diverged:`` (exit 3) line otherwise; and no warning."""
     with tempfile.TemporaryDirectory() as tmp:
         ini, out = Path(tmp) / "lab.ini", Path(tmp) / "o"
         ini.write_text("[common]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # overflowing configs
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main([sub, "--config", str(ini), "--out", str(out)] + argv)
+        assert [str(w.message) for w in caught] == []
         assert code in (0, 1, 2, 3)
         assert (out / "verdict.json").exists() == (code in (0, 1))
         if code in (0, 1):
             strict_json(out / "verdict.json")
-        assert "Traceback" not in err.getvalue()
+            assert err.getvalue() == ""
+        else:
+            lines = err.getvalue().splitlines(keepends=True)
+            assert len(lines) == 1 and lines[0].endswith("\n"), lines
+            assert lines[0].startswith({2: "config error: ", 3: "diverged: "}[code]), lines
 
 
 class TestCliProperties:
     @given(sub=st.sampled_from(_QUICK_SUBCOMMANDS), values=_INI_VALUES,
            steps=st.integers(1, 50), runs=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=25, deadline=None)
+    # a spread of 1e300-sized gaps overflowed in ensemble_summary; a
+    # log power 1 + 5e-324 rounded to 1 and divided by zero in the gamma
+    # tail; an ODE with p = 1e12 warned on every overflowing RK4 stage
+    @example(sub="run", values={"dim": 1, "scale": 1e300}, steps=2, runs=2, seed=0)
+    @example(sub="verify-anytime", values={"schedule": "epsilon_log", "epsilon": 5e-324},
+             steps=5, runs=2, seed=0)
+    @example(sub="ode-compare", values={"p": 1e12}, steps=1, runs=2, seed=0)
+    # and overflows in the check values: an excess over a zero standard
+    # error, a descent tolerance tol (1 + |E|), a noise multiplier ratio over
+    # an SGD gain that underflows
+    @example(sub="verify-expectation", values={"dim": 1, "noise_var": 0.0, "c": 1e12},
+             steps=2, runs=2, seed=0)
+    @example(sub="verify-descent", values={"dim": 1, "scale": 1e300, "tol": 1e12,
+                                           "noise_var": 0.01}, steps=1, runs=1, seed=0)
+    @example(sub="smoothness", values={"dim": 1, "scale": 1e-3, "noise_var": 0.01,
+                                       "sgd_scale": 5e-324}, steps=5, runs=1, seed=0)
+    @settings(max_examples=400, deadline=None, derandomize=True)
     def test_exit_code_verdict_and_stderr(self, sub, values, steps, runs, seed):
-        """Any small config ends in a documented exit code, a strict-JSON
-        verdict exactly when checks ran, and no traceback."""
+        """Any small config, extreme floats included, keeps the contract."""
         assert_cli_contract(sub, values, ["--steps", str(steps), "--runs", str(runs),
                                           "--seed", str(seed)])
 
     @given(sub=st.sampled_from(["concentration", "constants"]), values=_SAMPLING_VALUES,
            seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=25, deadline=None)
+    # the log power above, and a tail level exp(1e300) that overflowed
+    @example(sub="constants", values={"schedule": "epsilon_log", "epsilon": 5e-324}, seed=0)
+    @example(sub="concentration", values={"omega_grid": -1e300, "mgf_samples": 100,
+                                          "tail_samples": 100}, seed=0)
+    @settings(max_examples=400, deadline=None, derandomize=True)
     def test_sampling_subcommands_exit_code_verdict_and_stderr(self, sub, values, seed):
-        """The same properties for ``concentration`` and ``constants``."""
+        """The same contract for ``concentration`` and ``constants``."""
         assert_cli_contract(sub, values, ["--seed", str(seed)])

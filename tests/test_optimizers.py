@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgdmlab import optimizers
 from sgdmlab.optimizers import (
+    _RNG_VALUES,
     _SETUP_VALUES,
     _sgdm_coefficients,
     GRID_CAP,
@@ -476,6 +478,42 @@ class TestRunEnsemble:
             del stream
         per_step = (peaks[1] - peaks[0]) / 100_000
         assert per_step < 8 * _SETUP_VALUES + 0.5, per_step
+
+    def test_generators_keep_at_most_the_counted_values_per_run(self):
+        """The M cap counts _RNG_VALUES float64-sized values per run for its
+        generator: the tracemalloc peak of building them grows by no more
+        than that per run."""
+        rngs_for(0, 10)
+        peaks = []
+        for M in (1_000, 5_000):
+            tracemalloc.start()
+            try:
+                rngs = rngs_for(0, M)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del rngs
+        per_run = (peaks[1] - peaks[0]) / 4_000
+        assert per_run < 8 * _RNG_VALUES, per_run
+
+    @pytest.mark.parametrize("K, rows", [(1, 1), (512, 512), (513, 1024)])
+    def test_an_oversized_M_is_refused_before_its_generators(self, monkeypatch, K, rows):
+        """A run keeps its generator, its noise rows (two chunks' once K
+        exceeds the chunk of 512) and five working rows of d values; the
+        largest M within GRID_CAP gets to rngs_for, and one more run is
+        refused before it."""
+        def refuse(*args):
+            raise AssertionError("rngs_for reached")
+
+        monkeypatch.setattr(optimizers, "rngs_for", refuse)
+        obj = quadratic_new(np.eye(2))
+        noise, sched = NoiseModel.gaussian(2, 0.1), StepSchedule(kind="constant", scale=0.1)
+        M = GRID_CAP // (5 * 2 + _RNG_VALUES + rows * 2)
+        with pytest.raises(AssertionError, match="rngs_for reached"):
+            run_ensemble(obj, noise, sched, K=K, M=M, master_seed=0)
+        with pytest.raises(ValueError, match=f"^M={M + 1} runs would keep more than {GRID_CAP} "
+                                             "values$"):
+            run_ensemble(obj, noise, sched, K=K, M=M + 1, master_seed=0)
 
     def test_validation(self):
         obj = quadratic_new(np.eye(2))
