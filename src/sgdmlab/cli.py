@@ -40,11 +40,6 @@ from .problems import (
 )
 from .seeding import seed_split
 
-SUBCOMMANDS = (
-    "run", "verify-descent", "verify-expectation", "verify-anytime",
-    "ode-compare", "concentration", "smoothness", "constants",
-)
-
 _DEFAULTS = {
     "problem": "quadratic",
     "dim": "10",
@@ -248,8 +243,6 @@ def cmd_verify_descent(cfg: dict, out: Path) -> list[dict]:
 
 
 def cmd_verify_expectation(cfg: dict, out: Path) -> list[dict]:
-    if cfg["runs"] < 2:
-        raise ConfigError("verify-expectation needs runs >= 2 to estimate a standard error")
     obj = build_problem(cfg)
     noise = build_noise(cfg, obj.dim)
     rep = stats.expectation_rate_check(obj, noise, cfg["steps"], cfg["runs"],
@@ -377,7 +370,11 @@ _HANDLERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first invocation of the process and reused:
+    building it costs about as much as the rest of a small invocation's
+    fixed cost, and ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="sgdmlab",
         description="Numerical verification lab for a momentum-SGD method: "
@@ -385,24 +382,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "coverage experiments, and ODE/SDE comparisons.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in _HANDLERS:
         sp = sub.add_parser(name)
         sp.add_argument("--config")
         # each flag sets the config key of its name and parses as that key does
         for key in ("seed", "out", "workers", "beta", "steps", "runs", "eta_grid", "p",
                     "alpha", "t0", "t", "dt"):
-            kind = int if key in _INTS else None if key in _STRINGS + _LISTS else float
-            sp.add_argument("--" + key.replace("_", "-"), type=kind, help=(
+            sp.add_argument("--" + key.replace("_", "-"), help=(
                 "accepted for existing configs; has no effect" if key == "workers" else None))
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first invocation of the process and reused:
-    building it costs about as much as the rest of a small invocation's
-    fixed cost, and ``parse_args`` keeps no state between calls."""
-    return build_parser()
 
 
 # every file a subcommand may write into its output directory

@@ -252,13 +252,18 @@ def sde_sample_paths(
     one pass by ``rngs_for``, and none are built when ``noise_scale`` is 0.
     Raises ``ValueError`` unless eta is positive, T >= T0 and ``T0`` and
     ``T`` both lie on the grid t_k = k eta, k >= 1, so the paths cover
-    exactly [T0, T], and if ``X`` would keep more than ``GRID_CAP`` values;
+    exactly [T0, T], if T**1.5 overflows (above about 3.2e205) and if ``X``
+    would keep more than ``GRID_CAP`` values;
     ``FloatingPointError`` names the first grid time whose X or V is not
     finite, and the paths it hit."""
     if not eta > 0:
         raise ValueError(f"eta must be positive (got eta={eta:g})")
     if T < T0:
         raise ValueError(f"the window [{T0:g}, {T:g}] ends before it starts (T < T0)")
+    try:  # the coefficients' t_k**1.5 are Python floats, which raise on overflow
+        float(T) ** 1.5
+    except OverflowError:
+        raise ValueError(f"T={T:g} is too large: T**1.5 overflows") from None
     k0 = _exact_steps(T0, eta, f"T0={T0:g}", f"eta={eta:g}")
     kT = _exact_steps(T, eta, f"T={T:g}", f"eta={eta:g}")
     n = kT - k0

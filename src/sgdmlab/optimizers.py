@@ -244,11 +244,15 @@ class EnsembleTrace(AbstractContextManager):
         """Run the stream to its end and return the named block fields as full
         arrays: ``f_gap`` and ``energy`` (K+1, M) by k = 0..K, the step fields
         (K, M) by steps k = 1..K; with no names, only drain it. A stream
-        iterated before raises ``ValueError``."""
+        iterated before raises ``ValueError``, and so, before any step, do
+        names whose arrays would keep more than :data:`GRID_CAP` values."""
         if not set(names) <= set(_Block._fields[2:]):
             raise ValueError(f"unknown field name(s) in {names}")
         if inspect.getgeneratorstate(self._blocks) != inspect.GEN_CREATED:
             raise ValueError("collect needs a stream that was not iterated before")
+        if len(names) * (self.K + 1) * self.M > GRID_CAP:
+            raise ValueError(f"{len(names)} field(s) of K={self.K} steps and M={self.M} runs "
+                             f"would keep more than {GRID_CAP} values")
         out = [np.empty((self.K + (name in ("f_gap", "energy")), self.M)) for name in names]
         with self:
             for b in self:
@@ -348,7 +352,7 @@ def run_ensemble(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: i
     g_seg = grad_seg if grad_seg is None or not noisy else np.empty((seg, M, d))
     # buffer row i holds block row lo + i; the first block also holds row
     # 0, x_{k_start-1}, which no step reaches and whose step fields are unset
-    cap = min(max(seg, _BLOCK_VALUES // M), K) + 1
+    cap = min(max(seg, _BLOCK_ELEMENTS // M), K) + 1
     f_gap, energy, theta_sq, theta_tau, grad_sq, descent_rhs = (
         np.empty((cap, M)) if name in record else None
         for name in ("f_gap", "energy", "theta", "theta", "descent", "descent"))
@@ -495,11 +499,10 @@ def run_ensemble(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: i
     return trace
 
 
-# steps x runs x dim elements of the iterates kept per segment, enough to
-# amortize the per-segment calls
+# the steps x runs x dim elements of the iterates a segment keeps, and the
+# steps x runs values per field of an evaluated block a stream yields: each
+# enough to amortize the calls made once per segment or per block
 _BLOCK_ELEMENTS = 1 << 15
-# steps x runs values per field of an evaluated block that a stream yields
-_BLOCK_VALUES = 1 << 15
 
 
 def _nonfinite(k0: int, what: Callable[[int], tuple[str, str]],

@@ -11,7 +11,7 @@ from typing import Iterable
 import numpy as np
 
 from ._csv import write_csv
-from .optimizers import StepSchedule, run_ensemble, sgdm_noise_multiplier
+from .optimizers import GRID_CAP, StepSchedule, run_ensemble, sgdm_noise_multiplier
 from .problems import NoiseModel, Objective
 
 __all__ = [
@@ -152,10 +152,16 @@ def _late_gaps(obj: Objective, noise: NoiseModel, schedule: StepSchedule, K: int
     (K - start + 1, M), for K >= 3. Steps before the quarter call the
     gradient alone, and the quarter continues them on the same generators,
     so the rows equal those of one stream recording ``f_gap`` over all K
-    steps."""
+    steps. Raises ``ValueError`` if the rows would keep more than
+    ``GRID_CAP`` values: after the head's own checks, so that an M over the
+    run cap is reported as such, and before any step."""
     start = _quarter_start(K)
     head = run_ensemble(obj, noise, schedule, K=start - 1, M=M, master_seed=master_seed,
                         record=(), **kw)
+    rows = K - start + 2  # k = start - 1 .. K, before the first is dropped
+    if rows * M > GRID_CAP:
+        raise ValueError(f"the last quarter's f_gap, {rows} rows of M={M} runs, would keep "
+                         f"more than {GRID_CAP} values")
     head.collect()
     tail = run_ensemble(obj, noise, schedule, K=K - start + 1, M=M, master_seed=master_seed,
                         k_start=start, x0=head.x_cur_final, x_prev0=head.x_prev_final,

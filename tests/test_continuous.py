@@ -305,6 +305,13 @@ class TestSde:
                                              r"starts \(T < T0\)$"):
             sde_sample_paths(obj, 0.1, 1.0, T, 2, 0, np.ones(1), np.zeros(1))
 
+    def test_rejects_a_window_whose_coefficients_overflow(self):
+        """Python's t**1.5 overflows above about 3.185e205: such a T is refused
+        with a ValueError that names it, not an OverflowError."""
+        obj = quadratic_new(np.eye(1))
+        with pytest.raises(ValueError, match=r"^T=2e\+300 is too large: T\*\*1.5 overflows$"):
+            sde_sample_paths(obj, 1e300, 1e300, 2e300, 2, 0, np.ones(1), np.zeros(1))
+
     def test_transient_memory_is_one_block(self):
         """Beyond the X path it returns, the workload-size call holds about
         one block of velocities and increments (1.2 MB); keeping the whole

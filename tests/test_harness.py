@@ -333,9 +333,29 @@ def assert_one_line_config_error(capsys):
 
 class TestFailureSemantics:
     def test_expectation_needs_two_runs(self, tmp_path, capsys):
+        """The library's rule, reported as every library ValueError is."""
         out = tmp_path / "o"
         assert main(["verify-expectation", "--out", str(out), "--steps", "50"]) == 2
-        assert_one_line_config_error(capsys)
+        assert capsys.readouterr().err == ("config error: M must be >= 2: a standard error "
+                                           "needs at least two runs\n")
+        assert not (out / "verdict.json").exists()
+
+    @pytest.mark.parametrize("form", ["flag", "flag=", "ini"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("steps", "abc", "invalid literal for int() with base 10: 'abc'"),
+        ("seed", "1.5", "invalid literal for int() with base 10: '1.5'"),
+        ("steps", "1e3", "invalid literal for int() with base 10: '1e3'"),
+        ("dt", "x", "could not convert string to float: 'x'"),
+    ])
+    def test_value_that_does_not_parse_as_its_key_exits_2(self, tmp_path, capsys, form, key,
+                                                          value, message):
+        """A flag reaches load_config as a string and parses as its key's INI
+        value does, so all three forms print the same one line."""
+        args = {"flag": [f"--{key}", value], "flag=": [f"--{key}={value}"],
+                "ini": ["--config", str(self._ini(tmp_path, f"{key} = {value}"))]}[form]
+        out = tmp_path / "o"
+        assert main(["run", "--out", str(out)] + args) == 2
+        assert capsys.readouterr().err == f"config error: invalid config value: {message}\n"
         assert not (out / "verdict.json").exists()
 
     @pytest.mark.parametrize("flag", [["--alpha", "3"], ["--eta-grid", "1.0"], ["--eta-grid", ""],
@@ -367,6 +387,18 @@ class TestFailureSemantics:
         assert main([sub, "--out", str(out), "--runs", "100000000", "--steps", "10"]) == 2
         assert capsys.readouterr().err == ("config error: M=100000000 runs would keep more "
                                            "than 67108864 values\n")
+        assert not (out / "verdict.json").exists()
+
+    def test_smoothness_quarter_over_the_cap_exit_2(self, tmp_path, capsys):
+        """At dim = 10, 6 000 runs pass the run cap, but the last quarter of
+        400 000 steps would keep a (100 002, 6 000) f_gap array, 4.8 GB:
+        refused before the first step."""
+        out = tmp_path / "o"
+        assert main(["smoothness", "--out", str(out), "--runs", "6000",
+                     "--steps", "400000"]) == 2
+        assert capsys.readouterr().err == ("config error: the last quarter's f_gap, 100002 "
+                                           "rows of M=6000 runs, would keep more than "
+                                           "67108864 values\n")
         assert not (out / "verdict.json").exists()
 
     @pytest.mark.parametrize("sub, line, message", [
@@ -838,6 +870,30 @@ _SAMPLING_VALUES = st.fixed_dictionaries({
 })
 
 
+# flag values in the ``--key=value`` form, so that argparse reads none as an
+# option: a key's usual values, and strings that do not parse as the key
+_NOT_FLOATS = ("x", "1e400", "")
+_NOT_INTS = ("abc", "1.5", "1e3") + _NOT_FLOATS
+
+
+def _flag(key, usual, bad=_NOT_FLOATS):
+    return st.sampled_from(usual + bad).map(lambda value: f"--{key}={value}")
+
+
+_FLAGS = st.lists(st.one_of(
+    _flag("steps", ("1", "5", "50"), _NOT_INTS),
+    _flag("runs", ("1", "2", "4"), _NOT_INTS),
+    _flag("seed", ("0", "2147483647"), _NOT_INTS),
+    _flag("beta", ("0.05", "0.5")),
+    _flag("p", ("1.0", "2.0")),
+    _flag("alpha", ("1.5", "3.0")),
+    _flag("t0", ("1.0",)),
+    _flag("t", ("1.5", "2.0")),
+    _flag("dt", ("0.01", "0.003")),
+    _flag("eta-grid", ("0.1,0.05", "0.03")),
+), max_size=2)
+
+
 def assert_cli_contract(sub, values, argv):
     """Run ``sub`` on an INI of ``values``: the README's contract. A
     documented exit code; a strict-JSON verdict and an empty stderr on exit
@@ -865,28 +921,36 @@ def assert_cli_contract(sub, values, argv):
 
 class TestCliProperties:
     @given(sub=st.sampled_from(_QUICK_SUBCOMMANDS), values=_INI_VALUES,
-           steps=st.integers(1, 50), runs=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
+           steps=st.integers(1, 50), runs=st.integers(1, 4), seed=st.integers(0, 2**31 - 1),
+           flags=_FLAGS)
     # a spread of 1e300-sized gaps overflowed in ensemble_summary; a
     # log power 1 + 5e-324 rounded to 1 and divided by zero in the gamma
     # tail; an ODE with p = 1e12 warned on every overflowing RK4 stage
-    @example(sub="run", values={"dim": 1, "scale": 1e300}, steps=2, runs=2, seed=0)
+    @example(sub="run", values={"dim": 1, "scale": 1e300}, steps=2, runs=2, seed=0, flags=[])
     @example(sub="verify-anytime", values={"schedule": "epsilon_log", "epsilon": 5e-324},
-             steps=5, runs=2, seed=0)
-    @example(sub="ode-compare", values={"p": 1e12}, steps=1, runs=2, seed=0)
+             steps=5, runs=2, seed=0, flags=[])
+    @example(sub="ode-compare", values={"p": 1e12}, steps=1, runs=2, seed=0, flags=[])
     # and overflows in the check values: an excess over a zero standard
     # error, a descent tolerance tol (1 + |E|), a noise multiplier ratio over
     # an SGD gain that underflows
     @example(sub="verify-expectation", values={"dim": 1, "noise_var": 0.0, "c": 1e12},
-             steps=2, runs=2, seed=0)
+             steps=2, runs=2, seed=0, flags=[])
     @example(sub="verify-descent", values={"dim": 1, "scale": 1e300, "tol": 1e12,
-                                           "noise_var": 0.01}, steps=1, runs=1, seed=0)
+                                           "noise_var": 0.01}, steps=1, runs=1, seed=0, flags=[])
     @example(sub="smoothness", values={"dim": 1, "scale": 1e-3, "noise_var": 0.01,
-                                       "sgd_scale": 5e-324}, steps=5, runs=1, seed=0)
+                                       "sgd_scale": 5e-324}, steps=5, runs=1, seed=0, flags=[])
+    # a flag value that argparse's own int or float parse refused printed
+    # its usage block
+    @example(sub="run", values={}, steps=1, runs=1, seed=0, flags=["--steps=abc"])
+    @example(sub="run", values={}, steps=1, runs=1, seed=0, flags=["--seed=1.5"])
+    @example(sub="run", values={}, steps=1, runs=1, seed=0, flags=["--steps=1e3"])
+    @example(sub="run", values={}, steps=1, runs=1, seed=0, flags=["--dt=x"])
     @settings(max_examples=400, deadline=None, derandomize=True)
-    def test_exit_code_verdict_and_stderr(self, sub, values, steps, runs, seed):
-        """Any small config, extreme floats included, keeps the contract."""
+    def test_exit_code_verdict_and_stderr(self, sub, values, steps, runs, seed, flags):
+        """Any small config and flags, extreme floats and values that do not
+        parse included, keep the contract."""
         assert_cli_contract(sub, values, ["--steps", str(steps), "--runs", str(runs),
-                                          "--seed", str(seed)])
+                                          "--seed", str(seed)] + flags)
 
     @given(sub=st.sampled_from(["concentration", "constants"]), values=_SAMPLING_VALUES,
            seed=st.integers(0, 2**31 - 1))

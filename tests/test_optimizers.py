@@ -515,6 +515,20 @@ class TestRunEnsemble:
                                              "values$"):
             run_ensemble(obj, noise, sched, K=K, M=M + 1, master_seed=0)
 
+    def test_collect_refuses_arrays_over_the_cap_before_a_step(self):
+        """f_gap of K = 100 000 steps and M = 700 runs would keep 7.0e7
+        values, over GRID_CAP: refused at the call, before any oracle call."""
+        def stepped(x):
+            raise AssertionError("a step was taken")
+
+        obj = replace(quadratic_new(np.eye(1)), grad=stepped, value_and_grad=stepped)
+        stream = run_ensemble(obj, NoiseModel.noiseless(1),
+                              StepSchedule(kind="constant", scale=0.1), K=100_000, M=700,
+                              master_seed=0)
+        with pytest.raises(ValueError, match=f"^1 field\\(s\\) of K=100000 steps and M=700 "
+                                             f"runs would keep more than {GRID_CAP} values$"):
+            stream.collect("f_gap")
+
     def test_validation(self):
         obj = quadratic_new(np.eye(2))
         noise = NoiseModel.noiseless(2)
