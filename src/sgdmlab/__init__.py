@@ -36,7 +36,6 @@ from .optimizers import (
 from .problems import (
     NoiseModel,
     Objective,
-    fstar_refine,
     load_csv_dataset,
     logreg_new,
     quadratic_new,

@@ -5,9 +5,9 @@ machine-readable ``verdict.json`` into the output directory.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 config error
 (including a ``ValueError`` raised by the library on the resolved values, and
-a logistic optimum that :func:`~sgdmlab.problems.fstar_refine` cannot reach),
-3 divergence: an iterate or ODE state left the finite range, or a recorded
-gap or energy did while the iterates stayed finite, reported on one
+a logistic dataset on which :func:`~sgdmlab.problems.logreg_new` certifies no
+minimizer), 3 divergence: an iterate or ODE state left the finite range, or a
+recorded gap or energy did while the iterates stayed finite, reported on one
 ``diverged: ...`` line that names the run(s) and the first non-finite step.
 """
 
@@ -52,7 +52,8 @@ _DEFAULTS = {
     "noise": "gaussian",
     "noise_var": "1.0",
     "steps": "1000",
-    "runs": "1",
+    # per subcommand, "" for the rest: verify-expectation's stderr needs two runs
+    "runs": {"": "1", "verify-expectation": "50"},
     "seed": "0",
     "out": "out",
     "workers": "1",
@@ -89,7 +90,8 @@ class ConfigError(Exception):
 def load_config(subcommand: str, path: str | None, overrides: dict) -> dict:
     """Merge defaults <- [common] section <- subcommand section <- CLI flags,
     with type validation. Returns a plain dict of resolved values."""
-    raw = dict(_DEFAULTS)
+    raw = {k: v.get(subcommand, v[""]) if isinstance(v, dict) else v
+           for k, v in _DEFAULTS.items()}
     if path is not None:
         cp = configparser.ConfigParser()
         read = cp.read(path)
@@ -439,7 +441,7 @@ def main(argv=None) -> int:
         checks = _HANDLERS[args.subcommand](cfg, out)
     except (ConfigError, ValueError, OptimumNotReached) as exc:
         # library validation of the resolved values is a config error too,
-        # and so is a dataset whose optimum the refinement cannot reach
+        # and so is a dataset without a certified logistic minimizer
         return _fail("config error", exc, 2)
     except FloatingPointError as exc:
         return _fail("diverged", exc, 3)

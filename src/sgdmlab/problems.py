@@ -10,7 +10,7 @@ ensemble runners vectorized across Monte-Carlo runs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,11 +20,12 @@ __all__ = [
     "NoiseModel",
     "quadratic_new",
     "logreg_new",
-    "fstar_refine",
     "OptimumNotReached",
     "synthetic_blobs",
     "load_csv_dataset",
 ]
+
+_NEWTON_STEPS = 100  # logreg_new certifies a minimizer of synthetic_blobs in 3-6 steps
 
 
 @dataclass(frozen=True)
@@ -32,13 +33,13 @@ class Objective:
     """A differentiable convex objective with exact gradient and reference optimum.
 
     ``lipschitz`` is the gradient Lipschitz constant; ``fstar``/``xstar`` are
-    the (possibly refined) minimal value and minimizer. ``value_and_grad``,
-    when given, returns ``(eval(x), grad(x))`` from one pass; a copy that
-    replaces ``eval`` or ``grad`` should replace or drop it too. Give one
-    only where the value shares costly work with the gradient:
-    :func:`~sgdmlab.optimizers.run_ensemble` calls it at every step of a run
-    that records ``f_gap``, and otherwise evaluates ``eval`` once per block
-    of stored iterates.
+    the minimal value and a minimizer (closed-form, or certified by Newton
+    steps in :func:`logreg_new`). ``value_and_grad``, when given, returns
+    ``(eval(x), grad(x))`` from one pass; a copy that replaces ``eval`` or
+    ``grad`` should replace or drop it too. Give one only where the value
+    shares costly work with the gradient: :func:`~sgdmlab.optimizers.run_ensemble`
+    calls it at every step of a run that records ``f_gap``, and otherwise
+    evaluates ``eval`` once per block of stored iterates.
     """
 
     dim: int
@@ -170,13 +171,17 @@ def quadratic_new(A: np.ndarray) -> Objective:
     )
 
 
+class OptimumNotReached(RuntimeError):
+    """:func:`logreg_new` found no minimizer: none exists, or none was certified."""
+
+
 def logreg_new(features: np.ndarray, labels: np.ndarray, refine_tol: float = 1e-10) -> Objective:
     """Average logistic loss over a binary dataset.
 
     f(b) = mean_i [ log(1 + exp(x_i^T b)) - y_i x_i^T b ], the negated
     average log-likelihood, so the task is a minimization. The smoothness
-    constant is lambda_max(X^T X) / (4 N). The reference optimum is filled by
-    :func:`fstar_refine` unless ``refine_tol`` is None.
+    constant is lambda_max(X^T X) / (4 N). The reference optimum is certified
+    by ``optimum`` below; ``refine_tol = None`` keeps f* = f(0) and x* = 0.
 
     The labels are folded into the features once: with s_i = 1 - 2 y_i,
     the rows of Xs are s_i x_i, and every oracle works from the signed
@@ -196,6 +201,8 @@ def logreg_new(features: np.ndarray, labels: np.ndarray, refine_tol: float = 1e-
         raise ValueError(f"got {N} feature rows but {y.shape[0]} labels")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must lie in {0, 1}")
+    if refine_tol is not None and not refine_tol > 0:
+        raise ValueError("refine_tol must be positive")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
         L = float(np.linalg.eigvalsh(X.T @ X)[-1]) / (4.0 * N)
     if not np.isfinite(L):
@@ -229,65 +236,57 @@ def logreg_new(features: np.ndarray, labels: np.ndarray, refine_tol: float = 1e-
         u, e = margins(beta)
         return value(u, e), gradient(u, e)
 
-    obj = Objective(
-        dim=d,
-        eval=f,
-        grad=g,
-        lipschitz=L,
-        fstar=float(f(np.zeros(d))),
-        xstar=np.zeros(d),
-        value_and_grad=fg,
-    )
-    if refine_tol is not None:
-        fstar, xstar = fstar_refine(obj, refine_tol)
-        obj = replace(obj, fstar=fstar, xstar=xstar)
-    return obj
+    def optimum() -> tuple[float, np.ndarray]:
+        """Damped Newton steps from b = 0 with Armijo backtracking, in the
+        row space of Xs = U S V^T: each step is Xs^T a, so b keeps 0 in an
+        all-zero column and equal entries in duplicated ones. In z = S V^T b
+        the Hessian is Hz = U^T diag(e / (1 + e)^2) U / N <= I / (4 N). b is
+        accepted once ||g|| <= refine_tol and 2 R nu <= sqrt(lambda_min), for
+        R = max_i ||x_i||, nu^2 = g^T H^+ g and lambda_min >= min(S)^2 times
+        Hz's least eigenvalue, all of whose eigenvalues must exceed
+        sqrt(eps) / (4 N) so that rounding does not decide. This proves that a
+        minimizer exists: phi(t) = log(1 + e^t) has |phi'''| <= phi'', so on a
+        unit ray b + t v of the row space h(t) = f(b + t v) has h''(t) >=
+        e^{-R t} q for q = v^T H v, and h'(t) >= -nu sqrt(q) + (1 - e^{-R t})
+        q / R, whose limit is positive uniformly in v once nu R <
+        sqrt(lambda_min); the factor 2 is slack for rounding. Refused: an
+        iterate with every signed margin below 0 (separable data: inf f = 0 is
+        not attained), and no certificate in ``_NEWTON_STEPS`` steps.
+        """
+        u, e = margins(b := np.zeros(d))
+        fb = value(u, e)
+        if refine_tol is None or not X.any():  # all-zero features: f is constant
+            return float(fb), b
+        eps, (U, S, Vt) = np.finfo(float).eps, np.linalg.svd(Xs, full_matrices=False)
+        r = int(np.sum(S > S[0] * max(N, d) * eps))
+        U, S, Vt, Sn = U[:, :r], S[:r], Vt[:r], S[:r] / S[0]  # Sn, Rn: no underflow
+        Rn = np.sqrt(np.einsum("ij,ij->i", X, X).max()) / S[0]
+        for _ in range(_NEWTON_STEPS):
+            if np.all(u < 0.0):
+                raise OptimumNotReached(
+                    f"the dataset is separable: every signed margin is negative at b = "
+                    f"{np.round(b, 3)}, so the logistic loss has no minimizer (inf f = 0)")
+            grad = gradient(u, e)
+            lam, Q = np.linalg.eigh((U.T * (e / (1.0 + e) ** 2)) @ U / N)  # H in z = S V^T b
+            c = Q.T @ ((Vt @ grad) / S)  # the gradient in z, in that eigenbasis
+            trusted = lam > np.sqrt(eps) / (4.0 * N)
+            dc = np.divide(c, lam, out=np.zeros(r), where=trusted)
+            nu2 = c @ dc
+            if (trusted.all() and np.linalg.norm(grad) <= refine_tol
+                    and 4.0 * Rn * Rn * nu2 <= lam[0] * Sn[-1] ** 2):
+                return float(fb), b
+            step, t = _dot(U @ ((Q @ dc) / (S * Sn)), Xs) / S[0], 1.0  # V S^-1 dz = Xs^T a
+            while f(b - t * step) > fb - 0.25 * t * nu2 + 4.0 * eps * fb:  # 4 ulps: f's rounding
+                t /= 2.0
+            u, e = margins(b := b - t * step)
+            fb = value(u, e)
+        raise OptimumNotReached(
+            f"no logistic minimizer certified within {_NEWTON_STEPS} Newton steps (|b| = "
+            f"{np.linalg.norm(b):.3g}): the dataset may be quasi-completely separable")
 
-
-class OptimumNotReached(RuntimeError):
-    """:func:`fstar_refine` did not reach its gradient tolerance: the optimum
-    may not exist (a logistic problem on separable data) or be out of reach
-    at that tolerance."""
-
-
-def fstar_refine(
-    obj: Objective, tol: float, max_iter: int = 200_000
-) -> tuple[float, np.ndarray]:
-    """Refine (f*, x*) by accelerated full-gradient descent.
-
-    Uses the 1/L step with Nesterov extrapolation and gradient-based
-    adaptive restarts, which handles the poorly conditioned logistic
-    problems that plain gradient descent stalls on. Returns the analytic
-    optimum unchanged when it already satisfies the tolerance
-    (quadratics). Raises :class:`OptimumNotReached` if ``||grad|| > tol``
-    persists after ``max_iter`` iterations.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    x = np.array(obj.xstar, dtype=float)
-    if np.linalg.norm(obj.grad(x)) <= tol:
-        return float(obj.eval(x)), x
-    step = 1.0 / max(obj.lipschitz, 1e-12)
-    y = x.copy()
-    t = 1.0
-    for _ in range(max_iter):
-        gy = obj.grad(y)
-        x_new = y - step * gy
-        if float(gy @ (x_new - x)) > 0.0:
-            # extrapolation overshot: restart the momentum sequence
-            t = 1.0
-            x_new = x - step * obj.grad(x)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        t = t_new
-        x = x_new
-        if np.linalg.norm(obj.grad(x)) <= tol:
-            return float(obj.eval(x)), x
-    raise OptimumNotReached(
-        f"optimum refinement did not reach ||grad|| <= {tol:g} "
-        f"within {max_iter} iterations (current {np.linalg.norm(obj.grad(x)):.3e}); "
-        "the optimum may not exist (separable data) or be out of reach at this tolerance"
-    )
+    fstar, xstar = optimum()
+    return Objective(dim=d, eval=f, grad=g, lipschitz=L, fstar=fstar, xstar=xstar,
+                     value_and_grad=fg)
 
 
 def synthetic_blobs(n_samples: int, dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import io
 import json
 import math
@@ -123,6 +122,13 @@ class TestCliSubcommands:
                 first["beta"], first["dt"]) == ("run", 3, 2, 9, 0.2, 0.001)
         assert (second["subcommand"], second["steps"], second["runs"], second["seed"],
                 second["beta"], second["dt"]) == ("constants", 1000, 1, 0, 0.05, 0.01)
+
+    @pytest.mark.parametrize("sub", list(cli._HANDLERS))
+    def test_every_subcommand_runs_at_its_defaults(self, tmp_path, sub):
+        out = tmp_path / "o"
+        assert main([sub, "--out", str(out)]) in (0, 1)
+        verdict = strict_json(out / "verdict.json")
+        assert verdict["subcommand"] == sub and verdict["checks"]
 
     def test_run_single_trajectory_one_row(self, tmp_path):
         out = tmp_path / "o"
@@ -335,7 +341,8 @@ class TestFailureSemantics:
     def test_expectation_needs_two_runs(self, tmp_path, capsys):
         """The library's rule, reported as every library ValueError is."""
         out = tmp_path / "o"
-        assert main(["verify-expectation", "--out", str(out), "--steps", "50"]) == 2
+        assert main(["verify-expectation", "--out", str(out), "--steps", "50",
+                     "--runs", "1"]) == 2
         assert capsys.readouterr().err == ("config error: M must be >= 2: a standard error "
                                            "needs at least two runs\n")
         assert not (out / "verdict.json").exists()
@@ -470,20 +477,33 @@ class TestFailureSemantics:
                      "--steps", "40", "--runs", "2"]) == 2
         assert "stochastic noise model" in assert_one_line_config_error(capsys)
 
-    def test_unreachable_logistic_optimum_is_a_config_error(self, tmp_path, capsys,
-                                                           monkeypatch):
-        # separable data: the loss has no minimizer, so ||grad|| never reaches
-        # the tolerance; a short refinement stands in for the 200 000 iterations
-        data = tmp_path / "separable.csv"
-        data.write_text("y,x1,x2\n1,1,0\n1,2,1\n0,-1,0\n0,-2,-1\n")
-        monkeypatch.setattr(problems, "fstar_refine",
-                            functools.partial(problems.fstar_refine, max_iter=50))
+    def test_unreachable_logistic_optimum_is_a_config_error(self, tmp_path, capsys):
+        """Separable data: the loss has no minimizer, and a Newton iterate
+        that gives every sample a negative signed margin proves it."""
+        four, two = tmp_path / "four.csv", tmp_path / "two.csv"
+        four.write_text("y,x1,x2\n1,1,0\n1,2,1\n0,-1,0\n0,-2,-1\n")
+        two.write_text("y,x1\n1,1\n0,-1\n")
         out = tmp_path / "o"
-        assert main(["run", "--out", str(out), "--steps", "5", "--runs", "1",
+        for sub, lines in [("run", (f"problem = csv:{four}",)),
+                           ("run", (f"problem = csv:{two}",)),
+                           ("smoothness", ("problem = logreg", "n_samples = 22", "dim = 2"))]:
+            assert main([sub, "--out", str(out), "--steps", "40", "--runs", "2",
+                         "--config", str(self._ini(tmp_path, *lines))]) == 2
+            err = assert_one_line_config_error(capsys)
+            assert err.startswith("config error: the dataset is separable")
+            assert not (out / "verdict.json").exists()
+
+    def test_quasi_separable_dataset_is_refused_at_the_newton_step_cap(self, tmp_path,
+                                                                      capsys):
+        """Quasi-complete separation: no b makes every margin negative, yet the
+        loss has no minimizer; its gradient still tends to 0 as |b| grows."""
+        data = tmp_path / "quasi.csv"
+        data.write_text("y,x1,x2\n1,1,0\n0,-1,0\n1,0,1\n0,0,1\n1,0,-1\n0,0,0.5\n")
+        out = tmp_path / "o"
+        assert main(["run", "--out", str(out), "--steps", "5",
                      "--config", str(self._ini(tmp_path, f"problem = csv:{data}"))]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: optimum refinement did not reach")
-        assert err.count("\n") == 1 and "within 50 iterations" in err
+        err = assert_one_line_config_error(capsys)
+        assert f"within {problems._NEWTON_STEPS} Newton steps" in err
         assert not (out / "verdict.json").exists()
 
     @staticmethod
@@ -597,14 +617,14 @@ class TestFailureSemantics:
             self, tmp_path, capsys, monkeypatch, rows, message):
         data = tmp_path / "data.csv"
         data.write_text("y,x1\n" + rows)
-        refined = []
-        monkeypatch.setattr(problems, "fstar_refine", lambda *a, **k: refined.append(a))
+        oracle_calls = []  # refused before the first oracle call, and so before Newton's
+        monkeypatch.setattr(problems, "_dot", lambda *a: oracle_calls.append(a))
         out = tmp_path / "o"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["run", "--config", str(self._ini(tmp_path, f"problem = csv:{data}")),
                          "--steps", "10", "--out", str(out)])
-        assert code == 2 and caught == [] and refined == []
+        assert code == 2 and caught == [] and oracle_calls == []
         assert message in assert_one_line_config_error(capsys)
         assert not (out / "verdict.json").exists()
 

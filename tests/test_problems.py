@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdmlab.problems import (
+    _NEWTON_STEPS,
     NoiseModel,
     OptimumNotReached,
-    fstar_refine,
     load_csv_dataset,
     logreg_new,
     quadratic_new,
@@ -118,10 +118,12 @@ class TestLogreg:
         assert obj.fstar == pytest.approx(loss, abs=1e-10)
         assert obj.xstar[0] == pytest.approx(b, abs=1e-6)
 
-    def test_refined_optimum_has_small_gradient(self):
-        X, y = synthetic_blobs(60, 5, seed=7)
-        obj = logreg_new(X, y)
+    @pytest.mark.parametrize("n, d, seed", [(60, 5, 7), (500, 10, 1), (200, 10, 1),
+                                            (200, 10, 0), (40, 3, 5), (80, 1, 3)])
+    def test_refined_optimum_has_small_gradient(self, n, d, seed):
+        obj = logreg_new(*synthetic_blobs(n, d, seed))
         assert np.linalg.norm(obj.grad(obj.xstar)) <= 1e-10
+        assert obj.fstar == obj.eval(obj.xstar)
 
     def test_smoothness_constant_bounds_hessian(self):
         X, y = synthetic_blobs(40, 3, seed=9)
@@ -296,24 +298,58 @@ class TestProductsMatchMatmul:
         self.assert_oracles_equal(obj, beta, f_ref, g_ref)
 
 
-class TestFstarRefine:
-    def test_quadratic_optimum_returned_unchanged(self):
-        obj = quadratic_new(random_spd(3, 11))
-        fstar, xstar = fstar_refine(obj, 1e-10)
-        assert fstar == 0.0
-        np.testing.assert_array_equal(xstar, np.zeros(3))
-
+class TestLogisticOptimum:
     def test_invalid_tolerance(self):
-        obj = quadratic_new(np.eye(2))
-        with pytest.raises(ValueError):
-            fstar_refine(obj, 0.0)
+        with pytest.raises(ValueError, match="refine_tol"):
+            logreg_new(*synthetic_blobs(20, 2, seed=0), refine_tol=0.0)
 
-    def test_separable_data_raises_its_own_error(self):
-        # no finite minimizer: the gradient norm decays but never reaches tol
-        X = np.array([[1.0, 0.0], [2.0, 1.0], [-1.0, 0.0], [-2.0, -1.0]])
-        obj = logreg_new(X, np.array([1.0, 1.0, 0.0, 0.0]), refine_tol=None)
-        with pytest.raises(OptimumNotReached, match="within 50 iterations"):
-            fstar_refine(obj, 1e-10, max_iter=50)
+    @pytest.mark.parametrize("X, y", [
+        ([[1.0, 0.0], [2.0, 1.0], [-1.0, 0.0], [-2.0, -1.0]], [1.0, 1.0, 0.0, 0.0]),
+        ([[1.0], [-1.0]], [1.0, 0.0]),
+    ], ids=["four-row", "two-row"])
+    def test_separable_data_raises_its_own_error(self, X, y):
+        # no finite minimizer: the gradient tends to 0 as |b| grows, and an
+        # iterate that puts every sample on the side of its label proves it
+        with pytest.raises(OptimumNotReached, match="the dataset is separable") as info:
+            logreg_new(np.array(X), np.array(y))
+        b = np.array(str(info.value).split("[")[1].split("]")[0].split(), dtype=float)
+        z = np.array(X) @ b
+        assert np.all(np.where(np.array(y) == 1.0, z > 0.0, z < 0.0))
+
+    @pytest.mark.parametrize("X, y", [
+        ([[1, 0], [-1, 0], [0, 1], [0, 1], [0, -1], [0, 0.5]], [1, 0, 1, 0, 1, 0]),
+        # the Hessian's least eigenvalue decays below rounding as x_1 -> -inf
+        ([[-1, 0], [1, 0], [0, 3], [0, -2]], [1, 0, 0, 0]),
+        # an all-zero row keeps a margin of 0; the other rows are separable
+        ([[0, 0], [-2, -2], [2, 2]], [1, 0, 1]),
+    ], ids=["two-axes", "fading-curvature", "zero-row"])
+    def test_quasi_separable_data_stops_at_the_step_cap(self, X, y):
+        """No minimizer, and no b with every margin negative: the gradient
+        tends to 0 along a ray, but no iterate may be certified, even at a
+        tolerance met where a curvature is too small to resolve."""
+        for tol in (1e-10, 1e-4):
+            with pytest.raises(OptimumNotReached, match=f"within {_NEWTON_STEPS} Newton steps"):
+                logreg_new(np.array(X, dtype=float), np.array(y, dtype=float), refine_tol=tol)
+
+    def test_rank_deficient_features(self):
+        """A duplicated column splits its weight in two equal halves, and an
+        all-zero column keeps weight 0; the loss at the optimum stays."""
+        X, y = synthetic_blobs(200, 3, seed=4)
+        base = logreg_new(X, y)
+        dup = logreg_new(np.column_stack([X, X[:, 1]]), y)
+        zero = logreg_new(np.column_stack([X, np.zeros(200)]), y)
+        for obj in (dup, zero):
+            assert abs(obj.fstar - base.fstar) <= 1e-15
+        assert dup.xstar[1] == dup.xstar[3] and zero.xstar[3] == 0.0
+        half = base.xstar[1] / 2.0
+        np.testing.assert_allclose(dup.xstar, [base.xstar[0], half, base.xstar[2], half],
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(zero.xstar[:3], base.xstar, rtol=0.0, atol=1e-12)
+
+    def test_all_zero_features_keep_the_origin(self):
+        obj = logreg_new(np.zeros((4, 2)), np.array([1.0, 0.0, 1.0, 0.0]))
+        assert obj.fstar == np.log(2.0)
+        np.testing.assert_array_equal(obj.xstar, np.zeros(2))
 
 
 class TestNoiseModel:
