@@ -251,9 +251,12 @@ def cmd_verify_expectation(cfg: dict, out: Path) -> list[dict]:
                                        cfg["seed"], c=cfg["c"])
     stats.save_ensemble_csv(out / "ensemble.csv", rep["summary"])
     with np.errstate(over="ignore"):  # a zero stderr may overflow it: written as null
-        excess = np.max((rep["mean"] - rep["bound"]) / np.maximum(rep["stderr"], 1e-300))
-    check = _check("max_excess_stderr_units", rep["passed"], excess, stats.EXPECTATION_STDERRS)
-    return [dict(check, first_failure_k=rep["first_failure_k"])]
+        excess = (rep["mean"] - rep["bound"]) / np.maximum(rep["stderr"], 1e-300)
+    worst = int(np.argmax(excess))
+    check = _check("max_excess_stderr_units", rep["passed"], excess[worst],
+                   stats.EXPECTATION_STDERRS)
+    return [dict(check, first_failure_k=rep["first_failure_k"],
+                 argmax_k=int(rep["checkpoints"][worst]))]
 
 
 def cmd_verify_anytime(cfg: dict, out: Path) -> list[dict]:
@@ -279,10 +282,12 @@ def cmd_ode_compare(cfg: dict, out: Path) -> list[dict]:
     sol.to_csv(out / "ode.csv")
     rep = cont.ode_rate_check(sol, obj, params)
     checks = [
-        _check("energy_monotone", rep["energy_monotone"],
-               rep["max_energy_increase"], 1e-8 * rep["energy_T0"]),
+        dict(_check("energy_monotone", rep["energy_monotone"],
+                    rep["max_energy_increase"], 1e-8 * rep["energy_T0"]),
+             argmax_t=rep["max_energy_increase_t"]),
         dict(_check("rate_bound_holds", rep["rate_bound_holds"], None, None),
-             first_violation_t=rep["first_violation_t"]),
+             first_violation_t=rep["first_violation_t"], max_ratio=_finite(rep["max_ratio"]),
+             argmax_t=rep["max_ratio_t"]),
     ]
     table = np.array([[r["eta"], r["mean_sq_dist"], r["stderr"], r["runs"]] for r in rows])
     write_csv(out / "l2_table.csv", table, "eta,mean_sq_dist,stderr,runs")
@@ -320,11 +325,13 @@ def _observed_order(rows) -> tuple[float | None, float | None]:
 def cmd_concentration(cfg: dict, out: Path) -> list[dict]:
     checks = []
     for row in conc.mgf_lemma_check(cfg["lambda_grid"], cfg["mgf_samples"], cfg["seed"]):
-        checks.append(_check(f"mgf_lambda_{row['lambda']:g}", row["passed"],
-                             row["mean"], row["threshold"]))
+        check = _check(f"mgf_lambda_{row['lambda']:g}", row["passed"],
+                       row["mean"], row["threshold"])
+        checks.append(dict(check, stderr=_finite(row["stderr"]), n=cfg["mgf_samples"]))
     for row in conc.tail_lemma_check(cfg["omega_grid"], cfg["tail_samples"], cfg["seed"]):
-        checks.append(_check(f"tail_omega_{row['omega']:g}", row["passed"],
-                             row["fraction"], row["threshold"]))
+        check = _check(f"tail_omega_{row['omega']:g}", row["passed"],
+                       row["fraction"], row["threshold"])
+        checks.append(dict(check, stderr=_finite(row["stderr"]), n=cfg["tail_samples"]))
     return checks
 
 
@@ -335,8 +342,10 @@ def cmd_smoothness(cfg: dict, out: Path) -> list[dict]:
     rep = stats.smoothness_comparison(obj, noise, cfg["steps"], cfg["runs"],
                                       cfg["seed"], schedule=sched,
                                       sgd_scale=cfg["sgd_scale"])
-    return [_check("sgdm_median_below_sgd", rep["passed"],
-                   rep["median_var_sgdm"], rep["median_var_sgd"])]
+    check = _check("sgdm_median_below_sgd", rep["passed"],
+                   rep["median_var_sgdm"], rep["median_var_sgd"])
+    return [dict(check, noise_multiplier_ratio=_finite(rep["noise_multiplier_ratio"]),
+                 argmax_run=rep["argmax_run_sgdm"])]
 
 
 def cmd_constants(cfg: dict, out: Path) -> list[dict]:

@@ -201,21 +201,31 @@ def ode_rate_check(
 
         f(X(t)) - f* <= E(T0) / (2 (p+1) t^(2-alpha))
 
-    holds at every grid point. Reports the first violating grid point.
+    holds at every grid point. Reports the first violating grid point, the
+    largest ratio of the gap to the bound and its t (nan where a bound of 0
+    meets a gap of 0), and the t at which the energy rose the most above
+    its previous grid point (None on a one-point grid).
     ``obj`` is unused: ``sol.f_gap`` holds f(X) - f*."""
     _require_rate_hypotheses(params)
     e0 = sol.energy[0]
     increases = np.diff(sol.energy)
-    max_increase = float(np.max(increases)) if len(increases) else 0.0
+    rise = int(np.argmax(increases)) if len(increases) else None  # into t[rise + 1]
+    max_increase = 0.0 if rise is None else float(increases[rise])
     mono_ok = max_increase <= energy_tol * max(e0, 1e-300)
     bound = e0 / (2.0 * (params.p + 1.0) * sol.t ** (2.0 - params.alpha))
     viol = np.where(sol.f_gap > bound)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = sol.f_gap / bound
+    worst = int(np.argmax(ratio))
     return {
         "energy_T0": float(e0),
         "max_energy_increase": max_increase,
+        "max_energy_increase_t": None if rise is None else float(sol.t[rise + 1]),
         "energy_monotone": bool(mono_ok),
         "rate_bound_holds": bool(len(viol) == 0),
         "first_violation_t": float(sol.t[viol[0]]) if len(viol) else None,
+        "max_ratio": float(ratio[worst]),
+        "max_ratio_t": float(sol.t[worst]),
         "passed": bool(mono_ok and len(viol) == 0),
     }
 

@@ -250,22 +250,25 @@ def logreg_new(features: np.ndarray, labels: np.ndarray, refine_tol: float = 1e-
         e^{-R t} q for q = v^T H v, and h'(t) >= -nu sqrt(q) + (1 - e^{-R t})
         q / R, whose limit is positive uniformly in v once nu R <
         sqrt(lambda_min); the factor 2 is slack for rounding. Refused: an
-        iterate with every signed margin below 0 (separable data: inf f = 0 is
-        not attained), and no certificate in ``_NEWTON_STEPS`` steps.
+        iterate with the signed margin of every sample with a nonzero feature
+        below 0 (separable data: inf f is not attained; an all-zero sample's
+        margin is 0 at every b), and no certificate in ``_NEWTON_STEPS`` steps.
         """
         u, e = margins(b := np.zeros(d))
         fb = value(u, e)
-        if refine_tol is None or not X.any():  # all-zero features: f is constant
+        live = X.any(axis=1)  # the samples whose margin can move
+        if refine_tol is None or not live.any():  # all-zero features: f is constant
             return float(fb), b
         eps, (U, S, Vt) = np.finfo(float).eps, np.linalg.svd(Xs, full_matrices=False)
         r = int(np.sum(S > S[0] * max(N, d) * eps))
         U, S, Vt, Sn = U[:, :r], S[:r], Vt[:r], S[:r] / S[0]  # Sn, Rn: no underflow
         Rn = np.sqrt(np.einsum("ij,ij->i", X, X).max()) / S[0]
         for _ in range(_NEWTON_STEPS):
-            if np.all(u < 0.0):
+            if np.all(u[live] < 0.0):
                 raise OptimumNotReached(
-                    f"the dataset is separable: every signed margin is negative at b = "
-                    f"{np.round(b, 3)}, so the logistic loss has no minimizer (inf f = 0)")
+                    f"the dataset is separable: every nonzero sample's signed margin is "
+                    f"negative at b = {np.round(b, 3)}, so the logistic loss has no "
+                    f"minimizer (inf f is not attained)")
             grad = gradient(u, e)
             lam, Q = np.linalg.eigh((U.T * (e / (1.0 + e) ** 2)) @ U / N)  # H in z = S V^T b
             c = Q.T @ ((Vt @ grad) / S)  # the gradient in z, in that eigenbasis

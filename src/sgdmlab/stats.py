@@ -184,7 +184,8 @@ def smoothness_comparison(
     per-run variance of successive suboptimality increments over the last
     quarter of iterations; medians across runs are compared. Also reports
     the ratio of effective per-step noise multipliers at k = K as a
-    deterministic cross-check of why the gap appears.
+    deterministic cross-check of why the gap appears, and the run with the
+    largest momentum increment variance.
 
     Only the last quarter's gaps are evaluated: each ensemble runs its
     earlier steps on gradients alone and continues them, on the same
@@ -210,5 +211,6 @@ def smoothness_comparison(
         "median_var_sgdm": med_m,
         "median_var_sgd": med_s,
         "noise_multiplier_ratio": mult_ratio,
+        "argmax_run_sgdm": int(np.argmax(var_m)),
         "passed": bool(med_m < med_s),
     }

@@ -13,6 +13,7 @@ from sgdmlab.continuous import (
     FINITE_CHECK_BLOCK,
     SDE_BLOCK,
     OdeParams,
+    OdeSolution,
     l2_limit_estimate,
     ode_compare,
     ode_integrate,
@@ -196,6 +197,28 @@ class TestOdeRateCheck:
         sol = ode_integrate(obj, params, np.ones(4), np.zeros(4))
         rep = ode_rate_check(sol, obj, params)
         assert rep["passed"], rep
+
+    @pytest.mark.parametrize("f_gap, first, worst", [
+        ([0.5, 0.6, 0.2, 0.45], None, 3),  # ratios 0.5, 0.85, 0.35, 0.9
+        ([0.5, 0.8, 0.2, 0.45], 1, 1),  # 0.8 > 1/sqrt(2): ratio 1.13
+    ], ids=["holds", "violated"])
+    def test_locators(self, f_gap, first, worst):
+        """On the grid t = 1..4 at (p, alpha) = (1, 3/2) with E(T0) = 4 the
+        bound is 1/sqrt(t); the energy rises the most into t = 3."""
+        t = np.arange(1.0, 5.0)
+        sol = OdeSolution(t, np.zeros((4, 1)), np.array(f_gap), np.array([4.0, 3.0, 3.5, 3.2]))
+        rep = ode_rate_check(sol, None, OdeParams(T0=1.0, T=4.0, dt=1.0))
+        assert (rep["max_energy_increase"], rep["max_energy_increase_t"]) == (0.5, 3.0)
+        assert rep["first_violation_t"] == (None if first is None else t[first])
+        assert rep["max_ratio_t"] == t[worst]
+        assert rep["max_ratio"] == pytest.approx(f_gap[worst] * np.sqrt(t[worst]), rel=1e-15)
+        assert rep["rate_bound_holds"] is (first is None) and rep["energy_monotone"] is False
+
+    def test_one_point_grid_has_no_energy_rise(self):
+        sol = OdeSolution(np.ones(1), np.zeros((1, 1)), np.zeros(1), np.ones(1))
+        rep = ode_rate_check(sol, None, OdeParams(T0=1.0, T=4.0, dt=1.0))
+        assert (rep["max_energy_increase"], rep["max_energy_increase_t"]) == (0.0, None)
+        assert (rep["max_ratio"], rep["max_ratio_t"]) == (0.0, 1.0)
 
     def test_rejects_out_of_scope_exponents(self):
         obj = quadratic_new(np.eye(2))

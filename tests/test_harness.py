@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sgdmlab import cli, concentration, problems
+from sgdmlab import cli, concentration, problems, stats
 from sgdmlab._csv import write_csv
 from sgdmlab.cli import (ConfigError, _check, default_quadratic, load_config, main,
                          write_verdict)
@@ -181,6 +181,13 @@ class TestCliSubcommands:
                      "--runs", "30"]) == 0
         (check,) = strict_json(out / "verdict.json")["checks"]
         assert check["first_failure_k"] is None
+        # argmax_k: the checkpoint of the largest excess, recomputed from ensemble.csv
+        table = np.loadtxt(out / "ensemble.csv", delimiter=",", skiprows=1)
+        ks = stats.log_spaced_checkpoints(300)
+        bound = stats.expectation_rate_bound(default_quadratic(10, 0), 10.0, np.ones(10), ks)
+        units = (table[ks, 1] - bound) / table[ks, 2]
+        assert check["argmax_k"] == ks[np.argmax(units)]
+        assert check["value"] == pytest.approx(units.max(), rel=1e-12)
 
     def test_verify_anytime(self, tmp_path):
         out = tmp_path / "o"
@@ -215,9 +222,15 @@ class TestCliSubcommands:
         out = tmp_path / "o"
         assert main(["ode-compare", "--out", str(out), "--runs", "5",
                      "--t", "2.0", "--dt", "0.01", "--eta-grid", "0.1,0.05"]) == 0
-        checks = json.loads((out / "verdict.json").read_text())["checks"]
-        rate = next(c for c in checks if c["name"] == "rate_bound_holds")
+        energy, rate = json.loads((out / "verdict.json").read_text())["checks"][:2]
         assert rate["first_violation_t"] is None and rate["value"] is None
+        # the keys locate the worst grid point of ode.csv: (p, alpha) = (1, 3/2)
+        t, f_gap, e = np.loadtxt(out / "ode.csv", delimiter=",", skiprows=1).T
+        ratio = f_gap / (e[0] / (4.0 * np.sqrt(t)))
+        assert rate["argmax_t"] == t[np.argmax(ratio)]
+        assert rate["max_ratio"] == pytest.approx(ratio.max(), rel=1e-12)
+        assert 0.0 < rate["max_ratio"] <= 1.0
+        assert energy["argmax_t"] == t[1 + np.argmax(np.diff(e))]
 
     @staticmethod
     def _l2_check(argv, tmp_path):
@@ -277,6 +290,7 @@ class TestCliSubcommands:
         assert len(checks) == len(rows) == 6
         for check, row in zip(checks, rows):
             assert check["threshold"] == row["threshold"]
+            assert (check["stderr"], check["n"]) == (row["stderr"], 3000)
             assert row["passed"] is (row.get("mean", row.get("fraction")) <= row["threshold"])
             assert check["passed"] is row["passed"]
 
@@ -284,6 +298,13 @@ class TestCliSubcommands:
         out = tmp_path / "o"
         assert main(["smoothness", "--out", str(out), "--steps", "400",
                      "--runs", "6"]) == 0
+        (check,) = strict_json(out / "verdict.json")["checks"]
+        obj = default_quadratic(10, 0)
+        rep = stats.smoothness_comparison(
+            obj, NoiseModel.gaussian(10, 1.0), 400, 6, 0,
+            StepSchedule(kind="anytime_log2", L=obj.lipschitz, epsilon=0.5))
+        assert check["noise_multiplier_ratio"] == rep["noise_multiplier_ratio"]
+        assert check["argmax_run"] == rep["argmax_run_sgdm"]
 
     def test_constants(self, tmp_path):
         out = tmp_path / "o"

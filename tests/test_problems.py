@@ -306,22 +306,25 @@ class TestLogisticOptimum:
     @pytest.mark.parametrize("X, y", [
         ([[1.0, 0.0], [2.0, 1.0], [-1.0, 0.0], [-2.0, -1.0]], [1.0, 1.0, 0.0, 0.0]),
         ([[1.0], [-1.0]], [1.0, 0.0]),
-    ], ids=["four-row", "two-row"])
+        # an all-zero row keeps a margin of 0 at every b; the other rows are separable
+        ([[0.0, 0.0], [-2.0, -2.0], [2.0, 2.0]], [1.0, 0.0, 1.0]),
+    ], ids=["four-row", "two-row", "zero-row"])
     def test_separable_data_raises_its_own_error(self, X, y):
         # no finite minimizer: the gradient tends to 0 as |b| grows, and an
-        # iterate that puts every sample on the side of its label proves it
+        # iterate that puts every nonzero sample on the side of its label proves it
         with pytest.raises(OptimumNotReached, match="the dataset is separable") as info:
             logreg_new(np.array(X), np.array(y))
         b = np.array(str(info.value).split("[")[1].split("]")[0].split(), dtype=float)
-        z = np.array(X) @ b
-        assert np.all(np.where(np.array(y) == 1.0, z > 0.0, z < 0.0))
+        live = np.array(X).any(axis=1)
+        z = (np.array(X) @ b)[live]
+        assert np.all(np.where(np.array(y)[live] == 1.0, z > 0.0, z < 0.0))
 
     @pytest.mark.parametrize("X, y", [
         ([[1, 0], [-1, 0], [0, 1], [0, 1], [0, -1], [0, 0.5]], [1, 0, 1, 0, 1, 0]),
         # the Hessian's least eigenvalue decays below rounding as x_1 -> -inf
         ([[-1, 0], [1, 0], [0, 3], [0, -2]], [1, 0, 0, 0]),
-        # an all-zero row keeps a margin of 0; the other rows are separable
-        ([[0, 0], [-2, -2], [2, 2]], [1, 0, 1]),
+        # an all-zero row, and two equal rows with both labels on the separating line
+        ([[0, 0], [-2, -2], [2, 2], [1, -1], [1, -1]], [1, 0, 1, 1, 0]),
     ], ids=["two-axes", "fading-curvature", "zero-row"])
     def test_quasi_separable_data_stops_at_the_step_cap(self, X, y):
         """No minimizer, and no b with every margin negative: the gradient

@@ -216,13 +216,15 @@ class TestSmoothness:
         sched = StepSchedule(kind="expectation_log2", L=obj.lipschitz, scale=0.25)
         rep = smoothness_comparison(obj, noise, K=K, M=5, master_seed=11, schedule=sched,
                                     sgd_scale=0.6)
-        medians = []
+        variances = []
         for seed, kw in ((11, dict(algorithm="sgdm")), (12, dict(algorithm="sgd", sgd_scale=0.6))):
             f_gap, = run_ensemble(obj, noise, sched, K=K, M=5, master_seed=seed,
                                   x0=np.ones(3), record=("f_gap",), **kw).collect("f_gap")
             quarter = f_gap[max(1, 3 * K // 4):]  # k = 3K/4 .. K
-            medians.append(float(np.median(_increment_variances(quarter))))
+            variances.append(_increment_variances(quarter))
+        medians = [float(np.median(v)) for v in variances]
         assert [rep["median_var_sgdm"], rep["median_var_sgd"]] == medians
+        assert rep["argmax_run_sgdm"] == np.argmax(variances[0])
 
     @pytest.mark.parametrize("K", [5, 8, 1031])
     def test_late_gaps_are_the_quarter_rows(self, K):
