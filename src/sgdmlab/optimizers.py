@@ -172,20 +172,18 @@ def run_trajectory(
     algorithm: str,
     schedule: StepSchedule,
     K: int,
-    seed,
+    master_seed: int,
     sgd_scale: float = 1.0,
 ) -> TrajectoryRecord:
     """Run K steps of one algorithm from x_0 = x_1 = (1, ..., 1) and log
     every per-step quantity.
 
-    Fully deterministic given the seed (an int, SeedSequence, or Generator):
-    the run is the one column of an ensemble stream on that seed's
-    generator, folded into its record, and diverges with its
-    ``FloatingPointError``.
+    The run is run 0 of the ensemble stream on ``master_seed``, drawing from
+    ``rng_for(master_seed, 0)``, folded into its record; it diverges with
+    the stream's ``FloatingPointError``.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    stream = run_ensemble(obj, noise, schedule, K, 1, None, algorithm,
-                          record=TrajectoryRecord.RECORD, sgd_scale=sgd_scale, rngs=[rng])
+    stream = run_ensemble(obj, noise, schedule, K, 1, master_seed, algorithm,
+                          record=TrajectoryRecord.RECORD, sgd_scale=sgd_scale)
     record = TrajectoryRecord.of(stream)
     with stream:
         collections.deque(record.fold(stream), maxlen=0)

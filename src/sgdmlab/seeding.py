@@ -5,24 +5,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["seed_split", "rng_for", "rngs_for"]
-
-
-def seed_split(master_seed: int, run_index: int) -> np.random.SeedSequence:
-    """Derive an independent per-run seed from (master_seed, run_index).
-
-    Counter-based: the spawn key makes the mapping injective in run_index and
-    platform-independent, so results do not depend on execution order or
-    worker count.
-    """
-    if master_seed < 0 or run_index < 0:
-        raise ValueError("master_seed and run_index must be non-negative")
-    return np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(run_index),))
-
-
-def rng_for(master_seed: int, run_index: int) -> np.random.Generator:
-    """Generator for one Monte-Carlo run."""
-    return np.random.default_rng(seed_split(master_seed, run_index))
+__all__ = ["rng_for", "rngs_for"]
 
 
 # SeedSequence's hash constants (NumPy's bit_generator module, after
@@ -72,19 +55,19 @@ class _SeedStates(ISeedSequence):
         return next(self._rows)
 
 
-def rngs_for(master_seed: int, n: int) -> list[np.random.Generator]:
-    """Generators for runs ``0 .. n-1``, each with the same state as
-    ``rng_for(master_seed, i)``, seeded in one vectorized pass.
+def _generators(master_seed: int, keys) -> list[np.random.Generator]:
+    """Generators for run ``keys`` (one index, or a uint32 array of them),
+    run i's with the state of ``SeedSequence(entropy=master_seed,
+    spawn_key=(i,))``, all in one pass.
 
-    ``SeedSequence(entropy=master_seed, spawn_key=(i,))`` hashes the
-    master-seed words (zero-padded to the pool size) and then the one-word
-    spawn key i into a pool of four words, and PCG64 takes four uint64 words
-    generated from that pool. Only the last of these steps depends on i, so
-    it runs in uint32 array arithmetic over all runs at once (each run
-    index, below 2**32, is one spawn-key word).
+    That SeedSequence hashes the master-seed words (zero-padded to the pool
+    size) and then the one-word spawn key i into a pool of four words, and
+    PCG64 takes four uint64 words generated from that pool. Only the last
+    of these steps depends on i, so it runs in uint32 array arithmetic over
+    all runs at once, or in int arithmetic for one.
     """
-    if master_seed < 0 or n < 0:
-        raise ValueError("master_seed and n must be non-negative")
+    if master_seed < 0:
+        raise ValueError("master_seed must be non-negative")
     entropy = _words(int(master_seed))
     entropy += [0] * (_POOL_SIZE - len(entropy))
     h = _INIT_A
@@ -97,7 +80,6 @@ def rngs_for(master_seed: int, n: int) -> list[np.random.Generator]:
             if src != dst:
                 value, h = _hash(pool[src], h, _MULT_A)
                 pool[dst] = _mix(pool[dst], value)
-    keys = np.arange(n, dtype=np.uint32)
     for word in entropy[_POOL_SIZE:] + [keys]:
         for dst in range(_POOL_SIZE):
             value, h = _hash(word, h, _MULT_A)
@@ -108,6 +90,23 @@ def rngs_for(master_seed: int, n: int) -> list[np.random.Generator]:
         value, h = _hash(pool[j % _POOL_SIZE], h, _MULT_B)
         words.append(value)
     # uint32 pairs read as little-endian uint64, as generate_state does
-    state = np.stack(words, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
+    state = np.column_stack(words).astype("<u4").view("<u8").astype(np.uint64)
     seeds = _SeedStates(state)
-    return [np.random.Generator(np.random.PCG64(seeds)) for _ in range(n)]
+    return [np.random.Generator(np.random.PCG64(seeds)) for _ in state]
+
+
+def rng_for(master_seed: int, run_index: int) -> np.random.Generator:
+    """Generator for Monte-Carlo run ``run_index`` (below 2**32) of
+    ``master_seed``: counter-based, so a run's stream depends neither on
+    execution order nor on the worker count."""
+    if not 0 <= run_index <= _MASK:
+        raise ValueError(f"run_index must be in [0, 2**32), got {run_index}")
+    return _generators(master_seed, int(run_index))[0]
+
+
+def rngs_for(master_seed: int, n: int) -> list[np.random.Generator]:
+    """Generators for runs ``0 .. n-1``, each with the state of
+    ``rng_for(master_seed, i)``."""
+    if not 0 <= n <= _MASK + 1:
+        raise ValueError(f"n must be in [0, 2**32], got {n}")
+    return _generators(master_seed, np.arange(n, dtype=np.uint32))

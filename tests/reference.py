@@ -12,7 +12,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from sgdmlab.optimizers import StepSchedule, schedule_eval
-from sgdmlab.seeding import rng_for
+
+
+def numpy_rng(master_seed, run_index):
+    """Run ``run_index``'s generator by NumPy's own seeding, independent of
+    :mod:`sgdmlab.seeding`, whose derivation must give the same stream."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=master_seed, spawn_key=(run_index,)))
 
 
 @dataclass
@@ -123,7 +129,7 @@ def reference_ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm"
     """Reference for run_ensemble: each run's whole (K, d) noise drawn up
     front, separate eval and grad calls, fresh arrays at every step, and the
     kernel's operation order, so the traces must agree bit for bit. Column i
-    is run ``first_run + i``, seeded by ``rng_for(master_seed, first_run + i)``.
+    is run ``first_run + i``, seeded by ``numpy_rng(master_seed, first_run + i)``.
     ACSA (cold start only) takes its gradients at y_k = (1 - a) x_k + a z_k,
     a = 2/(k+1), and steps z with gamma_k = 1/(2L/k + sqrt(k)), in the order
     of Lan's three-sequence scheme: y, z_{k+1}, then x_{k+1}. Besides the
@@ -135,7 +141,7 @@ def reference_ensemble(obj, noise, schedule, K, M, master_seed, algorithm="sgdm"
     x_cur = np.broadcast_to(x0, (M, d)).copy()
     x_prev = x_cur.copy() if x_prev0 is None else np.broadcast_to(x_prev0, (M, d)).copy()
     eta = np.atleast_1d(schedule_eval(schedule, np.arange(k_start - 1, k_start + K)))
-    xi_all = np.stack([noise.sample(rng_for(master_seed, first_run + i), K)
+    xi_all = np.stack([noise.sample(numpy_rng(master_seed, first_run + i), K)
                        for i in range(M)], axis=1)
     out = {"x": [x_prev, x_cur], "g": [], "grad": [], "f_gap": [obj.f_gap(x_prev)],
            "theta_sq": [], "theta_tau": [], "grad_sq": [], "descent_rhs": []}
@@ -211,7 +217,7 @@ def first_nonfinite_step(obj, noise, sched, K, M, seed):
     hits = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(M):
-            rng = rng_for(seed, i)
+            rng = numpy_rng(seed, i)
             x_prev = x_cur = np.ones(obj.dim)
             for k in range(1, K + 1):
                 g = obj.grad(x_cur) + noise.sample(rng)

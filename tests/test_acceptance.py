@@ -47,7 +47,7 @@ def test_01_pathwise_descent():
     for obj in (quad, logreg):
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
         for var in (0.0, 100.0):
-            # runs 0..49 of one batch: run i draws from the stream of seed_split(7, i)
+            # runs 0..49 of one batch: run i draws from the stream of rng_for(7, i)
             stream = run_ensemble(obj, NoiseModel.gaussian(10, var), sched, 1000, 50, 7,
                                   record=("energy", "descent"))
             rep = check_descent(stream, stream, tol=1e-10)

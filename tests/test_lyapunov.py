@@ -15,7 +15,7 @@ from sgdmlab.lyapunov import (
 )
 from sgdmlab.optimizers import StepSchedule, run_ensemble, run_trajectory, schedule_eval
 from sgdmlab.problems import NoiseModel, quadratic_new
-from sgdmlab.seeding import rng_for, seed_split
+from sgdmlab.seeding import rng_for
 
 from reference import descent_rhs, discrete_energy, reference_ensemble
 from test_problems import random_spd
@@ -51,7 +51,7 @@ class TestDiscreteEnergy:
         obj = quadratic_new(random_spd(3, 0))
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
         noise = NoiseModel.gaussian(3, 1.0)
-        rec = run_trajectory(obj, noise, "sgdm", sched, 20, seed_split(0, 0))
+        rec = run_trajectory(obj, noise, "sgdm", sched, 20, 0)
         x = reference_ensemble(obj, noise, sched, 20, 1, 0, record=("x",))[0]["x"][:, 0]
         for k in (0, 1, 7, 20):
             expect = discrete_energy(x[k + 1], x[k], k, rec.eta[k], rec.f_gap[k], obj.xstar)
@@ -147,15 +147,18 @@ class TestDescentRhs:
         path = ("x", "g", "grad", "f_gap")
         ref, _, _ = reference_ensemble(obj, noise, sched, 20, 3, 0, record=path)
         x, g, grad, f_gap = (ref[name] for name in path)
-        recs = [run_trajectory(obj, noise, "sgdm", sched, 20, seed_split(0, i)) for i in range(3)]
-        eta = recs[0].eta
+        # run i alone, on its own generator
+        ones = [run_ensemble(obj, noise, sched, 20, 1, None, record=("energy", "descent"),
+                             rngs=[rng_for(0, i)]).collect("energy", "descent_rhs")
+                for i in range(3)]
+        eta = schedule_eval(sched, np.arange(21))
         energy = energy_along(x, eta, f_gap, obj.xstar)
         theta_tau = noise_terms(x[:-1], g, grad, obj.xstar)[1]
         rhs = descent_rhs_along(np.sum(g * g, axis=-1), np.sum(grad * grad, axis=-1), theta_tau,
                                 f_gap[1:], eta[1:], obj.lipschitz)
-        for i, rec in enumerate(recs):
-            np.testing.assert_allclose(energy[:, i], rec.energy, rtol=1e-14)
-            np.testing.assert_allclose(rhs[:, i], rec.descent_rhs, rtol=1e-12, atol=1e-15)
+        for i, (one_energy, one_rhs) in enumerate(ones):
+            np.testing.assert_allclose(energy[:, i], one_energy[:, 0], rtol=1e-14)
+            np.testing.assert_allclose(rhs[:, i], one_rhs[:, 0], rtol=1e-12, atol=1e-15)
 
     def test_vectorized_matches_scalar(self):
         obj = quadratic_new(random_spd(3, 1))

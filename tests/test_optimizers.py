@@ -24,7 +24,7 @@ from sgdmlab.optimizers import (
     sgdm_noise_multiplier,
 )
 from sgdmlab.problems import NoiseModel, logreg_new, quadratic_new, synthetic_blobs
-from sgdmlab.seeding import rng_for, rngs_for, seed_split
+from sgdmlab.seeding import rng_for, rngs_for
 
 from reference import (
     SgdmState,
@@ -225,7 +225,7 @@ class TestRunTrajectory:
         obj = quadratic_new(random_spd(4, 7))
         noise = NoiseModel.gaussian(4, 0.5)
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
-        rec = run_trajectory(obj, noise, "sgdm", sched, 30, seed_split(0, 0))
+        rec = run_trajectory(obj, noise, "sgdm", sched, 30, 0)
         path = ("x", "g", "grad")
         ref, _, _ = reference_ensemble(obj, noise, sched, 30, 1, 0, record=path)
         x, g, grad = (ref[name][:, 0] for name in path)
@@ -258,7 +258,7 @@ class TestRunTrajectory:
     def test_is_the_reference_column_bit_for_bit(self, problem, algorithm, noise):
         obj = problem_of(problem)
         sched = StepSchedule(kind="anytime_log2", L=obj.lipschitz)
-        rec = run_trajectory(obj, _NOISES[noise], algorithm, sched, 200, seed_split(3, 0),
+        rec = run_trajectory(obj, _NOISES[noise], algorithm, sched, 200, 3,
                              sgd_scale=0.3)
         ref, _, _ = reference_ensemble(obj, _NOISES[noise], sched, 200, 1, 3,
                                        algorithm=algorithm, sgd_scale=0.3,
@@ -415,7 +415,7 @@ class TestRunEnsemble:
         stream = run_ensemble(obj, noise, sched, 30, 2, 4, record=TrajectoryRecord.RECORD)
         col = TrajectoryRecord.of(stream)
         assert len(list(col.fold(stream))) == 1
-        one = run_trajectory(obj, noise, "sgdm", sched, 30, seed_split(4, 0))
+        one = run_trajectory(obj, noise, "sgdm", sched, 30, 4)
         for name in ("eta", "f_gap", "energy", "descent_rhs", "grad_norm", "noise_norm"):
             np.testing.assert_array_equal(getattr(col, name), getattr(one, name), err_msg=name)
         ref, _, _ = reference_ensemble(obj, noise, sched, 30, 1, 4, record=("x", "g", "grad"))

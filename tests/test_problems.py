@@ -1,3 +1,5 @@
+import inspect
+import sys
 import warnings
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgdmlab import problems
 from sgdmlab.problems import (
     _NEWTON_STEPS,
     NoiseModel,
@@ -334,6 +337,33 @@ class TestLogisticOptimum:
             with pytest.raises(OptimumNotReached, match=f"within {_NEWTON_STEPS} Newton steps"):
                 logreg_new(np.array(X, dtype=float), np.array(y, dtype=float), refine_tol=tol)
 
+    def test_armijo_halving_on_a_quasi_separable_dataset(self):
+        """The smallest dataset of a seeded sweep over small integer features
+        whose Newton steps overshoot: (3, -3) and (1, -1) lie on one ray with
+        opposite labels, and along b = t (1, 1) their margins stay 0 while
+        (2, -3) is classified ever better, so no minimizer exists. The
+        halving runs, and the refusal is still the step cap's."""
+        lines, first = inspect.getsourcelines(problems.logreg_new)
+        halving = first + next(i for i, line in enumerate(lines) if "t /= 2.0" in line)
+        ran = set()
+
+        def trace(frame, event, arg):
+            if frame.f_code.co_name != "optimum":
+                return None
+            if event == "line":
+                ran.add(frame.f_lineno)
+            return trace
+
+        X, y = np.array([[3.0, -3.0], [1.0, -1.0], [2.0, -3.0]]), np.array([1.0, 0.0, 0.0])
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            with pytest.raises(OptimumNotReached, match=f"within {_NEWTON_STEPS} Newton steps"):
+                logreg_new(X, y)
+        finally:
+            sys.settrace(previous)
+        assert halving in ran
+
     def test_rank_deficient_features(self):
         """A duplicated column splits its weight in two equal halves, and an
         all-zero column keeps weight 0; the loss at the optimum stays."""
@@ -408,6 +438,11 @@ class TestNoiseModel:
             NoiseModel.gaussian(2, np.nan)
         with pytest.raises(ValueError, match="half_width"):
             NoiseModel.bounded_uniform(2, np.nan)
+
+    def test_unknown_kind_rejected_when_sampled(self):
+        noise = NoiseModel("laplace", 2, 1.0, 2.0, 2.0)
+        with pytest.raises(ValueError, match="unknown noise kind 'laplace'"):
+            noise.sample(np.random.default_rng(0), 3)
 
     def test_sample_gradient_is_grad_plus_noise(self):
         obj = quadratic_new(np.eye(2))

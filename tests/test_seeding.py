@@ -1,19 +1,14 @@
 import numpy as np
 import pytest
 
+from reference import numpy_rng as oracle
 from sgdmlab import continuous
 from sgdmlab.continuous import sde_sample_paths
 from sgdmlab.problems import quadratic_new
-from sgdmlab.seeding import rngs_for
+from sgdmlab.seeding import _generators, _SeedStates, rng_for, rngs_for
 
 # master seeds of one to five 32-bit words, at and across word boundaries
 MASTER_SEEDS = [0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**130]
-
-
-def oracle(master_seed, run_index):
-    """NumPy's own seeding of run ``run_index``, independent of sgdmlab."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(run_index,)))
 
 
 def assert_same_streams(rngs, master_seed, indices):
@@ -30,15 +25,39 @@ def test_batched_generators_equal_numpy_seeding(master_seed):
     assert_same_streams(rngs_for(master_seed, n), master_seed, range(n))
 
 
+@pytest.mark.parametrize("master_seed", MASTER_SEEDS)
+def test_one_generator_equals_numpy_seeding(master_seed):
+    # the first indices and the last one a spawn-key word holds, through
+    # rng_for, the batch and the derivation's uint32 array form
+    indices = [0, 1, 2**32 - 1]
+    assert_same_streams([rng_for(master_seed, i) for i in indices], master_seed, indices)
+    assert_same_streams(rngs_for(master_seed, 2), master_seed, indices[:2])
+    assert_same_streams(_generators(master_seed, np.array(indices, dtype=np.uint32)),
+                        master_seed, indices)
+
+
 def test_offset_start_and_empty_batch():
     # runs always start at index 0; an empty batch builds no generator
     assert rngs_for(9, 0) == []
 
 
-def test_negative_inputs_rejected():
-    for args in ((-1, 3), (0, -1)):
-        with pytest.raises(ValueError):
-            rngs_for(*args)
+@pytest.mark.parametrize("make, args", [
+    (rng_for, (-1, 3)), (rng_for, (0, -1)), (rng_for, (0, 2**32)),
+    # a batch past the last spawn-key word is refused before any index is made
+    (rngs_for, (-1, 3)), (rngs_for, (0, -1)), (rngs_for, (0, 2**32 + 1)),
+], ids=["rng-master", "rng-negative", "rng-2**32", "rngs-master", "rngs-negative",
+        "rngs-2**32+1"])
+def test_out_of_range_inputs_rejected(make, args):
+    with pytest.raises(ValueError):
+        make(*args)
+
+
+@pytest.mark.parametrize("n_words, dtype", [(8, np.uint64), (4, np.uint32)])
+def test_seed_states_refuse_any_other_request(n_words, dtype):
+    # PCG64 asks for 4 uint64 words; no other request can be served
+    states = _SeedStates(np.zeros((1, 4), dtype=np.uint64))
+    with pytest.raises(ValueError, match="4 uint64 words only"):
+        states.generate_state(n_words, dtype)
 
 
 def test_noiseless_sde_builds_no_generators(monkeypatch):
