@@ -40,6 +40,12 @@ class Objective:
     shares costly work with the gradient: :func:`~sgdmlab.optimizers.run_ensemble`
     calls it at every step of a run that records ``f_gap``, and otherwise
     evaluates ``eval`` once per block of stored iterates.
+
+    ``hessian``, when given, is a constant symmetric matrix with
+    ``grad(x) = (x - xstar) @ hessian``: the objective is a quadratic, and
+    :func:`~sgdmlab.continuous.ode_integrate` steps its ODE mode by mode
+    without calling ``grad``. :func:`quadratic_new` sets it; a copy that
+    replaces ``grad`` should drop it, as it should ``value_and_grad``.
     """
 
     dim: int
@@ -49,6 +55,7 @@ class Objective:
     fstar: float
     xstar: np.ndarray
     value_and_grad: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    hessian: np.ndarray | None = None
 
     def f_gap(self, x: np.ndarray) -> np.ndarray:
         """f(x) - f*, batched like ``eval``."""
@@ -168,6 +175,7 @@ def quadratic_new(A: np.ndarray) -> Objective:
         lipschitz=float(eigs[-1]),
         fstar=0.0,
         xstar=np.zeros(dim),
+        hessian=A,
     )
 
 

@@ -2,13 +2,17 @@
 written out one step and one run at a time, independent of the batched
 kernel in :func:`sgdmlab.optimizers.run_ensemble` that they check, and the
 discrete Lyapunov energy and descent bound of one step, term by term, for
-the vectorized forms in :mod:`sgdmlab.lyapunov`.
+the vectorized forms in :mod:`sgdmlab.lyapunov`; and, for the continuous
+side, the eigenmodes of the ODE on a quadratic in closed form and a scalar
+RK4 loop in mpmath.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 
 from sgdmlab.optimizers import StepSchedule, schedule_eval
@@ -229,3 +233,65 @@ def first_nonfinite_step(obj, noise, sched, K, M, seed):
                     break
     k = min(hits)
     return k, hits[k]
+
+
+def mp_rk4_first_overflow_t(lam, p, alpha, T0, dt, n, x, v):
+    """Classical RK4 on the scalar mode x'' + (p+1)/t x' + (p+1)/t^alpha lam x
+    = 0, from x(T0) = x, x'(T0) = v, in mpmath at 30 digits, whose numbers do
+    not overflow: the first time of the n-step grid where |x| or |v|
+    exceeds the float maximum, or None."""
+    with mpmath.workdps(30):
+        big, c, h = mpmath.mpf(sys.float_info.max), mpmath.mpf(p) + 1, mpmath.mpf(dt)
+        lam, x, v = mpmath.mpf(lam), mpmath.mpf(x), mpmath.mpf(v)
+
+        def acc(t, x, v):
+            return -(c / t) * v - (c / t**alpha) * lam * x
+
+        for i in range(n + 1):
+            t = mpmath.mpf(T0) + h * i
+            if abs(x) > big or abs(v) > big:
+                return float(t)
+            k1x, k1v = v, acc(t, x, v)
+            k2x = v + h / 2 * k1v
+            k2v = acc(t + h / 2, x + h / 2 * k1x, k2x)
+            k3x = v + h / 2 * k2v
+            k3v = acc(t + h / 2, x + h / 2 * k2x, k3x)
+            k4x = v + h * k3v
+            k4v = acc(t + h, x + h * k3x, k4x)
+            x = x + h / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
+            v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+    return None
+
+
+def ode_mode_path(lam, p, alpha, T0, x0, v0, ts):
+    """The exact solution of one eigenmode x'' + (p+1)/t x' + (p+1) lam
+    t^(-alpha) x = 0 of the ODE on a quadratic, with x(T0) = x0 and x'(T0) =
+    v0, at the times ``ts``; in mpmath at 30 digits. With m = (2 - alpha)/2,
+    the substitution x = t^(-p/2) u(c t^m) turns it into Bessel's equation
+    of order nu = p / (2 - alpha) (DLMF 10.13.5), so for alpha < 2
+
+        x(t) = t^(-p/2) [a J_nu(c t^m) + b Y_nu(c t^m)],  c = sqrt((p+1) lam) / m,
+
+    and at alpha = 2 it is Euler's equation, solved for (p+1) lam > p^2/4 by
+
+        x(t) = t^(-p/2) [a cos(w log t) + b sin(w log t)],  w = sqrt((p+1) lam - p^2/4).
+
+    a and b solve the 2x2 system of the initial conditions."""
+    with mpmath.workdps(30):
+        p, alpha, lam, T0 = (mpmath.mpf(z) for z in (p, alpha, lam, T0))
+        if alpha < 2:
+            m = (2 - alpha) / 2
+            nu, c = p / (2 - alpha), mpmath.sqrt((p + 1) * lam) / m
+            pair = (mpmath.besselj, mpmath.bessely)
+            basis = [lambda t, f=f: t ** (-p / 2) * f(nu, c * t**m) for f in pair]
+        elif alpha == 2 and (p + 1) * lam > p * p / 4:
+            w = mpmath.sqrt((p + 1) * lam - p * p / 4)
+            basis = [lambda t, f=f: t ** (-p / 2) * f(w * mpmath.log(t))
+                     for f in (mpmath.cos, mpmath.sin)]
+        else:
+            raise ValueError(f"no closed form here for alpha={alpha}, (p+1) lam={(p + 1) * lam}")
+        (u1, d1), (u2, d2) = ((u(T0), mpmath.diff(u, T0)) for u in basis)
+        det = u1 * d2 - u2 * d1
+        a, b = (x0 * d2 - v0 * u2) / det, (u1 * v0 - d1 * x0) / det
+        return np.array([float(a * basis[0](mpmath.mpf(t)) + b * basis[1](mpmath.mpf(t)))
+                         for t in ts])

@@ -25,7 +25,7 @@ from sgdmlab.optimizers import StepSchedule, run_ensemble
 from sgdmlab.problems import NoiseModel, logreg_new, quadratic_new, synthetic_blobs
 from sgdmlab.seeding import rng_for
 
-from reference import reference_ensemble
+from reference import mp_rk4_first_overflow_t, ode_mode_path, reference_ensemble
 from test_problems import random_spd
 
 
@@ -106,14 +106,17 @@ class TestOdeIntegrate:
         expect0 = w @ w + 4.0 * sol.t[0] ** 0.5 * obj.f_gap(sol.X[0])
         assert sol.energy[0] == pytest.approx(float(expect0))
 
+    # (gradient scale, alpha, steps): a blow-up in the first step, and one
+    # that stays finite past the first finiteness block. Both grow fast
+    # enough per step that rounding in the stage sums cannot move the
+    # overflow to a neighbouring step.
+    BLOW_UPS = ((1e160, 1.5, 10), (800.0, 0.0, 400))
+
     def test_nonfinite_abort_names_time(self):
+        """The grad path, on copies whose replaced ``grad`` drops the Hessian."""
         obj = quadratic_new(np.eye(1))
-        # (gradient scale, alpha, steps): a blow-up in the first step, and one
-        # that stays finite past the first finiteness block. Both grow fast
-        # enough per step that rounding in the stage sums cannot move the
-        # overflow to a neighbouring step.
-        for scale, alpha, n in ((1e160, 1.5, 10), (800.0, 0.0, 400)):
-            bad = replace(obj, grad=lambda x, s=scale: x * s)
+        for scale, alpha, n in self.BLOW_UPS:
+            bad = replace(obj, grad=lambda x, s=scale: x * s, hessian=None)
             params = OdeParams(p=1.0, alpha=alpha, T0=1.0, T=1.0 + 0.1 * n, dt=0.1)
             with np.errstate(over="ignore", invalid="ignore"):
                 t_ref = rk4_first_nonfinite_t(bad.grad, 1.0, alpha, 1.0, 0.1, n,
@@ -122,6 +125,20 @@ class TestOdeIntegrate:
             # no NumPy warning leaks from the steps that overflow
             with pytest.raises(FloatingPointError) as err:
                 ode_integrate(bad, params, np.ones(1), np.zeros(1))
+            assert str(err.value) == f"ODE state became non-finite at t={t_ref:.6g} in run(s) [0]"
+        assert (t_ref - 1.0) / 0.1 > FINITE_CHECK_BLOCK
+
+    def test_nonfinite_abort_names_time_mode_path(self):
+        """The mode path names the first grid time whose exact RK4 state
+        exceeds the float maximum: t = 1.1 and 35.9. The grad path names
+        35.7 for the second, where its stage sums overflow first."""
+        for scale, alpha, n in self.BLOW_UPS:
+            obj = quadratic_new([[scale]])
+            params = OdeParams(p=1.0, alpha=alpha, T0=1.0, T=1.0 + 0.1 * n, dt=0.1)
+            t_ref = mp_rk4_first_overflow_t(scale, 1.0, alpha, 1.0, 0.1, n, 1.0, 0.0)
+            assert t_ref is not None
+            with pytest.raises(FloatingPointError) as err:
+                ode_integrate(obj, params, np.ones(1), np.zeros(1))
             assert str(err.value) == f"ODE state became non-finite at t={t_ref:.6g} in run(s) [0]"
         assert (t_ref - 1.0) / 0.1 > FINITE_CHECK_BLOCK
 
@@ -173,24 +190,80 @@ class TestOdeIntegrate:
 
     def test_transient_memory_is_one_block(self):
         """Beyond the arrays it returns, ode_integrate holds one block of
-        FINITE_CHECK_BLOCK steps (0.29 MB here); building the whole grid's
-        RK4 weights and (x, v) path at once held 5.9 MB at these 10 000
-        steps."""
+        FINITE_CHECK_BLOCK steps: 0.50 MB here on a quadratic's mode path,
+        0.25 MB on the grad path; building the whole grid's RK4 weights and
+        (x, v) path at once held 5.9 MB at these 10 000 steps."""
         obj = default_quadratic(10, 0)
-        tracemalloc.start()
-        try:
-            sol = ode_integrate(obj, OdeParams(T0=1.0, T=11.0, dt=1e-3), np.ones(10),
-                                np.zeros(10))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        kept = sum(a.nbytes for a in (sol.t, sol.X, sol.f_gap, sol.energy))
-        assert len(sol.t) == 10_001
-        assert peak - kept < 1e6
+        for o in (obj, replace(obj, hessian=None)):
+            tracemalloc.start()
+            try:
+                sol = ode_integrate(o, OdeParams(T0=1.0, T=11.0, dt=1e-3), np.ones(10),
+                                    np.zeros(10))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            kept = sum(a.nbytes for a in (sol.t, sol.X, sol.f_gap, sol.energy))
+            assert len(sol.t) == 10_001
+            assert peak - kept < 1e6
+
+
+# test_02's (p, alpha) pairs
+PAIRS = ((1.0, 1.5), (1.0, 2.0), (2.0, 1.0), (2.0, 1.5))
+
+
+class TestModePath:
+    """``ode_integrate`` on an objective with a ``hessian``, which steps the
+    eigenmodes without calling ``grad``."""
+
+    def test_calls_no_grad(self):
+        def no_grad(x):
+            raise AssertionError("grad was called")
+
+        obj = replace(quadratic_new(random_spd(3, 0)), grad=no_grad)  # keeps the hessian
+        ode_integrate(obj, OdeParams(T0=1.0, T=1.5, dt=1e-3), np.ones(3), np.zeros(3))
+
+    @pytest.mark.parametrize("p,alpha", PAIRS)
+    def test_agrees_with_grad_path(self, p, alpha):
+        """On [1, 20] both paths run the same RK4 steps; they differ by
+        rounding only (at most 1.3e-14 of max|X|, and 5.1e-14 relative in
+        f_gap and energy)."""
+        obj = default_quadratic(10, 0)
+        params = OdeParams(p=p, alpha=alpha, T0=1.0, T=20.0, dt=1e-3)
+        rng = np.random.default_rng(5)
+        for X0, V0 in ((np.ones(10), np.zeros(10)),
+                       (rng.standard_normal((3, 10)), rng.standard_normal((3, 10)))):
+            got = ode_integrate(obj, params, X0, V0)
+            want = ode_integrate(replace(obj, hessian=None), params, X0, V0)
+            assert got.X.shape == want.X.shape
+            np.testing.assert_array_equal(got.X[0], np.broadcast_to(X0, want.X[0].shape))
+            assert np.max(np.abs(got.X - want.X)) <= 1e-12 * np.max(np.abs(want.X))
+            np.testing.assert_allclose(got.f_gap, want.f_gap, rtol=1e-11, atol=0)
+            np.testing.assert_allclose(got.energy, want.energy, rtol=1e-11, atol=0)
+
+    def test_matches_closed_form(self):
+        """Each eigenmode solved in closed form (Bessel functions for
+        alpha < 2, Euler's equation at alpha = 2) at five grid points of
+        [1, 20], dt = 1e-3. The tolerance, 5e-11 of max|X|, was set before
+        the run from the 2.4e-12 to 7.6e-12 that RK4 at this step showed on
+        [1, 100]; the largest error here is 1.8e-12, and test_power's two
+        RK4 mutants are off by 0.11 to 0.71."""
+        lams = np.array([1.0, 10.0])
+        q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((2, 2)))
+        obj = quadratic_new(q @ np.diag(lams) @ q.T)
+        X0, V0 = np.array([1.0, -0.5]), np.array([0.0, 0.3])
+        z0, w0 = X0 @ q, V0 @ q
+        for p, alpha in PAIRS:
+            sol = ode_integrate(obj, OdeParams(p=p, alpha=alpha, T0=1.0, T=20.0, dt=1e-3),
+                                X0, V0)
+            rows = np.linspace(0, len(sol.t) - 1, 5).astype(int)
+            modes = [ode_mode_path(lam, p, alpha, 1.0, z0[i], w0[i], sol.t[rows])
+                     for i, lam in enumerate(lams)]
+            want = np.stack(modes, axis=1) @ q.T
+            assert np.max(np.abs(sol.X[rows] - want)) <= 5e-11 * np.max(np.abs(want)), (p, alpha)
 
 
 class TestOdeRateCheck:
-    @pytest.mark.parametrize("p,alpha", [(1.0, 1.5), (1.0, 2.0), (2.0, 1.0), (2.0, 1.5)])
+    @pytest.mark.parametrize("p,alpha", PAIRS)
     def test_energy_monotone_and_rate(self, p, alpha):
         obj = quadratic_new(random_spd(4, 1))
         params = OdeParams(p=p, alpha=alpha, T0=1.0, T=20.0, dt=1e-3)

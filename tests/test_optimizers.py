@@ -521,7 +521,7 @@ class TestRunEnsemble:
         def stepped(x):
             raise AssertionError("a step was taken")
 
-        obj = replace(quadratic_new(np.eye(1)), grad=stepped, value_and_grad=stepped)
+        obj = replace(quadratic_new(np.eye(1)), grad=stepped, value_and_grad=stepped, hessian=None)
         stream = run_ensemble(obj, NoiseModel.noiseless(1),
                               StepSchedule(kind="constant", scale=0.1), K=100_000, M=700,
                               master_seed=0)
